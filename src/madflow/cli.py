@@ -7,9 +7,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import scenarios
 from .errors import ConfigError, MadflowError
@@ -52,25 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_mapping(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return data
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.scenario):
         raise ConfigError("pass exactly one of --config PATH or --scenario NAME")
     if args.config:
-        mapping = _load_mapping(args.config)
+        mapping = scenarios.load_mapping(args.config)
     else:
         mapping = scenarios.builtin_mapping(args.scenario)
     mapping = scenarios.apply_overrides(mapping, args.override)

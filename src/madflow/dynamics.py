@@ -7,8 +7,14 @@ heat_evolve          exact spectral semigroup of the heat flow
 dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
 
-All solvers return a TrajectoryRecord with snapshots and per-time
-observables; products are dealiased with the 2/3 rule.
+The hydrodynamic right-hand side is `wgeom.hamiltonian_flow`, the
+Hamiltonian vector field of the geometry itself, and the DLSS right-hand
+side is minus the divergence form of the total-energy generator that
+`wgeom.wasserstein_gradient("total")` returns; both run through one RK4
+step, guard and snapshot loop.  Observables come from the single
+definitions in `fields`, `wgeom` and `madelung`.  All solvers return a
+TrajectoryRecord with snapshots and per-time observables; products are
+dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ import numpy as np
 
 from .errors import NodeError, StabilityError
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
-                     WaveField, density_floor, functionals)
-from .grid import Grid
-from .madelung import PolarDecomposition
-from .wgeom import fisher_generator
+                     WaveField, density_floor, functionals, lagrangian)
+from .madelung import PolarDecomposition, wave_hamiltonian
+from .wgeom import (TangentBundlePoint, energy_generator, hamiltonian,
+                    hamiltonian_flow, wasserstein_gradient)
 
 MASS_DRIFT_TOL = 1e-8
 ENERGY_BLOWUP_FACTOR = 1e3
@@ -77,6 +83,32 @@ def _snapshot_steps(steps: int, stride: int) -> list[int]:
     return marks
 
 
+def _rk4_run(y, rhs, dt: float, steps: int, marks: list[int], floor: float,
+             settle, record) -> None:
+    """Classical RK4 on the stacked state `y`, whose row 0 is the density.
+
+    After each step the density must stay at or above `floor` (NodeError);
+    `settle(step, y)` then applies the solver's own guard or re-gauging in
+    place, and `record(step, y)` runs at every mark, step 0 included.
+    """
+    mark_set = set(marks)
+    record(0, y)
+    for step in range(1, steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        low = float(y[0].min())
+        if not low >= floor:
+            raise NodeError(
+                f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"
+            )
+        settle(step, y)
+        if step in mark_set:
+            record(step, y)
+
+
 # -- linear wave solver ------------------------------------------------------
 
 
@@ -99,16 +131,13 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
         times.append(step_index * dt)
         states.append(wave)
         mass_col.append(g.integrate(np.abs(psi) ** 2))
-        dpsi = g.derivative(psi)
-        energy = 0.5 * hbar ** 2 * g.integrate(np.abs(dpsi) ** 2) \
-            + g.integrate(np.abs(psi) ** 2 * potential.values)
-        energy_col.append(energy)
+        energy_col.append(wave_hamiltonian(wave, potential, constants))
 
     mark_set = set(marks)
     record(0)
     for step in range(1, steps + 1):
         psi = half_potential * psi
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi = g.apply_symbol(psi, kinetic)
         psi = half_potential * psi
         if step in mark_set:
             record(step)
@@ -127,53 +156,44 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     d(mu)/dt = -d/dx(mu dS/dx)
     d(S)/dt  = -( |dS/dx|^2 / 2 + V + quantum correction )
 
-    The phase is re-gauged to mean zero after every step; removed constants
-    accumulate in the gauge_constant observable (the ledger reconciled
-    against the running action integral).  Raises NodeError when the
-    density reaches its floor and StabilityError on energy blow-up.
+    The right-hand side is `wgeom.hamiltonian_flow`.  The phase is
+    re-gauged to mean zero after every step; removed constants accumulate
+    in the gauge_constant observable (the ledger reconciled against the
+    running action integral).  Raises NodeError when the density reaches
+    its floor and StabilityError on energy blow-up.
     """
     g = mu0.grid
     hbar = constants.hbar
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
-    floor = density_floor(g)
     v_vals = potential.values
-    ik = g.derivative_symbol
-    lap = g.laplacian_symbol
-    mask = g.dealias_mask
-    q_coef = 0.125 * hbar ** 2
 
-    fft, ifft = np.fft.fft, np.fft.ifft
-
-    def rhs(mu, s):
-        mu_hat = fft(mu)
-        mu_x = ifft(ik * mu_hat).real
-        lap_mu = ifft(lap * mu_hat).real
-        s_x = ifft(ik * fft(s)).real
-        d_mu = -ifft(ik * (mask * fft(mu * s_x))).real
-        nonlinear = 0.5 * s_x * s_x + q_coef * ((mu_x / mu) ** 2 - 2.0 * lap_mu / mu)
-        d_s = -(ifft(mask * fft(nonlinear)).real + v_vals)
-        return d_mu, d_s
+    def rhs(y):
+        return hamiltonian_flow(g, y[0], y[1], v_vals, hbar)
 
     # Work on dealiased copies so every retained mode is evolved consistently.
-    mu = ifft(mask * fft(mu0.values)).real
-    s = ifft(mask * fft(phase0.values)).real
-    ledger = g.integrate(s * mu)
-    s = s - ledger
+    y = g.apply_symbol(np.stack((mu0.values, phase0.values)), g.dealias_mask)
+    ledger = g.integrate(y[1] * y[0])
+    y[1] -= ledger
 
     times, states = [], []
     cols = {k: [] for k in ("mass", "h_f", "l_f", "entropy", "fisher", "gauge_constant")}
     reference_energy = None
 
-    def record(step_index: int) -> None:
+    def settle(step_index: int, y: np.ndarray) -> None:
+        nonlocal ledger
+        removed = g.integrate(y[1] * y[0])
+        y[1] -= removed
+        ledger += removed
+
+    def record(step_index: int, y: np.ndarray) -> None:
         nonlocal reference_energy
-        mu_f = DensityField(g, mu)
-        phase_f = PhaseField(g, s, "mean_zero")
+        mu_f = DensityField(g, y[0])
+        point = TangentBundlePoint(mu_f, y[1])
         vals = functionals(mu_f, potential, constants)
-        s_x = g.derivative(s)
-        kinetic = 0.5 * g.integrate(s_x * s_x * mu)
-        energy = kinetic + vals.total_energy
-        guard = kinetic + g.integrate(np.abs(v_vals) * mu) + q_coef * vals.fisher
+        energy = hamiltonian(point, potential, constants)
+        # kinetic + quantum + |V| energy: no cancellation can hide a blow-up
+        guard = energy - vals.potential_energy + g.integrate(np.abs(v_vals) * y[0])
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
@@ -182,33 +202,15 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
         times.append(step_index * dt)
-        states.append(PolarDecomposition(mu_f, phase_f, hbar))
-        cols["mass"].append(g.integrate(mu))
+        states.append(PolarDecomposition(mu_f, PhaseField(g, y[1], "mean_zero"), hbar))
+        cols["mass"].append(g.integrate(y[0]))
         cols["h_f"].append(energy)
-        cols["l_f"].append(kinetic - vals.total_energy)
+        cols["l_f"].append(lagrangian(point.tangent, potential, constants))
         cols["entropy"].append(vals.entropy)
         cols["fisher"].append(vals.fisher)
         cols["gauge_constant"].append(ledger)
 
-    mark_set = set(marks)
-    record(0)
-    for step in range(1, steps + 1):
-        k1m, k1s = rhs(mu, s)
-        k2m, k2s = rhs(mu + 0.5 * dt * k1m, s + 0.5 * dt * k1s)
-        k3m, k3s = rhs(mu + 0.5 * dt * k2m, s + 0.5 * dt * k2s)
-        k4m, k4s = rhs(mu + dt * k3m, s + dt * k3s)
-        mu = mu + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        low = float(mu.min())
-        if low < floor:
-            raise NodeError(
-                f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"
-            )
-        removed = g.integrate(s * mu)
-        s = s - removed
-        ledger += removed
-        if step in mark_set:
-            record(step)
+    _rk4_run(y, rhs, dt, steps, marks, density_floor(g), settle, record)
     return TrajectoryRecord(np.array(times), tuple(states), cols)
 
 
@@ -221,21 +223,18 @@ def heat_evolve(mu0: DensityField, dt: float, total_time: float,
     g = mu0.grid
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
-    coef0 = np.fft.fft(mu0.values)
 
     times, states = [], []
     cols = {k: [] for k in ("mass", "entropy", "fisher")}
     for step in marks:
         t = step * dt
-        values = np.fft.ifft(coef0 * np.exp(g.laplacian_symbol * t)).real
-        mu_f = DensityField(g, values)
-        log_mu = np.log(values)
-        dlog = g.derivative(log_mu)
+        mu_f = DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t)))
+        vals = functionals(mu_f, PotentialField.zero(g), PhysicsConstants())
         times.append(t)
         states.append(mu_f)
-        cols["mass"].append(g.integrate(values))
-        cols["entropy"].append(g.integrate(values * log_mu))
-        cols["fisher"].append(g.integrate(dlog * dlog * values))
+        cols["mass"].append(g.integrate(mu_f.values))
+        cols["entropy"].append(vals.entropy)
+        cols["fisher"].append(vals.fisher)
     return TrajectoryRecord(np.array(times), tuple(states), cols)
 
 
@@ -245,6 +244,7 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     """Explicit RK4 descent of the total energy (steepest descent flow).
 
     The velocity is minus the metric gradient of the total energy, so the
+    density rate is minus the divergence form of its generator and the
     energy must not increase; a per-step ascent beyond the descent
     tolerance raises StabilityError (step size violation).
     """
@@ -252,65 +252,42 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     hbar = constants.hbar
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
-    floor = density_floor(g)
     v_vals = potential.values
-    ik = g.derivative_symbol
-    mask = g.dealias_mask
-    q_coef = 0.125 * hbar ** 2
-    fft, ifft = np.fft.fft, np.fft.ifft
 
-    def rhs(mu):
-        generator = v_vals + q_coef * fisher_generator(g, mu)
-        gen_x = ifft(ik * fft(generator)).real
-        return ifft(ik * (mask * fft(mu * gen_x))).real
+    def rhs(y):
+        generator = energy_generator(g, y[0], v_vals, hbar)
+        return -hamiltonian_flow(g, y[0], generator)[:1]
 
-    def energy_of(mu):
-        dlog = g.derivative(np.log(mu))
-        return g.integrate(v_vals * mu) + q_coef * g.integrate(dlog * dlog * mu)
+    def energy_of(values: np.ndarray) -> float:
+        return functionals(DensityField(g, values), potential, constants).total_energy
 
-    mu = ifft(mask * fft(mu0.values)).real
-    energy = energy_of(mu)
+    y = g.apply_symbol(mu0.values, g.dealias_mask)[None, :]
+    energy = energy_of(y[0])
 
     times, states = [], []
     cols = {k: [] for k in ("mass", "entropy", "fisher", "h_f", "l_f")}
 
-    def record(step_index: int) -> None:
-        mu_f = DensityField(g, mu)
-        log_mu = np.log(mu)
-        dlog = g.derivative(log_mu)
-        fisher = g.integrate(dlog * dlog * mu)
-        total = g.integrate(v_vals * mu) + q_coef * fisher
-        generator = v_vals + q_coef * fisher_generator(g, mu)
-        gen_x = g.derivative(g.dealias(generator))
-        kinetic = 0.5 * g.integrate(gen_x * gen_x * mu)
-        times.append(step_index * dt)
-        states.append(mu_f)
-        cols["mass"].append(g.integrate(mu))
-        cols["entropy"].append(g.integrate(mu * log_mu))
-        cols["fisher"].append(fisher)
-        cols["h_f"].append(total)
-        cols["l_f"].append(kinetic - total)
-
-    mark_set = set(marks)
-    record(0)
-    for step in range(1, steps + 1):
-        k1 = rhs(mu)
-        k2 = rhs(mu + 0.5 * dt * k1)
-        k3 = rhs(mu + 0.5 * dt * k2)
-        k4 = rhs(mu + dt * k3)
-        mu = mu + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        low = float(mu.min())
-        if low < floor:
-            raise NodeError(
-                f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"
-            )
-        new_energy = energy_of(mu)
+    def settle(step_index: int, y: np.ndarray) -> None:
+        nonlocal energy
+        new_energy = energy_of(y[0])
         if new_energy > energy + DESCENT_TOL:
             raise StabilityError(
                 f"energy rose by {new_energy - energy:.3e} in one step at "
-                f"t = {step * dt:.4g}; reduce the step size"
+                f"t = {step_index * dt:.4g}; reduce the step size"
             )
         energy = new_energy
-        if step in mark_set:
-            record(step)
+
+    def record(step_index: int, y: np.ndarray) -> None:
+        mu_f = DensityField(g, y[0])
+        vals = functionals(mu_f, potential, constants)
+        gradient = wasserstein_gradient("total", mu_f, potential, constants)
+        times.append(step_index * dt)
+        states.append(mu_f)
+        cols["mass"].append(g.integrate(y[0]))
+        cols["entropy"].append(vals.entropy)
+        cols["fisher"].append(vals.fisher)
+        cols["h_f"].append(vals.total_energy)
+        cols["l_f"].append(lagrangian(gradient, potential, constants))
+
+    _rk4_run(y, rhs, dt, steps, marks, density_floor(g), settle, record)
     return TrajectoryRecord(np.array(times), tuple(states), cols)

@@ -84,6 +84,14 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def antiderivative_symbol(self) -> np.ndarray:
+        """1/(i*k), with the k = 0 and Nyquist modes zeroed."""
+        ik = self.derivative_symbol
+        sym = np.divide(1.0, ik, out=np.zeros(self.n, dtype=complex), where=ik != 0.0)
+        sym.setflags(write=False)
+        return sym
+
     def _keep_mask(self, cutoff_fraction: float) -> np.ndarray:
         threshold = cutoff_fraction * (self.n / 2)
         return (np.abs(self.mode_numbers) <= threshold + 1e-9).astype(float)
@@ -100,16 +108,27 @@ class Grid:
 
     # -- calculus -----------------------------------------------------------
 
+    def apply_symbol(self, values, symbol) -> np.ndarray:
+        """ifft(symbol * fft(values)), the one Fourier multiplier kernel.
+
+        `symbol` spans all n modes in FFT ordering and is Hermitian off the
+        Nyquist mode, so real input goes through the half-spectrum real
+        transforms and stays real; complex input uses the complex ones.
+        Leading axes broadcast (several symbols on one field, or several
+        fields).  Unchecked: the methods below validate their input.
+        """
+        v = np.asarray(values)
+        if np.iscomplexobj(v):
+            return np.fft.ifft(symbol * np.fft.fft(v))
+        half = np.asarray(symbol)[..., : self.n // 2 + 1]
+        return np.fft.irfft(half * np.fft.rfft(v), self.n)
+
     def derivative(self, values) -> np.ndarray:
         """Spectral first derivative; preserves real/complex kind."""
-        v = self.check_values(values)
-        out = np.fft.ifft(self.derivative_symbol * np.fft.fft(v))
-        return out if np.iscomplexobj(v) else out.real
+        return self.apply_symbol(self.check_values(values), self.derivative_symbol)
 
     def laplacian(self, values) -> np.ndarray:
-        v = self.check_values(values)
-        out = np.fft.ifft(self.laplacian_symbol * np.fft.fft(v))
-        return out if np.iscomplexobj(v) else out.real
+        return self.apply_symbol(self.check_values(values), self.laplacian_symbol)
 
     def integrate(self, values):
         """Quadrature over one period (rectangle rule, spectrally exact)."""
@@ -123,28 +142,17 @@ class Grid:
         The k = 0 and Nyquist coefficients of the result are set to zero,
         so this inverts `derivative` on band-limited zero-mean fields.
         """
-        v = self.check_values(values)
-        coef = np.fft.fft(v)
-        out = np.zeros_like(coef)
-        sym = self.derivative_symbol
-        nonzero = sym != 0.0
-        out[nonzero] = coef[nonzero] / sym[nonzero]
-        res = np.fft.ifft(out)
-        return res if np.iscomplexobj(v) else res.real
+        return self.apply_symbol(self.check_values(values), self.antiderivative_symbol)
 
     def low_pass(self, values, cutoff_fraction: float) -> np.ndarray:
         """Zero all Fourier modes with |m| above cutoff_fraction * (n/2)."""
         if not (0.0 < cutoff_fraction <= 1.0):
             raise ValueError(f"cutoff fraction must lie in (0, 1], got {cutoff_fraction!r}")
-        v = self.check_values(values)
-        out = np.fft.ifft(self._keep_mask(cutoff_fraction) * np.fft.fft(v))
-        return out if np.iscomplexobj(v) else out.real
+        return self.apply_symbol(self.check_values(values), self._keep_mask(cutoff_fraction))
 
     def dealias(self, values) -> np.ndarray:
         """2/3-rule low pass, applied to pointwise products before use."""
-        v = self.check_values(values)
-        out = np.fft.ifft(self.dealias_mask * np.fft.fft(v))
-        return out if np.iscomplexobj(v) else out.real
+        return self.apply_symbol(self.check_values(values), self.dealias_mask)
 
     # -- off-grid evaluation ------------------------------------------------
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import GaugeError
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
                      WaveField, check_mean_zero, lagrangian, unwrapped_phase)
 from .grid import Grid

@@ -30,12 +30,12 @@ from .errors import (AliasError, ConfigError, NodeError, StabilityError,
                      WindingError)
 from .fields import (DensityField, PhaseField, PhysicsConstants,
                      PotentialField, WaveField, density_floor, functionals,
-                     normalize_density, unwrapped_phase)
+                     lagrangian, normalize_density, unwrapped_phase)
 from .grid import TAU, Grid
-from .madelung import PolarDecomposition, madelung_section, madelung_transform
-from .madelung import submersion_pullback_defect
-from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
-                    covariant_acceleration, wasserstein_gradient)
+from .madelung import (PolarDecomposition, madelung_section, madelung_transform,
+                       submersion_pullback_defect, wave_hamiltonian)
+from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint,
+                    covariant_acceleration, hamiltonian, wasserstein_gradient)
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "MADFLOW_OUTPUT_ROOT"
@@ -249,7 +249,8 @@ class ScenarioConfig:
         }
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def load_mapping(path: str | Path) -> dict:
+    """Read a JSON config file into a raw mapping (ConfigError on failure)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -258,7 +259,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return ScenarioConfig.from_mapping(data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return data
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return ScenarioConfig.from_mapping(load_mapping(path))
 
 
 def apply_overrides(mapping: Mapping, overrides: Sequence[str]) -> dict:
@@ -692,22 +699,6 @@ def execute_config(config: ScenarioConfig) -> RunContext:
 # -- observable composition --------------------------------------------------
 
 
-def _wave_energy(grid: Grid, values: np.ndarray, potential: PotentialField,
-                 constants: PhysicsConstants) -> float:
-    dpsi = grid.derivative(values)
-    kinetic = 0.5 * constants.hbar ** 2 * grid.integrate(np.abs(dpsi) ** 2)
-    return kinetic + grid.integrate(np.abs(values) ** 2 * potential.values)
-
-
-def _polar_energies(ctx: RunContext, mu: DensityField,
-                    phase_values: np.ndarray) -> tuple[float, float, float, float]:
-    """(H_F, L_F, entropy, fisher) for a density/phase snapshot."""
-    vals = functionals(mu, ctx.potential, ctx.constants)
-    kinetic = 0.5 * TangentVector(mu, phase_values).norm() ** 2
-    return (kinetic + vals.total_energy, kinetic - vals.total_energy,
-            vals.entropy, vals.fisher)
-
-
 def _compose_columns(ctx: RunContext) -> dict:
     """The eight physics columns, with nan where a quantity is undefined.
 
@@ -735,22 +726,21 @@ def _compose_columns(ctx: RunContext) -> dict:
             if not isinstance(state, WaveField):
                 break
             if solver == "static":
-                cols["H_S"][i] = _wave_energy(ctx.grid, state.values,
-                                              ctx.potential, ctx.constants)
+                cols["H_S"][i] = wave_hamiltonian(state, ctx.potential, ctx.constants)
             try:
                 polar, tangent = madelung_transform(state, ctx.constants)
             except (NodeError, AliasError, WindingError):
                 continue
             vals = functionals(polar.density, ctx.potential, ctx.constants)
-            kinetic = 0.5 * tangent.norm() ** 2
-            cols["H_F"][i] = kinetic + vals.total_energy
-            cols["L_F"][i] = kinetic - vals.total_energy
+            point = TangentBundlePoint(polar.density, tangent.potential)
+            cols["H_F"][i] = hamiltonian(point, ctx.potential, ctx.constants)
+            cols["L_F"][i] = lagrangian(tangent, ctx.potential, ctx.constants)
             cols["entropy"][i] = vals.entropy
             cols["fisher"][i] = vals.fisher
     if solver == "madelung":
         for i, state in enumerate(rec.states):
-            cols["H_S"][i] = _wave_energy(ctx.grid, state.wave_values(),
-                                          ctx.potential, ctx.constants)
+            wave = WaveField(ctx.grid, state.wave_values())
+            cols["H_S"][i] = wave_hamiltonian(wave, ctx.potential, ctx.constants)
     if solver in ("heat", "dlss", "displacement") or (
             solver == "static" and ctx.initial.get("state_kind") == "density"):
         for i, state in enumerate(rec.states):

@@ -60,7 +60,9 @@ def _cumulative_from_cut(density: DensityField, cut_index: int,
     if fine.min() <= 0.0:
         raise ValueError("density is not resolved (its interpolant is not positive)")
     mean = 1.0 / g.length
-    anti = fine_grid.antiderivative(fine - mean)
+    # Quantiles in floor-level tails magnify CDF rounding by 1/mu (~1e9): real
+    # transforms moved path densities by 2e-8, so the CDF keeps complex ones.
+    anti = fine_grid.antiderivative((fine - mean).astype(complex)).real
     cdf = (anti - anti[0]) + mean * fine_grid.points
     x = np.append(fine_grid.points, g.length)
     cdf = np.append(cdf, 1.0)

@@ -11,7 +11,7 @@ symplectic form cheap and exact in one dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +58,8 @@ class TangentVector:
 
     @cached_property
     def divergence_form(self) -> np.ndarray:
-        """-d/dx (mu dphi/dx), with the product dealiased before the derivative."""
-        g = self.grid
-        flux = self.base.values * g.derivative(self.potential)
-        out = -g.derivative(g.dealias(flux))
+        """-d/dx (mu dphi/dx): the density rate of the flow along phi."""
+        out = hamiltonian_flow(self.grid, self.base.values, self.potential)[0]
         out.setflags(write=False)
         return out
 
@@ -153,18 +151,59 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
     return normalize_density(g, values)
 
 
-# -- functional gradients ----------------------------------------------------
+# -- the Hamiltonian flow and functional gradients ----------------------------
+
+
+@lru_cache(maxsize=8)
+def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(d, lap) for a density's slope and Laplacian; (-d, -1) behind the 2/3 rule."""
+    ik, mask = grid.derivative_symbol, grid.dealias_mask
+    out = np.stack((ik, grid.laplacian_symbol)), np.stack((-ik * mask, -mask))
+    for sym in out:
+        sym.setflags(write=False)
+    return out
+
+
+def _fisher_terms(grid: Grid, mu: np.ndarray) -> np.ndarray:
+    """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing, from one transform of mu."""
+    mu_x, lap_mu = grid.apply_symbol(mu, _flow_symbols(grid)[0])
+    return (mu_x / mu) ** 2 - 2.0 * lap_mu / mu
+
+
+def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
+                     potential_values=0.0, hbar: float = 0.0) -> np.ndarray:
+    """Rates (dmu/dt, dS/dt) of the Hamiltonian flow, stacked as rows.
+
+    dmu/dt = -d/dx(mu dS/dx)                             (divergence form)
+    dS/dt  = -(|dS/dx|^2 / 2 + V + (hbar^2/8) fisher generator)
+
+    The flux and the whole drift are each dealiased once.  With no
+    potential and hbar = 0 it is the geodesic flow, whose density rate is
+    a tangent vector's divergence form.  Unchecked, for use on RK stages.
+    """
+    s_x = grid.apply_symbol(fiber, grid.derivative_symbol)
+    pressure = 0.5 * s_x * s_x
+    if hbar:
+        pressure = pressure + 0.125 * hbar ** 2 * _fisher_terms(grid, mu)
+    rates = grid.apply_symbol(np.stack((mu * s_x, pressure)), _flow_symbols(grid)[1])
+    rates[1] -= potential_values
+    return rates
 
 
 def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
-    """|d log mu|^2 - 2 (lap mu)/mu, the generator of the Fisher gradient.
+    """(d mu / mu)^2 - 2 (lap mu)/mu, the generator of the Fisher gradient.
 
-    Both nonlinear terms are dealiased; hbar^2/8 times this field is the
-    quantum correction entering the phase equation.
+    |d log mu|^2 - 2 (lap mu)/mu without the logarithm, so it stays finite
+    on the non-positive stages an explicit step can produce; dealiased in
+    one pass and unchecked.  hbar^2/8 times it is the quantum correction.
     """
-    dlog = grid.derivative(np.log(density_values))
-    quotient = grid.laplacian(density_values) / density_values
-    return grid.dealias(dlog * dlog) - 2.0 * grid.dealias(quotient)
+    return grid.apply_symbol(_fisher_terms(grid, density_values), grid.dealias_mask)
+
+
+def energy_generator(grid: Grid, density_values: np.ndarray, potential_values,
+                     hbar: float) -> np.ndarray:
+    """V + (hbar^2/8) * fisher generator: the generator of the total-energy gradient."""
+    return potential_values + 0.125 * hbar ** 2 * fisher_generator(grid, density_values)
 
 
 GRADIENT_KINDS = ("potential", "entropy", "fisher", "total")
@@ -177,7 +216,7 @@ def wasserstein_gradient(kind: str, mu: DensityField,
 
     kind "potential": generator V, for the functional int V dmu
     kind "entropy":   generator log mu (divergence form is -lap mu)
-    kind "fisher":    generator |d log mu|^2 - 2 (lap mu)/mu
+    kind "fisher":    generator (d mu / mu)^2 - 2 (lap mu)/mu
     kind "total":     V + (hbar^2/8) * fisher generator
     """
     g = mu.grid
@@ -192,7 +231,7 @@ def wasserstein_gradient(kind: str, mu: DensityField,
     elif kind == "total":
         if potential is None or constants is None:
             raise ValueError("the total-energy gradient needs a potential and constants")
-        generator = potential.values + 0.125 * constants.hbar ** 2 * fisher_generator(g, mu.values)
+        generator = energy_generator(g, mu.values, potential.values, constants.hbar)
     else:
         raise ValueError(f"unknown gradient kind {kind!r}; known: {GRADIENT_KINDS}")
     return TangentVector(mu, generator)
@@ -272,13 +311,12 @@ def hamiltonian_vector_field(point: TangentBundlePoint, potential: PotentialFiel
     """Standard vector field generating the Hamiltonian flow at `point`.
 
     The base moves along the fiber potential; the fiber drifts by
-    -(|df|^2/2 + V + quantum correction).
+    -(|df|^2/2 + V + quantum correction), the phase rate of
+    `hamiltonian_flow`.
     """
     g = point.grid
     f = point.fiber_potential
-    df = g.derivative(f)
-    quantum = 0.125 * constants.hbar ** 2 * fisher_generator(g, point.base.values)
-    drift = -(0.5 * g.dealias(df * df) + potential.values + quantum)
+    drift = hamiltonian_flow(g, point.base.values, f, potential.values, constants.hbar)[1]
     return StandardVectorFieldSpec(g, f, drift)
 
 

@@ -238,6 +238,17 @@ def test_dlss_descends_and_relaxes_toward_uniform():
     assert end_gap < start_gap
 
 
+def test_dlss_overlong_step_stops_at_the_density_floor():
+    # At 100 times the builtin step the explicit stages overshoot below
+    # zero; the log-free Fisher generator keeps them finite, so the run
+    # ends at the density-floor guard rather than in a non-finite field.
+    g = Grid(64)
+    mu0 = perturbed_uniform_density(g, 0.2, mode=2)
+    with pytest.raises(NodeError):
+        dlss_evolve(mu0, PotentialField.zero(g), PhysicsConstants(1.0), 2e-3, 0.01,
+                    snapshot_stride=25)
+
+
 def test_dlss_rejects_unstable_step():
     g = Grid(64)
     mu0 = perturbed_uniform_density(g, 0.2, mode=2)

@@ -6,6 +6,16 @@ import pytest
 from madflow import Grid
 from madflow.grid import TAU
 
+# A real field goes through the half-spectrum real transforms and a complex
+# one through the full complex transforms; every calculus test holds both
+# branches to the same closed form by also running on a complex multiple
+# of its real field (the operators are complex linear).
+BRANCH_SCALES = (1.0, 0.6 - 0.8j)
+
+
+def _lift(f, scale):
+    return f if scale == 1.0 else scale * f
+
 
 def test_points_and_spacing():
     g = Grid(16, 4.0)
@@ -46,7 +56,9 @@ def test_derivative_exact_on_trig_modes():
         f = np.cos(m * x) + 0.5 * np.sin(m * x)
         exact = -m * np.sin(m * x) + 0.5 * m * np.cos(m * x)
         scale = max(1.0, np.max(np.abs(exact)))
-        assert np.max(np.abs(g.derivative(f) - exact)) < 1e-12 * scale
+        for c in BRANCH_SCALES:
+            out = g.derivative(_lift(f, c))
+            assert np.max(np.abs(out - _lift(exact, c))) < 1e-12 * scale
 
 
 def test_derivative_exact_on_general_length():
@@ -55,7 +67,9 @@ def test_derivative_exact_on_general_length():
     x = g.points
     k = 2 * TAU / L  # mode number 2
     f = np.sin(k * x + 0.3)
-    assert np.max(np.abs(g.derivative(f) - k * np.cos(k * x + 0.3))) < 1e-12
+    exact = k * np.cos(k * x + 0.3)
+    for c in BRANCH_SCALES:
+        assert np.max(np.abs(g.derivative(_lift(f, c)) - _lift(exact, c))) < 1e-12
 
 
 def test_laplacian_exact_on_trig_modes():
@@ -63,9 +77,15 @@ def test_laplacian_exact_on_trig_modes():
     x = g.points
     f = np.cos(7 * x) - 2.0 * np.sin(31 * x)
     exact = -49 * np.cos(7 * x) + 2.0 * 31 ** 2 * np.sin(31 * x)
-    assert np.max(np.abs(g.laplacian(f) - exact)) < 1e-9
-    # laplacian == derivative twice on resolved modes
-    assert np.max(np.abs(g.laplacian(f) - g.derivative(g.derivative(f)))) < 1e-9
+    # the Nyquist cosine has the unambiguous symbol -(n/2)^2
+    nyquist = np.cos((g.n // 2) * x)
+    for c in BRANCH_SCALES:
+        fc = _lift(f, c)
+        assert np.max(np.abs(g.laplacian(fc) - _lift(exact, c))) < 1e-9
+        # laplacian == derivative twice on resolved modes
+        assert np.max(np.abs(g.laplacian(fc) - g.derivative(g.derivative(fc)))) < 1e-9
+        lap_ny = g.laplacian(_lift(nyquist, c))
+        assert np.max(np.abs(lap_ny + (g.n // 2) ** 2 * _lift(nyquist, c))) < 1e-9
 
 
 def test_derivative_preserves_realness_and_kind():
@@ -83,7 +103,8 @@ def test_nyquist_mode_derivative_is_zero():
     # symbol zeroes it rather than guessing.
     g = Grid(32)
     f = np.cos((g.n // 2) * g.points)
-    assert np.max(np.abs(g.derivative(f))) < 1e-12
+    for c in BRANCH_SCALES:
+        assert np.max(np.abs(g.derivative(_lift(f, c)))) < 1e-12
 
 
 def test_integrate_quadrature():
@@ -114,19 +135,29 @@ def test_antiderivative_inverts_derivative():
     g = Grid(128)
     x = g.points
     f = np.sin(4 * x) - 0.25 * np.cos(9 * x)  # zero mean
-    F = g.antiderivative(f)
-    assert abs(g.integrate(F)) < 1e-13
-    assert np.max(np.abs(g.derivative(F) - f)) < 1e-12
-    # the mean component is annihilated, not integrated into a ramp
-    assert np.max(np.abs(g.antiderivative(f + 2.0) - F)) < 1e-12
+    exact = -np.cos(4 * x) / 4 - 0.25 * np.sin(9 * x) / 9
+    for c in BRANCH_SCALES:
+        fc = _lift(f, c)
+        F = g.antiderivative(fc)
+        assert np.iscomplexobj(F) == np.iscomplexobj(fc)
+        assert np.max(np.abs(F - _lift(exact, c))) < 1e-13
+        assert abs(g.integrate(F)) < 1e-13
+        assert np.max(np.abs(g.derivative(F) - fc)) < 1e-12
+        # the mean component is annihilated, not integrated into a ramp
+        assert np.max(np.abs(g.antiderivative(fc + 2.0) - F)) < 1e-12
 
 
 def test_low_pass_keeps_and_kills_modes():
     g = Grid(64)
     x = g.points
     f = np.cos(3 * x) + np.cos(20 * x)
-    kept = g.low_pass(f, 10 / 32)
-    assert np.max(np.abs(kept - np.cos(3 * x))) < 1e-12
+    nyquist = np.cos((g.n // 2) * x)
+    for c in BRANCH_SCALES:
+        kept = g.low_pass(_lift(f, c), 10 / 32)
+        assert np.max(np.abs(kept - _lift(np.cos(3 * x), c))) < 1e-12
+        # the full band keeps every mode, the Nyquist mode included
+        whole = _lift(f + nyquist, c)
+        assert np.max(np.abs(g.low_pass(whole, 1.0) - whole)) < 1e-12
     with pytest.raises(ValueError):
         g.low_pass(f, 0.0)
     with pytest.raises(ValueError):
@@ -139,8 +170,9 @@ def test_dealias_threshold():
     cut = int(2 / 3 * (g.n // 2))  # 85
     inside = np.cos(cut * x)
     outside = np.cos((cut + 1) * x)
-    assert np.max(np.abs(g.dealias(inside) - inside)) < 1e-12
-    assert np.max(np.abs(g.dealias(outside))) < 1e-12
+    for c in BRANCH_SCALES:
+        assert np.max(np.abs(g.dealias(_lift(inside, c)) - _lift(inside, c))) < 1e-12
+        assert np.max(np.abs(g.dealias(_lift(outside, c)))) < 1e-12
 
 
 def test_dealias_makes_quadratic_products_exact():

@@ -349,6 +349,15 @@ def test_cli_solver_abort_exits_three(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
+    out_dir = tmp_path / "dlss_out"
+    assert main(["run", "--scenario", "dlss_descent",
+                 "--override", "integrator.dt=2e-3", "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "run failed" in err and "density reached" in err
+    assert not out_dir.exists()
+
+
 def test_cli_suite(tmp_path, capsys):
     # a cut-down suite through the CLI would re-run everything; the full
     # double-run determinism claim lives in the acceptance tests.  Here:
