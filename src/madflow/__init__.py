@@ -17,9 +17,9 @@ from .fields import (DensityField, FunctionalValues, PhaseField,
                      unwrapped_phase, winding_number)
 from .grid import TAU, Grid
 from .madelung import (PolarDecomposition, complex_symplectic_form,
-                       global_phase_distance, madelung_section,
-                       madelung_transform, phase_correction, quantum_potential,
-                       submersion_pullback_defect, wave_hamiltonian)
+                       madelung_section, madelung_transform, phase_correction,
+                       quantum_potential, submersion_pullback_defect,
+                       wave_hamiltonian)
 from .scenarios import (ScenarioConfig, builtin_config, builtin_names,
                         run_builtin, run_scenario, run_suite)
 from .transport import (QuantileTable, displacement_interpolation,

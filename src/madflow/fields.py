@@ -191,16 +191,6 @@ class PhaseField:
         return cls(grid, v - (v[0] - pin_value), GAUGE_PINNED, float(pin_value))
 
 
-def rezero_phase(phase: PhaseField, density: DensityField) -> PhaseField:
-    """Convert to the mean_zero gauge with respect to `density`."""
-    return PhaseField.mean_zero(phase.grid, phase.values, density)
-
-
-def pin_phase(phase: PhaseField, pin_value: float) -> PhaseField:
-    """Convert to the pinned gauge with value `pin_value` at x = 0."""
-    return PhaseField.pinned(phase.grid, phase.values, pin_value)
-
-
 def check_mean_zero(phase: PhaseField, density: DensityField) -> None:
     """Raise GaugeError unless `phase` is mean_zero with respect to `density`."""
     if phase.gauge != GAUGE_MEAN_ZERO:

@@ -90,15 +90,6 @@ def wave_hamiltonian(psi: WaveField, potential: PotentialField,
     return kinetic + g.integrate(np.abs(psi.values) ** 2 * potential.values)
 
 
-def global_phase_distance(a: WaveField, b: WaveField) -> float:
-    """L2 distance between the waves minimized over a global phase factor."""
-    g = a.grid
-    overlap = abs(g.integrate(a.values * np.conj(b.values)))
-    na = g.integrate(np.abs(a.values) ** 2)
-    nb = g.integrate(np.abs(b.values) ** 2)
-    return float(np.sqrt(max(na + nb - 2.0 * overlap, 0.0)))
-
-
 def phase_correction(phases: Sequence[PhaseField], densities: Sequence[DensityField],
                      potential: PotentialField, constants: PhysicsConstants,
                      timestep: float) -> list[PhaseField]:

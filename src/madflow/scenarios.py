@@ -47,6 +47,7 @@ OBSERVABLE_COLUMNS = ("time", "mass", "H_S", "H_F", "entropy", "fisher",
 
 SOLVER_KINDS = ("schrodinger", "madelung", "heat", "dlss", "static",
                 "displacement")
+_DYNAMIC = ("schrodinger", "madelung", "heat", "dlss")  # the time-stepping solvers
 
 #: starting step sizes for the refinement loop when dt is omitted.
 DT_TARGETS = {"schrodinger": 1e-3, "madelung": 1e-4, "heat": 1e-3}
@@ -190,6 +191,14 @@ class ScenarioConfig:
             raise ConfigError("integrator.total_time is required")
         stride = _as_int(integ.get("snapshot_stride", 1),
                          "integrator.snapshot_stride", minimum=1)
+        if solver not in INITIAL_KINDS[init_kind]:
+            raise ConfigError(f"initial state kind {init_kind!r} does not fit the "
+                              f"{solver!r} solver; it fits {INITIAL_KINDS[init_kind]}")
+        if dt is not None:
+            try:
+                dynamics._step_count(dt, total_time)
+            except ValueError as exc:
+                raise ConfigError(f"integrator: {exc}") from exc
         if solver == "heat" and pot_kind != "none":
             raise ConfigError("the heat flow takes no potential; use kind 'none'")
 
@@ -336,40 +345,67 @@ POTENTIAL_KINDS: dict[str, Callable[[Grid, Mapping], PotentialField]] = {
 # -- initial state registry --------------------------------------------------
 
 
-DENSITY_SPEC_KINDS = ("uniform", "gaussian", "perturbed_uniform", "cosine_bump")
+#: density spec kind -> builder; `_density_args` parses its keyword arguments
+DENSITY_BUILDERS: dict[str, Callable[..., DensityField]] = {
+    "uniform": statelib.uniform_density,
+    "gaussian": statelib.wrapped_gaussian_density,
+    "perturbed_uniform": statelib.perturbed_uniform_density,
+    "cosine_bump": statelib.cosine_bump_density,
+}
 PHASE_SPEC_KINDS = ("zero", "sine")
+
+#: initial-state kind -> the solvers that accept it (checked in from_mapping)
+INITIAL_KINDS: dict[str, tuple[str, ...]] = {
+    "gaussian": _DYNAMIC,
+    "perturbed_uniform": _DYNAMIC,
+    "polar_pair": _DYNAMIC,
+    "plane_wave": ("schrodinger",),
+    "random_polar": ("schrodinger", "madelung", "static"),
+    "random_density": ("heat", "dlss", "static"),
+    "gaussian_pair": ("displacement",),
+}
+
+_INIT = "initial_state.parameters"
+
+
+def _density_args(grid: Grid, kind: Any, params: Mapping, path: str) -> dict:
+    """Keyword arguments of DENSITY_BUILDERS[kind], defaults filled in."""
+    if kind == "uniform":
+        _check_keys(params, (), path)
+        return {}
+    if kind == "gaussian":
+        _check_keys(params, ("center", "sigma", "floor_weight", "images"), path)
+        return {
+            "center": _as_float(params.get("center", 0.5 * grid.length),
+                                f"{path}.center"),
+            "sigma": _as_float(params.get("sigma", 0.35), f"{path}.sigma",
+                               positive=True),
+            "floor_weight": _as_float(params.get("floor_weight",
+                                                 statelib.DEFAULT_GAUSSIAN_FLOOR),
+                                      f"{path}.floor_weight"),
+            "images": _as_int(params.get("images", 6), f"{path}.images", minimum=1)}
+    if kind == "perturbed_uniform":
+        _check_keys(params, ("amplitude", "mode", "offset"), path)
+        return {
+            "amplitude": _as_float(params.get("amplitude", 0.2), f"{path}.amplitude"),
+            "mode": _as_int(params.get("mode", 1), f"{path}.mode", minimum=1),
+            "offset": _as_float(params.get("offset", 0.0), f"{path}.offset")}
+    if kind == "cosine_bump":
+        _check_keys(params, ("center", "concentration"), path)
+        return {
+            "center": _as_float(params.get("center", 0.5 * grid.length),
+                                f"{path}.center"),
+            "concentration": _as_float(params.get("concentration", 1.0),
+                                       f"{path}.concentration")}
+    raise ConfigError(f"unknown density kind {kind!r} in {path}; "
+                      f"known: {tuple(DENSITY_BUILDERS)}")
 
 
 def _density_from_spec(grid: Grid, spec: Mapping, path: str) -> DensityField:
-    spec = _require_mapping(spec, path)
-    kind = spec.get("kind")
-    if kind == "uniform":
-        _check_keys(spec, ("kind",), path)
-        return statelib.uniform_density(grid)
-    if kind == "gaussian":
-        _check_keys(spec, ("kind", "center", "sigma", "floor_weight", "images"), path)
-        return statelib.wrapped_gaussian_density(
-            grid,
-            _as_float(spec.get("center", 0.5 * grid.length), f"{path}.center"),
-            _as_float(spec.get("sigma", 0.35), f"{path}.sigma", positive=True),
-            _as_float(spec.get("floor_weight", statelib.DEFAULT_GAUSSIAN_FLOOR),
-                      f"{path}.floor_weight"),
-            _as_int(spec.get("images", 6), f"{path}.images", minimum=1))
-    if kind == "perturbed_uniform":
-        _check_keys(spec, ("kind", "amplitude", "mode", "offset"), path)
-        return statelib.perturbed_uniform_density(
-            grid,
-            _as_float(spec.get("amplitude", 0.2), f"{path}.amplitude"),
-            _as_int(spec.get("mode", 1), f"{path}.mode", minimum=1),
-            _as_float(spec.get("offset", 0.0), f"{path}.offset"))
-    if kind == "cosine_bump":
-        _check_keys(spec, ("kind", "center", "concentration"), path)
-        return statelib.cosine_bump_density(
-            grid,
-            _as_float(spec.get("center", 0.5 * grid.length), f"{path}.center"),
-            _as_float(spec.get("concentration", 1.0), f"{path}.concentration"))
-    raise ConfigError(f"unknown density kind {kind!r} in {path}; "
-                      f"known: {DENSITY_SPEC_KINDS}")
+    params = _require_mapping(spec, path)
+    kind = params.pop("kind", None)
+    args = _density_args(grid, kind, params, path)  # ConfigError on unknown kinds
+    return DENSITY_BUILDERS[kind](grid, **args)
 
 
 def _phase_values_from_spec(grid: Grid, spec: Mapping, path: str) -> np.ndarray:
@@ -389,175 +425,97 @@ def _phase_values_from_spec(grid: Grid, spec: Mapping, path: str) -> np.ndarray:
                       f"known: {PHASE_SPEC_KINDS}")
 
 
-def _solver_mismatch(kind: str, solver: str) -> ConfigError:
-    return ConfigError(f"initial state kind {kind!r} does not fit the "
-                       f"{solver!r} solver")
+def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
+                  reference: float, constants: PhysicsConstants) -> dict:
+    """What `solver` starts from, given a density, a raw phase and a reference.
 
-
-def _initial_gaussian(grid: Grid, constants: PhysicsConstants, solver: str,
-                      params: Mapping) -> dict:
-    _check_keys(params, ("center", "sigma", "floor_weight", "images"),
-                "initial_state.parameters")
-    center = _as_float(params.get("center", 0.5 * grid.length),
-                       "initial_state.parameters.center")
-    sigma = _as_float(params.get("sigma", 0.35),
-                      "initial_state.parameters.sigma", positive=True)
-    default_floor = 0.0 if solver == "schrodinger" else statelib.DEFAULT_GAUSSIAN_FLOOR
-    floor_weight = _as_float(params.get("floor_weight", default_floor),
-                             "initial_state.parameters.floor_weight")
-    images = _as_int(params.get("images", 6),
-                     "initial_state.parameters.images", minimum=1)
-    if solver == "schrodinger":
-        if floor_weight == 0.0:
-            wave = statelib.free_gaussian_wave(grid, center, sigma, constants,
-                                               0.0, images)
-        else:
-            wave = statelib.gaussian_wave(grid, center, sigma, floor_weight)
-        return {"wave": wave, "center": center, "sigma": sigma}
-    mu = statelib.wrapped_gaussian_density(grid, center, sigma, floor_weight, images)
-    if solver == "madelung":
-        return {"density": mu,
-                "phase": PhaseField.mean_zero(grid, np.zeros(grid.n), mu),
-                "reference": 0.0}
-    if solver in ("heat", "dlss"):
-        return {"density": mu}
-    raise _solver_mismatch("gaussian", solver)
-
-
-def _initial_plane_wave(grid: Grid, constants: PhysicsConstants, solver: str,
-                        params: Mapping) -> dict:
-    _check_keys(params, ("mode",), "initial_state.parameters")
-    mode = _as_int(params.get("mode", 1), "initial_state.parameters.mode")
-    if solver != "schrodinger":
-        raise ConfigError("plane-wave initial data winds around zero; only the "
-                          "schrodinger solver accepts it")
-    return {"wave": statelib.plane_wave(grid, mode), "mode": mode}
-
-
-def _initial_polar_pair(grid: Grid, constants: PhysicsConstants, solver: str,
-                        params: Mapping) -> dict:
-    _check_keys(params, ("density", "phase", "reference"),
-                "initial_state.parameters")
-    mu = _density_from_spec(grid, params.get("density", {"kind": "uniform"}),
-                            "initial_state.parameters.density")
-    phase_spec = params.get("phase", {"kind": "zero"})
-    phase_values = _phase_values_from_spec(grid, phase_spec,
-                                           "initial_state.parameters.phase")
-    reference = _as_float(params.get("reference", 0.0),
-                          "initial_state.parameters.reference")
+    Density solvers take mu alone and need the phase to be zero; the wave
+    and hydrodynamic solvers take the mean-zero phase and its section wave.
+    """
     if solver in ("heat", "dlss"):
         if np.any(phase_values != 0.0):
             raise ConfigError(f"the {solver!r} solver evolves densities only; "
                               "use a zero phase")
         return {"density": mu}
-    phase = PhaseField.mean_zero(grid, phase_values, mu)
-    if solver == "madelung":
-        return {"density": mu, "phase": phase, "reference": reference}
-    if solver == "schrodinger":
-        wave = madelung_section(mu, phase, reference, constants)
-        return {"wave": wave, "density": mu, "phase": phase,
-                "reference": reference}
-    raise _solver_mismatch("polar_pair", solver)
+    phase = PhaseField.mean_zero(mu.grid, phase_values, mu)
+    return {"wave": madelung_section(mu, phase, reference, constants),
+            "density": mu, "phase": phase, "reference": reference}
 
 
-def _initial_perturbed_uniform(grid: Grid, constants: PhysicsConstants,
-                               solver: str, params: Mapping) -> dict:
-    _check_keys(params, ("amplitude", "mode", "offset"),
-                "initial_state.parameters")
-    mu = statelib.perturbed_uniform_density(
-        grid,
-        _as_float(params.get("amplitude", 0.2), "initial_state.parameters.amplitude"),
-        _as_int(params.get("mode", 1), "initial_state.parameters.mode", minimum=1),
-        _as_float(params.get("offset", 0.0), "initial_state.parameters.offset"))
-    if solver in ("heat", "dlss"):
-        return {"density": mu}
-    if solver == "madelung":
-        return {"density": mu,
-                "phase": PhaseField.mean_zero(grid, np.zeros(grid.n), mu),
-                "reference": 0.0}
-    if solver == "schrodinger":
-        return {"wave": WaveField.normalized(grid, np.sqrt(mu.values))}
-    raise _solver_mismatch("perturbed_uniform", solver)
-
-
-def _initial_random_polar(grid: Grid, constants: PhysicsConstants, solver: str,
-                          params: Mapping) -> dict:
-    _check_keys(params, ("seed", "modes", "density_amplitude", "phase_amplitude"),
-                "initial_state.parameters")
-    seed = _as_int(params.get("seed", 0), "initial_state.parameters.seed", minimum=0)
-    modes = _as_int(params.get("modes", 4), "initial_state.parameters.modes", minimum=1)
-    d_amp = _as_float(params.get("density_amplitude", 0.5),
-                      "initial_state.parameters.density_amplitude")
-    p_amp = _as_float(params.get("phase_amplitude", 0.3),
-                      "initial_state.parameters.phase_amplitude")
-    if solver == "static":
-        def factory(trial: int) -> WaveField:
-            rng = np.random.default_rng(seed + trial)
-            return statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)
-        return {"factory": factory, "state_kind": "wave", "seed": seed}
-    if solver == "schrodinger":
+def build_initial(config: ScenarioConfig) -> dict:
+    """The initial data of a validated config, as its solver takes it."""
+    grid, constants, solver = config.grid, config.constants, config.solver
+    kind, params = config.initial_kind, dict(config.initial_parameters)
+    if kind in ("gaussian", "perturbed_uniform"):
+        if kind == "gaussian" and solver == "schrodinger":
+            # the bare packet, whose free evolution has a closed form
+            params.setdefault("floor_weight", 0.0)
+        args = _density_args(grid, kind, params, _INIT)
+        if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
+            start = {"wave": statelib.free_gaussian_wave(
+                grid, args["center"], args["sigma"], constants, 0.0, args["images"])}
+        else:
+            start = _solver_start(solver, DENSITY_BUILDERS[kind](grid, **args),
+                                  np.zeros(grid.n), 0.0, constants)
+        if kind == "gaussian":
+            start.update(center=args["center"], sigma=args["sigma"])
+        return start
+    if kind == "polar_pair":
+        _check_keys(params, ("density", "phase", "reference"), _INIT)
+        mu = _density_from_spec(grid, params.get("density", {"kind": "uniform"}),
+                                f"{_INIT}.density")
+        phase_values = _phase_values_from_spec(
+            grid, params.get("phase", {"kind": "zero"}), f"{_INIT}.phase")
+        reference = _as_float(params.get("reference", 0.0), f"{_INIT}.reference")
+        return _solver_start(solver, mu, phase_values, reference, constants)
+    if kind == "plane_wave":
+        _check_keys(params, ("mode",), _INIT)
+        mode = _as_int(params.get("mode", 1), f"{_INIT}.mode")
+        return {"wave": statelib.plane_wave(grid, mode), "mode": mode}
+    if kind == "random_polar":
+        _check_keys(params, ("seed", "modes", "density_amplitude",
+                             "phase_amplitude"), _INIT)
+        seed = _as_int(params.get("seed", 0), f"{_INIT}.seed", minimum=0)
+        modes = _as_int(params.get("modes", 4), f"{_INIT}.modes", minimum=1)
+        d_amp = _as_float(params.get("density_amplitude", 0.5),
+                          f"{_INIT}.density_amplitude")
+        p_amp = _as_float(params.get("phase_amplitude", 0.3),
+                          f"{_INIT}.phase_amplitude")
+        if solver == "static":
+            def wave_trial(trial: int) -> WaveField:
+                rng = np.random.default_rng(seed + trial)
+                return statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)
+            return {"factory": wave_trial, "state_kind": "wave", "seed": seed}
         rng = np.random.default_rng(seed)
-        return {"wave": statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)}
-    if solver == "madelung":
-        rng = np.random.default_rng(seed)
+        if solver == "schrodinger":
+            return {"wave": statelib.random_wave(grid, rng, constants, modes,
+                                                 d_amp, p_amp)}
         mu = statelib.random_density(grid, rng, modes, d_amp)
         s = statelib.random_zero_mean(grid, rng, modes, p_amp)
-        return {"density": mu, "phase": PhaseField.mean_zero(grid, s, mu),
-                "reference": 0.0}
-    raise _solver_mismatch("random_polar", solver)
+        return _solver_start(solver, mu, s, 0.0, constants)
+    if kind == "random_density":
+        _check_keys(params, ("seed", "modes", "amplitude"), _INIT)
+        seed = _as_int(params.get("seed", 0), f"{_INIT}.seed", minimum=0)
+        modes = _as_int(params.get("modes", 3), f"{_INIT}.modes", minimum=1)
+        amplitude = _as_float(params.get("amplitude", 0.4), f"{_INIT}.amplitude")
 
-
-def _initial_random_density(grid: Grid, constants: PhysicsConstants, solver: str,
-                            params: Mapping) -> dict:
-    _check_keys(params, ("seed", "modes", "amplitude"),
-                "initial_state.parameters")
-    seed = _as_int(params.get("seed", 0), "initial_state.parameters.seed", minimum=0)
-    modes = _as_int(params.get("modes", 3), "initial_state.parameters.modes", minimum=1)
-    amplitude = _as_float(params.get("amplitude", 0.4),
-                          "initial_state.parameters.amplitude")
-    if solver == "static":
-        def factory(trial: int) -> DensityField:
+        def density_trial(trial: int) -> DensityField:
             rng = np.random.default_rng(seed + trial)
             return statelib.random_density(grid, rng, modes, amplitude)
-        return {"factory": factory, "state_kind": "density", "seed": seed}
-    if solver in ("heat", "dlss"):
-        rng = np.random.default_rng(seed)
-        return {"density": statelib.random_density(grid, rng, modes, amplitude)}
-    raise _solver_mismatch("random_density", solver)
-
-
-def _initial_gaussian_pair(grid: Grid, constants: PhysicsConstants, solver: str,
-                           params: Mapping) -> dict:
-    _check_keys(params, ("centers", "sigma", "floor_weight", "images"),
-                "initial_state.parameters")
-    centers = params.get("centers")
+        if solver == "static":
+            return {"factory": density_trial, "state_kind": "density", "seed": seed}
+        return {"density": density_trial(0)}
+    # gaussian_pair
+    _check_keys(params, ("centers", "sigma", "floor_weight", "images"), _INIT)
+    centers = params.pop("centers", None)
     if not isinstance(centers, (list, tuple)) or len(centers) != 2:
-        raise ConfigError("initial_state.parameters.centers must list two centers")
-    sigma = _as_float(params.get("sigma", 0.1),
-                      "initial_state.parameters.sigma", positive=True)
-    floor_weight = _as_float(params.get("floor_weight", statelib.DEFAULT_GAUSSIAN_FLOOR),
-                             "initial_state.parameters.floor_weight")
-    images = _as_int(params.get("images", 6),
-                     "initial_state.parameters.images", minimum=1)
-    if solver != "displacement":
-        raise _solver_mismatch("gaussian_pair", solver)
+        raise ConfigError(f"{_INIT}.centers must list two centers")
+    args = _density_args(grid, "gaussian", {"sigma": 0.1, **params}, _INIT)
     pair = tuple(
         statelib.wrapped_gaussian_density(
-            grid, _as_float(c, f"initial_state.parameters.centers[{i}]"),
-            sigma, floor_weight, images)
+            grid, **{**args, "center": _as_float(c, f"{_INIT}.centers[{i}]")})
         for i, c in enumerate(centers))
     return {"pair": pair}
-
-
-INITIAL_KINDS: dict[str, Callable[[Grid, PhysicsConstants, str, Mapping], dict]] = {
-    "gaussian": _initial_gaussian,
-    "plane_wave": _initial_plane_wave,
-    "polar_pair": _initial_polar_pair,
-    "perturbed_uniform": _initial_perturbed_uniform,
-    "random_polar": _initial_random_polar,
-    "random_density": _initial_random_density,
-    "gaussian_pair": _initial_gaussian_pair,
-}
 
 
 # -- execution ---------------------------------------------------------------
@@ -593,46 +551,26 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
         return dynamics.dlss_evolve(ctx.initial["density"], ctx.potential,
                                     ctx.constants, dt, total, stride)
     if cfg.solver == "static":
-        return _run_static(ctx, dt)
+        return _run_sampled(ctx, dt, ctx.initial["factory"])
     if cfg.solver == "displacement":
-        return _run_displacement(ctx, dt)
+        mu, nu = ctx.initial["pair"]
+        return _run_sampled(ctx, dt, lambda k: transport.displacement_interpolation(
+            mu, nu, min(max(k * dt / cfg.total_time, 0.0), 1.0)))
     raise ConfigError(f"unknown solver {cfg.solver!r}")
 
 
-def _run_static(ctx: RunContext, dt: float) -> TrajectoryRecord:
-    """Pseudo-time trial runner: one independent state per snapshot index."""
-    cfg = ctx.config
-    steps = dynamics._step_count(dt, cfg.total_time)
-    marks = dynamics._snapshot_steps(steps, cfg.snapshot_stride)
-    factory = ctx.initial["factory"]
-    g = ctx.grid
-    sts, mass = [], []
-    for k in marks:
-        state = factory(k)
-        sts.append(state)
-        if isinstance(state, WaveField):
-            mass.append(g.integrate(np.abs(state.values) ** 2))
-        else:
-            mass.append(g.integrate(state.values))
-    times = np.asarray(marks, dtype=float) * dt
-    return TrajectoryRecord(times, tuple(sts), {"mass": mass})
+def _run_sampled(ctx: RunContext, dt: float, sample) -> TrajectoryRecord:
+    """Pseudo-time runner: the state `sample(k)` at each snapshot step k.
 
-
-def _run_displacement(ctx: RunContext, dt: float) -> TrajectoryRecord:
-    """Geodesic sampler: snapshots along the displacement interpolation."""
+    Static trials are independent states; the displacement runner samples
+    the geodesic at t = k dt / total_time.
+    """
     cfg = ctx.config
-    steps = dynamics._step_count(dt, cfg.total_time)
-    marks = dynamics._snapshot_steps(steps, cfg.snapshot_stride)
-    mu, nu = ctx.initial["pair"]
-    g = ctx.grid
-    sts, mass = [], []
-    for k in marks:
-        t = min(max(k * dt / cfg.total_time, 0.0), 1.0)
-        state = transport.displacement_interpolation(mu, nu, t)
-        sts.append(state)
-        mass.append(g.integrate(state.values))
-    times = np.asarray(marks, dtype=float) * dt
-    return TrajectoryRecord(times, tuple(sts), {"mass": mass})
+    marks = dynamics._snapshot_steps(dynamics._step_count(dt, cfg.total_time),
+                                     cfg.snapshot_stride)
+    sts = tuple(sample(k) for k in marks)
+    mass = [ctx.grid.integrate(_state_arrays(state)[0]) for state in sts]
+    return TrajectoryRecord(np.asarray(marks, dtype=float) * dt, sts, {"mass": mass})
 
 
 def _divisor_dt(total: float, target: float) -> float:
@@ -664,8 +602,8 @@ def _final_row_gap(a: TrajectoryRecord, b: TrajectoryRecord) -> float:
 def _resolve_record(ctx: RunContext) -> None:
     """Run the solver; when dt is omitted, halve it until observables settle."""
     cfg = ctx.config
-    if cfg.dt is not None or cfg.solver in ("static", "displacement"):
-        ctx.dt = cfg.dt if cfg.dt is not None else 1.0
+    if cfg.dt is not None:  # always set for the static and displacement runners
+        ctx.dt = cfg.dt
         ctx.record = _run_solver(ctx, ctx.dt)
         return
     dt = _default_dt(cfg)
@@ -685,10 +623,12 @@ def _resolve_record(ctx: RunContext) -> None:
 def execute_config(config: ScenarioConfig) -> RunContext:
     """Build the scenario objects, run the solver, compose the columns."""
     grid, constants = config.grid, config.constants
-    potential = POTENTIAL_KINDS[config.potential_kind](grid,
-                                                       config.potential_parameters)
-    initial = INITIAL_KINDS[config.initial_kind](grid, constants, config.solver,
-                                                 config.initial_parameters)
+    try:  # builders range-check their parameters with ValueError
+        potential = POTENTIAL_KINDS[config.potential_kind](grid,
+                                                           config.potential_parameters)
+        initial = build_initial(config)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the scenario: {exc}") from exc
     ctx = RunContext(config=config, grid=grid, constants=constants,
                      potential=potential, initial=initial)
     _resolve_record(ctx)
@@ -835,10 +775,8 @@ def _check_free_packet_density(ctx: RunContext) -> np.ndarray:
 def _wave_oracle(ctx: RunContext) -> TrajectoryRecord:
     oracle = ctx.cache.get("wave_oracle")
     if oracle is None:
-        psi0 = madelung_section(ctx.initial["density"], ctx.initial["phase"],
-                                ctx.initial.get("reference", 0.0), ctx.constants)
-        oracle = dynamics.schrodinger_evolve(psi0, ctx.potential, ctx.constants,
-                                             ctx.dt, ctx.config.total_time,
+        oracle = dynamics.schrodinger_evolve(ctx.initial["wave"], ctx.potential,
+                                             ctx.constants, ctx.dt, ctx.config.total_time,
                                              ctx.config.snapshot_stride)
         if not np.allclose(oracle.times, ctx.record.times, rtol=0.0, atol=1e-12):
             raise ConfigError("wave oracle snapshots fell out of step")
@@ -997,8 +935,6 @@ def _check_constant_speed(ctx: RunContext) -> np.ndarray:
         out[i] = abs(reached - (times[i] / total_time) * total)
     return out
 
-
-_DYNAMIC = ("schrodinger", "madelung", "heat", "dlss")
 
 CHECKS: dict[str, CheckDefinition] = {
     "mass_conservation": CheckDefinition(

@@ -5,10 +5,8 @@ import pytest
 
 from madflow import Grid, PhaseField, PhysicsConstants, PotentialField
 from madflow.errors import GaugeError
-from madflow.fields import rezero_phase
 from madflow.madelung import (
     complex_symplectic_form,
-    global_phase_distance,
     madelung_section,
     madelung_transform,
     phase_correction,
@@ -41,7 +39,7 @@ def test_transform_round_trip():
     assert np.max(np.abs(polar.wave_values() - psi.values)) < 1e-12
     assert np.max(np.abs(polar.density.values - np.abs(psi.values) ** 2)) < 1e-14
     # the tangent potential is the gauge-fixed phase
-    fixed = rezero_phase(polar.phase, polar.density)
+    fixed = PhaseField.mean_zero(g, polar.phase.values, polar.density)
     assert np.max(np.abs(tangent.potential - fixed.values)) < 1e-12
 
 
@@ -138,16 +136,6 @@ def test_hamiltonians_agree_through_the_transform():
         h_wave = wave_hamiltonian(psi, V, c)
         h_flow = hamiltonian(TangentBundlePoint(polar.density, tangent.potential), V, c)
         assert abs(h_wave - h_flow) < 1e-10 * abs(h_flow)
-
-
-def test_global_phase_distance():
-    g = Grid(64)
-    c = PhysicsConstants(1.0)
-    psi = random_wave(g, np.random.default_rng(2), c)
-    from madflow.fields import WaveField
-    rotated = WaveField(g, psi.values * np.exp(0.7j))
-    assert global_phase_distance(psi, rotated) < 1e-12
-    assert abs(global_phase_distance(plane_wave(g, 0), plane_wave(g, 3)) - np.sqrt(2)) < 1e-12
 
 
 def test_phase_correction_constant_potential():

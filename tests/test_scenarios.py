@@ -8,12 +8,15 @@ import pytest
 
 from madflow.cli import main
 from madflow.errors import ConfigError
+from madflow.states import wrapped_gaussian_density
 from madflow.scenarios import (
+    INITIAL_KINDS,
     OBSERVABLE_COLUMNS,
     OUTPUT_ROOT_ENV,
     SCENARIO_DESCRIPTIONS,
     ScenarioConfig,
     apply_overrides,
+    build_initial,
     builtin_mapping,
     builtin_names,
     load_config,
@@ -119,14 +122,62 @@ def test_config_rejects_bad_entries():
 
 
 def test_plane_wave_rejected_outside_wave_solver():
-    # the winding restriction is enforced when the state is built, so the
-    # mapping validates but the run refuses with a config error
+    # a plane wave winds around zero, so only the wave solver takes it;
+    # the kind/solver table refuses it at validation
     m = _heat_mapping()
     m["initial_state"] = {"kind": "plane_wave", "parameters": {"mode": 1}}
     m["integrator"]["solver"] = "madelung"
-    cfg = ScenarioConfig.from_mapping(m)
     with pytest.raises(ConfigError):
-        run_scenario(cfg, write=False)
+        ScenarioConfig.from_mapping(m)
+
+
+_FIELD_SOLVERS = ("schrodinger", "madelung", "heat", "dlss")
+_ACCEPTED = (
+    {("gaussian", s) for s in _FIELD_SOLVERS}
+    | {("perturbed_uniform", s) for s in _FIELD_SOLVERS}
+    | {("polar_pair", s) for s in _FIELD_SOLVERS}
+    | {("plane_wave", "schrodinger"), ("gaussian_pair", "displacement")}
+    | {("random_polar", s) for s in ("schrodinger", "madelung", "static")}
+    | {("random_density", s) for s in ("heat", "dlss", "static")})
+_KINDS = ("gaussian", "perturbed_uniform", "polar_pair", "plane_wave",
+          "random_polar", "random_density", "gaussian_pair")
+_SOLVERS = _FIELD_SOLVERS + ("static", "displacement")
+#: the entry each solver starts from
+_START_KEY = {"schrodinger": "wave", "madelung": "phase", "heat": "density",
+              "dlss": "density", "static": "factory", "displacement": "pair"}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_initial_kind_solver_table(kind, solver):
+    assert set(INITIAL_KINDS) == set(_KINDS)
+    params = {"centers": [2.5, 3.5]} if kind == "gaussian_pair" else {}
+    dt, total = {"static": (1.0, 2.0), "displacement": (0.5, 1.0)}.get(
+        solver, (1e-3, 2e-3))
+    m = _heat_mapping(solver=solver, dt=dt, total_time=total, snapshot_stride=1)
+    m["initial_state"] = {"kind": kind, "parameters": params}
+    m["checks"] = []
+    if (kind, solver) not in _ACCEPTED:
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_mapping(m)
+        return
+    initial = build_initial(ScenarioConfig.from_mapping(m))
+    assert _START_KEY[solver] in initial
+
+
+def test_gaussian_wave_honours_images():
+    # sigma = 2 on a 2 pi circle: the images beyond the nearest one matter
+    waves = []
+    for images in (1, 6):
+        m = _heat_mapping(solver="schrodinger", total_time=1e-3)
+        m["initial_state"] = {"kind": "gaussian", "parameters": {
+            "sigma": 2.0, "floor_weight": 1e-8, "images": images}}
+        ctx = run_scenario(ScenarioConfig.from_mapping(m), write=False).context
+        mu = wrapped_gaussian_density(ctx.grid, np.pi, 2.0, 1e-8, images)
+        wave = ctx.initial["wave"].values
+        assert np.max(np.abs(np.abs(wave) ** 2 - mu.values)) < 1e-12
+        waves.append(wave)
+    assert np.max(np.abs(waves[0] - waves[1])) > 1e-7
 
 
 def test_displacement_needs_explicit_dt():
@@ -355,6 +406,20 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
                  "--override", "integrator.dt=2e-3", "--out", str(out_dir)]) == 3
     err = capsys.readouterr().err
     assert "run failed" in err and "density reached" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("scenario, override", [
+    ("heat_entropy_dissipation", "initial_state.parameters.amplitude=1.5"),
+    ("free_gaussian", "initial_state.parameters.floor_weight=1.5"),
+    ("thm21_equivalence", "initial_state.parameters.reference=7.0"),
+    ("heat_entropy_dissipation", "integrator.total_time=0.0101"),
+])
+def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, override):
+    out_dir = tmp_path / "never"
+    assert main(["run", "--scenario", scenario, "--override", override,
+                 "--out", str(out_dir)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
