@@ -8,6 +8,7 @@ exact for band-limited data, spectrally accurate for smooth data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,10 @@ TAU = 2.0 * np.pi
 
 # Cutoff fraction used for the standard 2/3-rule dealiasing of products.
 DEALIAS_FRACTION = 2.0 / 3.0
+
+# Highest Taylor order of off-grid evaluation: with |k delta| <= pi/2 the
+# first omitted term, (pi/2)^25 / 25!, is ~1e-20, below double rounding.
+TAYLOR_ORDER = 24
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -92,6 +97,23 @@ class Grid:
         sym.setflags(write=False)
         return sym
 
+    @cached_property
+    def taylor_symbols(self) -> np.ndarray:
+        """(i*k)^K / K! for K = 0 .. TAYLOR_ORDER, one row per order.
+
+        The Nyquist mode is the cosine cos(k x), whose odd derivatives
+        vanish on the nodes: odd rows hold 0 there, even rows (-k^2)^(K/2)/K!.
+        """
+        orders = np.arange(TAYLOR_ORDER + 1)[:, None]
+        factorials = np.array([math.factorial(K) for K in range(TAYLOR_ORDER + 1)],
+                              dtype=float)[:, None]
+        k = self.wavenumbers
+        sym = np.array([1, 1j, -1, -1j])[orders % 4] * (k ** orders / factorials)
+        ny = self.n // 2
+        sym[1::2, ny] = 0.0
+        sym.setflags(write=False)
+        return sym
+
     def _keep_mask(self, cutoff_fraction: float) -> np.ndarray:
         threshold = cutoff_fraction * (self.n / 2)
         return (np.abs(self.mode_numbers) <= threshold + 1e-9).astype(float)
@@ -162,18 +184,28 @@ class Grid:
         `stack` has shape (m, n); the result has shape (m, len(points)).
         The Nyquist mode is evaluated as a cosine, matching the symmetric
         interpolant of real data.
+
+        Method: a Taylor series about each point's nearest node (Anderson &
+        Dahleh, SISC 17, 1996).  One spectral transform of the stack gives
+        f^(K)/K! on every node for K <= TAYLOR_ORDER; each point gathers its
+        node's column and sums it by Horner's rule in the offset delta.
+        The nearest node lies within h/2, so |k delta| <= pi/2 for every
+        mode and the first omitted term is (pi/2)^25/25! ~ 1e-20 of the
+        field's coefficients: below rounding at any n and any point.
         """
         arr = np.atleast_2d(np.asarray(stack))
         if arr.shape[1] != self.n:
             raise ValueError(f"expected fields of length {self.n}, got {arr.shape}")
-        p = np.atleast_1d(np.asarray(points, dtype=float))
-        coef = np.fft.fft(arr, axis=1) / self.n
-        scale = TAU / self.length
-        phase = np.exp(1j * scale * np.outer(p, self.mode_numbers))
-        ny = self.n // 2
-        phase[:, ny] = np.cos(scale * (self.n / 2) * p)
-        out = coef @ phase.T
-        return out if np.iscomplexobj(arr) else out.real
+        p = np.atleast_1d(np.asarray(points, dtype=float)).ravel()
+        table = self.apply_symbol(arr[:, None, :], self.taylor_symbols)
+        node = np.rint(p / self.spacing)
+        delta = p - node * self.spacing
+        columns = np.take(table, np.mod(node, self.n).astype(np.intp), axis=-1)
+        out = columns[:, TAYLOR_ORDER].copy()
+        for order in range(TAYLOR_ORDER - 1, -1, -1):
+            out *= delta
+            out += columns[:, order]
+        return out
 
     def sample(self, values, points) -> np.ndarray:
         return self.sample_all(self.check_values(values)[None, :], points)[0]

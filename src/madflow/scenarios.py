@@ -442,6 +442,17 @@ def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
             "density": mu, "phase": phase, "reference": reference}
 
 
+def _sample_marks(config: ScenarioConfig, dt: float) -> list[int]:
+    """Snapshot steps of the pseudo-time (static and displacement) runners."""
+    return dynamics._snapshot_steps(dynamics._step_count(dt, config.total_time),
+                                    config.snapshot_stride)
+
+
+def _static_trials(config: ScenarioConfig, trial) -> dict:
+    """Every static trial state, keyed by its snapshot step, built before the solve."""
+    return {k: trial(k) for k in _sample_marks(config, config.dt)}
+
+
 def build_initial(config: ScenarioConfig) -> dict:
     """The initial data of a validated config, as its solver takes it."""
     grid, constants, solver = config.grid, config.constants, config.solver
@@ -485,7 +496,8 @@ def build_initial(config: ScenarioConfig) -> dict:
             def wave_trial(trial: int) -> WaveField:
                 rng = np.random.default_rng(seed + trial)
                 return statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)
-            return {"factory": wave_trial, "state_kind": "wave", "seed": seed}
+            return {"trials": _static_trials(config, wave_trial),
+                    "state_kind": "wave", "seed": seed}
         rng = np.random.default_rng(seed)
         if solver == "schrodinger":
             return {"wave": statelib.random_wave(grid, rng, constants, modes,
@@ -503,7 +515,8 @@ def build_initial(config: ScenarioConfig) -> dict:
             rng = np.random.default_rng(seed + trial)
             return statelib.random_density(grid, rng, modes, amplitude)
         if solver == "static":
-            return {"factory": density_trial, "state_kind": "density", "seed": seed}
+            return {"trials": _static_trials(config, density_trial),
+                    "state_kind": "density", "seed": seed}
         return {"density": density_trial(0)}
     # gaussian_pair
     _check_keys(params, ("centers", "sigma", "floor_weight", "images"), _INIT)
@@ -551,11 +564,11 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
         return dynamics.dlss_evolve(ctx.initial["density"], ctx.potential,
                                     ctx.constants, dt, total, stride)
     if cfg.solver == "static":
-        return _run_sampled(ctx, dt, ctx.initial["factory"])
+        return _run_sampled(ctx, dt, ctx.initial["trials"].__getitem__)
     if cfg.solver == "displacement":
-        mu, nu = ctx.initial["pair"]
-        return _run_sampled(ctx, dt, lambda k: transport.displacement_interpolation(
-            mu, nu, min(max(k * dt / cfg.total_time, 0.0), 1.0)))
+        geodesic = transport.displacement_geodesic(*ctx.initial["pair"])
+        return _run_sampled(ctx, dt, lambda k: geodesic(
+            min(max(k * dt / cfg.total_time, 0.0), 1.0)))
     raise ConfigError(f"unknown solver {cfg.solver!r}")
 
 
@@ -565,9 +578,7 @@ def _run_sampled(ctx: RunContext, dt: float, sample) -> TrajectoryRecord:
     Static trials are independent states; the displacement runner samples
     the geodesic at t = k dt / total_time.
     """
-    cfg = ctx.config
-    marks = dynamics._snapshot_steps(dynamics._step_count(dt, cfg.total_time),
-                                     cfg.snapshot_stride)
+    marks = _sample_marks(ctx.config, dt)
     sts = tuple(sample(k) for k in marks)
     mass = [ctx.grid.integrate(_state_arrays(state)[0]) for state in sts]
     return TrajectoryRecord(np.asarray(marks, dtype=float) * dt, sts, {"mass": mass})
@@ -623,11 +634,11 @@ def _resolve_record(ctx: RunContext) -> None:
 def execute_config(config: ScenarioConfig) -> RunContext:
     """Build the scenario objects, run the solver, compose the columns."""
     grid, constants = config.grid, config.constants
-    try:  # builders range-check their parameters with ValueError
+    try:  # builders range-check with ValueError; NodeError is an inadmissible state
         potential = POTENTIAL_KINDS[config.potential_kind](grid,
                                                            config.potential_parameters)
         initial = build_initial(config)
-    except ValueError as exc:
+    except (ValueError, NodeError) as exc:
         raise ConfigError(f"cannot build the scenario: {exc}") from exc
     ctx = RunContext(config=config, grid=grid, constants=constants,
                      potential=potential, initial=initial)

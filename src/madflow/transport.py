@@ -47,16 +47,16 @@ def _check_cut_mass(density: DensityField, cut_index: int) -> None:
         )
 
 
-def _cumulative_from_cut(density: DensityField, cut_index: int,
-                         refine: int = _REFINE):
+def _cumulative_from_cut(density: DensityField, cut_index: int):
     """Fine-grid positions (relative to the cut) and exact running mass.
 
-    Returns (x, cdf) with x including both endpoints 0 and L, cdf[0] = 0
-    and cdf[-1] = 1 exactly.
+    Returns (x, cdf, fine) with x including both endpoints 0 and L,
+    cdf[0] = 0 and cdf[-1] = 1 exactly, and `fine` the density's
+    interpolant on the fine grid points x[:-1].
     """
     g = density.grid
-    fine_grid = g.refined(refine)
-    fine = np.roll(g.upsample(density.values, refine), -cut_index * refine)
+    fine_grid = g.refined(_REFINE)
+    fine = np.roll(g.upsample(density.values, _REFINE), -cut_index * _REFINE)
     if fine.min() <= 0.0:
         raise ValueError("density is not resolved (its interpolant is not positive)")
     mean = 1.0 / g.length
@@ -68,7 +68,7 @@ def _cumulative_from_cut(density: DensityField, cut_index: int,
     cdf = np.append(cdf, 1.0)
     if not np.all(np.diff(cdf) > 0.0):
         raise ValueError("cumulative distribution is not strictly increasing")
-    return x, cdf
+    return x, cdf, fine
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def quantile_table(density: DensityField, ladder: int = DEFAULT_LADDER,
     if cut_index is None:
         cut_index = int(np.argmin(density.values))
     _check_cut_mass(density, cut_index)
-    x, cdf = _cumulative_from_cut(density, cut_index)
+    x, cdf, _ = _cumulative_from_cut(density, cut_index)
     p = (np.arange(ladder) + 0.5) / ladder
     positions = PchipInterpolator(cdf, x)(p)
     return QuantileTable(p, positions, cut_index)
@@ -132,10 +132,51 @@ def monge_map(mu: DensityField, nu: DensityField):
     cut = joint_cut_index(mu, nu)
     _check_cut_mass(mu, cut)
     _check_cut_mass(nu, cut)
-    x_mu, cdf_mu = _cumulative_from_cut(mu, cut)
-    x_nu, cdf_nu = _cumulative_from_cut(nu, cut)
+    x_mu, cdf_mu, _ = _cumulative_from_cut(mu, cut)
+    x_nu, cdf_nu, _ = _cumulative_from_cut(nu, cut)
     transport = PchipInterpolator(cdf_nu, x_nu)(cdf_mu)
     return x_mu, transport, cut
+
+
+def _check_parameter(t: float) -> None:
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
+
+
+def displacement_geodesic(mu: DensityField, nu: DensityField):
+    """The displacement interpolation from mu to nu, as a function of t.
+
+    The t-independent part (cut, fine samples, both CDFs, the monotone
+    map T and its slope T' = mu / nu(T)) is built once here; each call of
+    the returned function, with t in [0, 1], only warps the fine samples
+    and resamples them to the base grid.
+    """
+    g = _require_shared_grid(mu, nu)
+    cut = joint_cut_index(mu, nu)
+    _check_cut_mass(mu, cut)
+    _check_cut_mass(nu, cut)
+
+    x_mu, cdf_mu, mu_fine = _cumulative_from_cut(mu, cut)
+    x_nu, cdf_nu, nu_fine = _cumulative_from_cut(nu, cut)
+    transport = PchipInterpolator(cdf_nu, x_nu)(cdf_mu[:-1])
+    fine_points = x_mu[:-1]
+
+    # nu evaluated along the map, through a periodic spline of its samples
+    nu_spline = CubicSpline(x_nu, np.append(nu_fine, nu_fine[0]), bc_type="periodic")
+    slope = mu_fine / nu_spline(np.mod(transport, g.length))
+    base_rel = np.mod(g.points - g.points[cut], g.length)
+
+    def at(t: float) -> DensityField:
+        _check_parameter(t)
+        warped = (1.0 - t) * fine_points + t * transport
+        values = mu_fine / ((1.0 - t) + t * slope)
+        # monotone resample back to the base grid (periodic extension)
+        extended_x = np.concatenate([warped - g.length, warped, warped + g.length])
+        extended_v = np.tile(values, 3)
+        resampled = CubicSpline(extended_x, extended_v)(base_rel)
+        return normalize_density(g, resampled)
+
+    return at
 
 
 def displacement_interpolation(mu: DensityField, nu: DensityField,
@@ -144,35 +185,11 @@ def displacement_interpolation(mu: DensityField, nu: DensityField,
 
     The density along the interpolation is mu / ((1 - t) + t T'), with
     T' = mu / nu(T) by mass conservation, evaluated on the fine grid and
-    resampled back to the base grid.
+    resampled back to the base grid.  Several samples of one geodesic
+    should share one `displacement_geodesic`.
     """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
-    g = _require_shared_grid(mu, nu)
-    cut = joint_cut_index(mu, nu)
-    _check_cut_mass(mu, cut)
-    _check_cut_mass(nu, cut)
-
-    fine_grid = g.refined(_REFINE)
-    mu_fine = np.roll(g.upsample(mu.values, _REFINE), -cut * _REFINE)
-    nu_fine = np.roll(g.upsample(nu.values, _REFINE), -cut * _REFINE)
-    x_mu, cdf_mu = _cumulative_from_cut(mu, cut)
-    x_nu, cdf_nu = _cumulative_from_cut(nu, cut)
-    transport = PchipInterpolator(cdf_nu, x_nu)(cdf_mu[:-1])
-
-    # nu evaluated along the map, through a periodic spline of its samples
-    nu_spline = CubicSpline(np.append(fine_grid.points, g.length),
-                            np.append(nu_fine, nu_fine[0]), bc_type="periodic")
-    slope = mu_fine / nu_spline(np.mod(transport, g.length))
-    warped = (1.0 - t) * fine_grid.points + t * transport
-    values = mu_fine / ((1.0 - t) + t * slope)
-
-    # monotone resample back to the base grid (periodic extension)
-    extended_x = np.concatenate([warped - g.length, warped, warped + g.length])
-    extended_v = np.tile(values, 3)
-    base_rel = np.mod(g.points - g.points[cut], g.length)
-    resampled = CubicSpline(extended_x, extended_v)(base_rel)
-    return normalize_density(g, resampled)
+    _check_parameter(t)
+    return displacement_geodesic(mu, nu)(t)
 
 
 def displacement_path(mu: DensityField, nu: DensityField,
@@ -180,8 +197,8 @@ def displacement_path(mu: DensityField, nu: DensityField,
     """Displacement interpolation sampled at `count` uniform parameters."""
     if count < 2:
         raise ValueError(f"need at least two samples, got {count!r}")
-    return [displacement_interpolation(mu, nu, t)
-            for t in np.linspace(0.0, 1.0, count)]
+    geodesic = displacement_geodesic(mu, nu)
+    return [geodesic(t) for t in np.linspace(0.0, 1.0, count)]
 
 
 def path_action(path: Sequence[DensityField], timestep: float) -> float:

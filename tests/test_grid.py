@@ -218,6 +218,24 @@ def test_sample_all_stacks():
     assert np.max(np.abs(out[1] - np.sin(2 * pts))) < 1e-12
 
 
+@pytest.mark.parametrize("n, bound", [(64, 1e-13), (512, 1e-12), (4096, 1e-11)])
+def test_sample_all_matches_closed_forms(n, bound):
+    # Off-grid values come from a Taylor series about the nearest node.
+    # Node midpoints are its worst case (|k delta| = pi/2 on the top mode);
+    # points in [-7, 14] reach into neighbouring periods on both sides.
+    g = Grid(n)
+    pts = np.concatenate([g.points + 0.5 * g.spacing, np.linspace(-7.0, 14.0, 997)])
+    modes = (1, 5, n // 4, n // 2 - 1)
+    waves = [(f, m) for m in modes for f in (np.cos, np.sin)] + [(np.cos, n // 2)]
+    stack = np.stack([f(m * g.points) for f, m in waves])
+    exact = np.stack([f(m * pts) for f, m in waves])
+    for scale in BRANCH_SCALES:
+        out = g.sample_all(_lift(stack, scale), pts)
+        assert out.shape == exact.shape
+        assert np.iscomplexobj(out) == (scale != 1.0)
+        assert np.max(np.abs(out - scale * exact)) < bound
+
+
 def test_upsample_is_trig_interpolation():
     g = Grid(32)
     fine = g.refined(8)

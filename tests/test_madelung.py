@@ -172,15 +172,30 @@ def test_phase_correction_validation():
         phase_correction([crooked], [mu], V, c, 0.1)
 
 
+def _pullback_trial(g, trial):
+    rng = np.random.default_rng(40 + trial)
+    c = PhysicsConstants((0.5, 1.0, 2.0)[trial])
+    mu = random_density(g, rng, modes=3, amplitude=0.4)
+    point = TangentBundlePoint(mu, random_zero_mean(g, rng, modes=3, amplitude=0.4))
+    a = StandardVectorFieldSpec(g, random_zero_mean(g, rng, modes=3, amplitude=0.4),
+                                random_zero_mean(g, rng, modes=3, amplitude=0.4))
+    b = StandardVectorFieldSpec(g, random_zero_mean(g, rng, modes=3, amplitude=0.4),
+                                random_zero_mean(g, rng, modes=3, amplitude=0.4))
+    return point, a, b, c
+
+
 def test_submersion_pullback_defect_small():
     g = Grid(256)
     for trial in range(3):
-        rng = np.random.default_rng(40 + trial)
-        c = PhysicsConstants((0.5, 1.0, 2.0)[trial])
-        mu = random_density(g, rng, modes=3, amplitude=0.4)
-        point = TangentBundlePoint(mu, random_zero_mean(g, rng, modes=3, amplitude=0.4))
-        a = StandardVectorFieldSpec(g, random_zero_mean(g, rng, modes=3, amplitude=0.4),
-                                    random_zero_mean(g, rng, modes=3, amplitude=0.4))
-        b = StandardVectorFieldSpec(g, random_zero_mean(g, rng, modes=3, amplitude=0.4),
-                                    random_zero_mean(g, rng, modes=3, amplitude=0.4))
-        assert submersion_pullback_defect(point, a, b, c) < 1e-4
+        assert submersion_pullback_defect(*_pullback_trial(g, trial)) < 1e-6
+
+
+def test_submersion_pullback_defect_is_second_order_in_step():
+    # central differences: halving the step quarters the defect
+    g = Grid(256)
+    steps = (8e-4, 4e-4, 2e-4, 1e-4)
+    for trial in range(3):
+        args = _pullback_trial(g, trial)
+        defects = [submersion_pullback_defect(*args, step=h) for h in steps]
+        ratios = np.array(defects[:-1]) / np.array(defects[1:])
+        assert np.all((ratios >= 3.9) & (ratios <= 4.1)), ratios

@@ -144,7 +144,7 @@ _KINDS = ("gaussian", "perturbed_uniform", "polar_pair", "plane_wave",
 _SOLVERS = _FIELD_SOLVERS + ("static", "displacement")
 #: the entry each solver starts from
 _START_KEY = {"schrodinger": "wave", "madelung": "phase", "heat": "density",
-              "dlss": "density", "static": "factory", "displacement": "pair"}
+              "dlss": "density", "static": "trials", "displacement": "pair"}
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -414,6 +414,8 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
     ("free_gaussian", "initial_state.parameters.floor_weight=1.5"),
     ("thm21_equivalence", "initial_state.parameters.reference=7.0"),
     ("heat_entropy_dissipation", "integrator.total_time=0.0101"),
+    ("thm44_hamiltonian", "initial_state.parameters.density_amplitude=80"),
+    ("submersion_pullback", "initial_state.parameters.amplitude=80"),
 ])
 def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, override):
     out_dir = tmp_path / "never"

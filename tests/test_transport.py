@@ -175,6 +175,16 @@ def test_displacement_path_has_constant_speed():
         displacement_path(mu, nu, 1)
 
 
+def test_displacement_path_shares_one_geodesic_build():
+    # the path builds the transport map once; each sample keeps the bytes
+    # of a standalone displacement_interpolation
+    g = Grid(128)
+    mu = wrapped_gaussian_density(g, 2.9, 0.3)
+    nu = wrapped_gaussian_density(g, 3.6, 0.25)
+    for k, rho in enumerate(displacement_path(mu, nu, 5)):
+        assert np.array_equal(rho.values, displacement_interpolation(mu, nu, k / 4).values)
+
+
 def test_path_action_equals_squared_distance():
     g = Grid(128)
     mu = wrapped_gaussian_density(g, 2.9, 0.35)

@@ -6,6 +6,8 @@ Closed-form pairings used as oracles (all on L = 2 pi):
   * (1 + cos x / 2)/2pi base, phi=sin x: <a, a> = 1/2   (odd terms drop)
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,21 @@ def test_pushforward_identity_and_change_of_variables():
         lhs = g.integrate(h(g.points) * nu.values)
         rhs = g.integrate(h(moved) * mu.values)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_pushforward_memory_stays_linear_in_n():
+    # off-grid evaluation keeps O(n) tables per Newton step, not an n x n matrix
+    g = Grid(1024)
+    rng = np.random.default_rng(22)
+    mu = random_density(g, rng, modes=3)
+    psi = random_zero_mean(g, rng, modes=3, amplitude=0.4)
+    tracemalloc.start()
+    try:
+        pushforward_density(mu, psi, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_pushforward_fold_guard():
