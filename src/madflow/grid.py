@@ -183,21 +183,34 @@ class Grid:
 
         `stack` has shape (m, n); the result has shape (m, len(points)).
         The Nyquist mode is evaluated as a cosine, matching the symmetric
-        interpolant of real data.
+        interpolant of real data.  Equal to
+        `sample_table(taylor_table(stack), points)`; callers that sample
+        one stack at several point sets build the table once.
+        """
+        return self.sample_table(self.taylor_table(stack), points)
 
-        Method: a Taylor series about each point's nearest node (Anderson &
-        Dahleh, SISC 17, 1996).  One spectral transform of the stack gives
-        f^(K)/K! on every node for K <= TAYLOR_ORDER; each point gathers its
-        node's column and sums it by Horner's rule in the offset delta.
-        The nearest node lies within h/2, so |k delta| <= pi/2 for every
-        mode and the first omitted term is (pi/2)^25/25! ~ 1e-20 of the
-        field's coefficients: below rounding at any n and any point.
+    def taylor_table(self, stack) -> np.ndarray:
+        """Taylor coefficients f^(K)/K!, K <= TAYLOR_ORDER, of each field on every node.
+
+        One spectral transform of the (m, n) stack gives the (m,
+        TAYLOR_ORDER + 1, n) table (Anderson & Dahleh, SISC 17, 1996);
+        `sample_table` sums it about each point's nearest node.
         """
         arr = np.atleast_2d(np.asarray(stack))
         if arr.shape[1] != self.n:
             raise ValueError(f"expected fields of length {self.n}, got {arr.shape}")
+        return self.apply_symbol(arr[:, None, :], self.taylor_symbols)
+
+    def sample_table(self, table, points) -> np.ndarray:
+        """Sum a `taylor_table` at arbitrary points, shape (m, len(points)).
+
+        Each point gathers its nearest node's column and sums it by
+        Horner's rule in the offset delta.  The nearest node lies within
+        h/2, so |k delta| <= pi/2 for every mode and the first omitted
+        term is (pi/2)^25/25! ~ 1e-20 of the field's coefficients: below
+        rounding at any n and any point.
+        """
         p = np.atleast_1d(np.asarray(points, dtype=float)).ravel()
-        table = self.apply_symbol(arr[:, None, :], self.taylor_symbols)
         node = np.rint(p / self.spacing)
         delta = p - node * self.spacing
         columns = np.take(table, np.mod(node, self.n).astype(np.intp), axis=-1)

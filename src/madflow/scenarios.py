@@ -194,9 +194,10 @@ class ScenarioConfig:
         if solver not in INITIAL_KINDS[init_kind]:
             raise ConfigError(f"initial state kind {init_kind!r} does not fit the "
                               f"{solver!r} solver; it fits {INITIAL_KINDS[init_kind]}")
+        steps = None
         if dt is not None:
             try:
-                dynamics._step_count(dt, total_time)
+                steps = dynamics._step_count(dt, total_time)
             except ValueError as exc:
                 raise ConfigError(f"integrator: {exc}") from exc
         if solver == "heat" and pot_kind != "none":
@@ -219,6 +220,12 @@ class ScenarioConfig:
             tol = _as_float(entry.get("tolerance", definition.tolerance),
                             f"checks[{i}].tolerance", positive=True)
             checks.append(CheckRequest(cname, tol))
+            if definition.uniform_snapshots and steps is not None:
+                gaps = np.diff(dynamics._snapshot_steps(steps, stride))
+                if np.any(gaps != gaps[0]):
+                    raise ConfigError(
+                        f"check {cname!r} needs uniformly spaced snapshots; "
+                        f"snapshot_stride {stride} does not divide the {steps} steps")
 
         out_map = _require_mapping(data.get("output", {}), "output")
         _check_keys(out_map, ("directory", "formats"), "output")
@@ -230,6 +237,8 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"unknown output formats {bad}; allowed: csv, json")
 
+        if solver == "displacement":
+            transport.splines()  # import scipy's splines now, not inside the solve
         return cls(name=name, grid=grid, constants=constants,
                    potential_kind=pot_kind, potential_parameters=pot_params,
                    initial_kind=init_kind, initial_parameters=init_params,
@@ -712,6 +721,9 @@ class CheckDefinition:
     solvers: tuple[str, ...]
     fn: Callable[[RunContext], np.ndarray]
     summary: str
+    #: the check differences in time, so validation rejects a stride
+    #: that does not divide the step count (when dt gives the count)
+    uniform_snapshots: bool = False
 
 
 @dataclass(frozen=True)
@@ -971,10 +983,12 @@ CHECKS: dict[str, CheckDefinition] = {
         "gauge-fixed phases of the two solvers agree"),
     "newton_residual": CheckDefinition(
         1e-3, ("madelung",), _check_newton_residual,
-        "covariant acceleration balances the energy gradient"),
+        "covariant acceleration balances the energy gradient",
+        uniform_snapshots=True),
     "entropy_dissipation": CheckDefinition(
         1e-4, ("heat",), _check_entropy_dissipation,
-        "entropy decays at the information production rate"),
+        "entropy decays at the information production rate",
+        uniform_snapshots=True),
     "descent_monotone": CheckDefinition(
         1e-10, ("dlss",), _check_descent_monotone,
         "energy never increases between snapshots"),
@@ -989,10 +1003,12 @@ CHECKS: dict[str, CheckDefinition] = {
         "wave symplectic form pulls back to the scaled bundle form"),
     "bb_action_match": CheckDefinition(
         1e-3, ("displacement",), _check_bb_action_match,
-        "kinetic action of the geodesic equals the squared distance"),
+        "kinetic action of the geodesic equals the squared distance",
+        uniform_snapshots=True),
     "bb_path_optimality": CheckDefinition(
         1e-12, ("displacement",), _check_bb_path_optimality,
-        "perturbed paths cost at least as much as the geodesic"),
+        "perturbed paths cost at least as much as the geodesic",
+        uniform_snapshots=True),
     "constant_speed": CheckDefinition(
         1e-4, ("displacement",), _check_constant_speed,
         "distance from the start grows linearly along the geodesic"),

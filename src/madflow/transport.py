@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import CutError
+from .errors import CutError, NodeError
 from .fields import DensityField, normalize_density
 from .grid import Grid
 from .wgeom import solve_velocity_potential, tangent_inner
@@ -25,6 +24,18 @@ from .wgeom import solve_velocity_potential, tangent_inner
 DEFAULT_LADDER = 4096
 CUT_MASS_TOL = 1e-8
 _REFINE = 16
+
+
+def splines():
+    """scipy's (CubicSpline, PchipInterpolator), imported on first call.
+
+    scipy.interpolate pulls in scipy.special and scipy.optimize, about
+    0.6 s of start-up that only transport needs, so no solver but the
+    displacement runner pays it.  `ScenarioConfig.from_mapping` calls this
+    for displacement configs, which keeps the import out of the solve.
+    """
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+    return CubicSpline, PchipInterpolator
 
 
 def joint_cut_index(mu: DensityField, nu: DensityField) -> int:
@@ -52,13 +63,14 @@ def _cumulative_from_cut(density: DensityField, cut_index: int):
 
     Returns (x, cdf, fine) with x including both endpoints 0 and L,
     cdf[0] = 0 and cdf[-1] = 1 exactly, and `fine` the density's
-    interpolant on the fine grid points x[:-1].
+    interpolant on the fine grid points x[:-1].  A density the grid does
+    not resolve raises NodeError.
     """
     g = density.grid
     fine_grid = g.refined(_REFINE)
     fine = np.roll(g.upsample(density.values, _REFINE), -cut_index * _REFINE)
     if fine.min() <= 0.0:
-        raise ValueError("density is not resolved (its interpolant is not positive)")
+        raise NodeError("density is not resolved (its interpolant is not positive)")
     mean = 1.0 / g.length
     # Quantiles in floor-level tails magnify CDF rounding by 1/mu (~1e9): real
     # transforms moved path densities by 2e-8, so the CDF keeps complex ones.
@@ -67,7 +79,8 @@ def _cumulative_from_cut(density: DensityField, cut_index: int):
     x = np.append(fine_grid.points, g.length)
     cdf = np.append(cdf, 1.0)
     if not np.all(np.diff(cdf) > 0.0):
-        raise ValueError("cumulative distribution is not strictly increasing")
+        raise NodeError("density is not resolved (its cumulative distribution "
+                        "is not strictly increasing)")
     return x, cdf, fine
 
 
@@ -105,6 +118,7 @@ def quantile_table(density: DensityField, ladder: int = DEFAULT_LADDER,
     _check_cut_mass(density, cut_index)
     x, cdf, _ = _cumulative_from_cut(density, cut_index)
     p = (np.arange(ladder) + 0.5) / ladder
+    _, PchipInterpolator = splines()
     positions = PchipInterpolator(cdf, x)(p)
     return QuantileTable(p, positions, cut_index)
 
@@ -134,6 +148,7 @@ def monge_map(mu: DensityField, nu: DensityField):
     _check_cut_mass(nu, cut)
     x_mu, cdf_mu, _ = _cumulative_from_cut(mu, cut)
     x_nu, cdf_nu, _ = _cumulative_from_cut(nu, cut)
+    _, PchipInterpolator = splines()
     transport = PchipInterpolator(cdf_nu, x_nu)(cdf_mu)
     return x_mu, transport, cut
 
@@ -155,6 +170,7 @@ def displacement_geodesic(mu: DensityField, nu: DensityField):
     cut = joint_cut_index(mu, nu)
     _check_cut_mass(mu, cut)
     _check_cut_mass(nu, cut)
+    CubicSpline, PchipInterpolator = splines()
 
     x_mu, cdf_mu, mu_fine = _cumulative_from_cut(mu, cut)
     x_nu, cdf_nu, nu_fine = _cumulative_from_cut(nu, cut)

@@ -137,16 +137,16 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
         return DensityField(g, mu.values)
     target = g.points
     xi = target.astype(float).copy()
-    stack = np.vstack([slope, curvature, mu.values])
+    table = g.taylor_table(np.vstack([slope, curvature, mu.values]))
     for _ in range(_NEWTON_MAX_ITER):
-        s, c, _ = g.sample_all(stack, xi)
+        s, c, _ = g.sample_table(table, xi)
         residual = xi + t * s - target
         xi = xi - residual / (1.0 + t * c)
         if float(np.abs(residual).max()) < _NEWTON_TOL * max(1.0, g.length):
             break
     else:
         raise FoldError("could not invert the transport map (Newton stalled)")
-    _, c, m = g.sample_all(stack, xi)
+    _, c, m = g.sample_table(table, xi)
     values = m / (1.0 + t * c)
     return normalize_density(g, values)
 
@@ -156,17 +156,18 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
 
 @lru_cache(maxsize=8)
 def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(d, lap) for a density's slope and Laplacian; (-d, -1) behind the 2/3 rule."""
+    """(d, d, lap) for a phase's slope and a density's slope and Laplacian;
+    (-d, -1) behind the 2/3 rule."""
     ik, mask = grid.derivative_symbol, grid.dealias_mask
-    out = np.stack((ik, grid.laplacian_symbol)), np.stack((-ik * mask, -mask))
+    out = (np.stack((ik, ik, grid.laplacian_symbol)),
+           np.stack((-ik * mask, -mask)))
     for sym in out:
         sym.setflags(write=False)
     return out
 
 
-def _fisher_terms(grid: Grid, mu: np.ndarray) -> np.ndarray:
-    """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing, from one transform of mu."""
-    mu_x, lap_mu = grid.apply_symbol(mu, _flow_symbols(grid)[0])
+def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.ndarray:
+    """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing."""
     return (mu_x / mu) ** 2 - 2.0 * lap_mu / mu
 
 
@@ -177,14 +178,19 @@ def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
     dmu/dt = -d/dx(mu dS/dx)                             (divergence form)
     dS/dt  = -(|dS/dx|^2 / 2 + V + (hbar^2/8) fisher generator)
 
-    The flux and the whole drift are each dealiased once.  With no
-    potential and hbar = 0 it is the geodesic flow, whose density rate is
-    a tangent vector's divergence form.  Unchecked, for use on RK stages.
+    With hbar set, one transform of the stack (S, mu, mu) gives dS/dx,
+    dmu/dx and lap mu; the flux and the whole drift are then each
+    dealiased once.  With no potential and hbar = 0 it is the geodesic
+    flow, whose density rate is a tangent vector's divergence form.
+    Unchecked, for use on RK stages.
     """
-    s_x = grid.apply_symbol(fiber, grid.derivative_symbol)
-    pressure = 0.5 * s_x * s_x
     if hbar:
-        pressure = pressure + 0.125 * hbar ** 2 * _fisher_terms(grid, mu)
+        s_x, mu_x, lap_mu = grid.apply_symbol(np.stack((fiber, mu, mu)),
+                                              _flow_symbols(grid)[0])
+        pressure = 0.5 * s_x * s_x + 0.125 * hbar ** 2 * _fisher_terms(mu, mu_x, lap_mu)
+    else:
+        s_x = grid.apply_symbol(fiber, grid.derivative_symbol)
+        pressure = 0.5 * s_x * s_x
     rates = grid.apply_symbol(np.stack((mu * s_x, pressure)), _flow_symbols(grid)[1])
     rates[1] -= potential_values
     return rates
@@ -197,7 +203,9 @@ def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
     on the non-positive stages an explicit step can produce; dealiased in
     one pass and unchecked.  hbar^2/8 times it is the quantum correction.
     """
-    return grid.apply_symbol(_fisher_terms(grid, density_values), grid.dealias_mask)
+    mu_x, lap_mu = grid.apply_symbol(density_values, _flow_symbols(grid)[0][1:])
+    return grid.apply_symbol(_fisher_terms(density_values, mu_x, lap_mu),
+                             grid.dealias_mask)
 
 
 def energy_generator(grid: Grid, density_values: np.ndarray, potential_values,

@@ -1,0 +1,58 @@
+"""What importing madflow loads: scipy's interpolation layer only for transport.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported everything.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import madflow
+
+SRC = str(Path(madflow.__file__).resolve().parents[1])
+
+
+def _run(code: str) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_and_time_solver_configs_leave_scipy_interpolate_unloaded():
+    _run("""
+import sys
+import madflow.cli
+from madflow import scenarios
+assert "scipy.interpolate" not in sys.modules
+for name in scenarios.builtin_names():
+    config = scenarios.builtin_config(name)
+    if config.solver != "displacement":
+        assert "scipy.interpolate" not in sys.modules, name
+""")
+
+
+def test_displacement_config_loads_scipy_interpolate_at_validation():
+    _run("""
+import sys
+from madflow import scenarios
+scenarios.builtin_config("benamou_brenier_action")
+assert "scipy.interpolate" in sys.modules
+""")
+
+
+def test_transport_exports_import_first_and_load_splines_on_use():
+    _run("""
+import sys
+from madflow import Grid, QuantileTable, w2_distance
+from madflow.states import wrapped_gaussian_density
+assert "scipy.interpolate" not in sys.modules
+g = Grid(256)
+mu, nu = (wrapped_gaussian_density(g, c, 0.3) for c in (3.0, 3.5))
+assert abs(w2_distance(mu, nu) - 0.5) < 1e-6
+assert "scipy.interpolate" in sys.modules
+assert QuantileTable.__module__ == "madflow.transport"
+""")

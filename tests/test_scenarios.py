@@ -187,6 +187,37 @@ def test_displacement_needs_explicit_dt():
         ScenarioConfig.from_mapping(m)
 
 
+@pytest.mark.parametrize("scenario, stride", [
+    ("newton_residual", 7),           # 1500 steps
+    ("heat_entropy_dissipation", 7),  # 200 steps
+    ("benamou_brenier_action", 5),    # 63 steps
+])
+def test_stride_breaking_uniform_snapshots_fails_validation(monkeypatch, capsys,
+                                                            tmp_path, scenario, stride):
+    # these checks difference in time; the stride is refused before any solve
+    def no_solve(ctx, dt):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr("madflow.scenarios._run_solver", no_solve)
+    m = apply_overrides(builtin_mapping(scenario),
+                        [f"integrator.snapshot_stride={stride}"])
+    with pytest.raises(ConfigError, match="uniformly spaced snapshots"):
+        ScenarioConfig.from_mapping(m)
+    out_dir = tmp_path / "never"
+    assert main(["run", "--scenario", scenario, "--override",
+                 f"integrator.snapshot_stride={stride}", "--out", str(out_dir)]) == 2
+    assert "uniformly spaced snapshots" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_stride_is_free_without_a_time_differencing_check_or_a_step_count():
+    ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("thm21_equivalence"), ["integrator.snapshot_stride=7"]))
+    # with dt omitted the step count is unknown until the run, which checks it
+    ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("newton_residual"),
+        ["integrator.snapshot_stride=7", "integrator.dt=null"]))
+
+
 def test_check_tolerance_defaults_from_registry():
     m = _heat_mapping()
     m["checks"] = ["mass_conservation", {"name": "entropy_dissipation"}]
@@ -406,6 +437,16 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
                  "--override", "integrator.dt=2e-3", "--out", str(out_dir)]) == 3
     err = capsys.readouterr().err
     assert "run failed" in err and "density reached" in err
+    assert not out_dir.exists()
+
+
+def test_cli_unresolved_transport_density_exits_three(tmp_path, capsys):
+    # sigma = 0.1 packets on 16 points: their interpolant dips below zero
+    out_dir = tmp_path / "bb_out"
+    assert main(["run", "--scenario", "benamou_brenier_action",
+                 "--override", "grid.n=16", "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "run failed" in err and "not resolved" in err
     assert not out_dir.exists()
 
 

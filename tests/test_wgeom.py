@@ -29,6 +29,7 @@ from madflow.wgeom import (
     covariant_acceleration,
     fisher_generator,
     hamiltonian,
+    hamiltonian_flow,
     hamiltonian_vector_field,
     pushforward_density,
     solve_velocity_potential,
@@ -130,6 +131,26 @@ def test_pushforward_memory_stays_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_pushforward_builds_one_taylor_table(monkeypatch):
+    # the (slope, curvature, mu) stack is fixed, so every Newton iteration
+    # sums the same table
+    g = Grid(256)
+    rng = np.random.default_rng(24)
+    mu = random_density(g, rng, modes=3)
+    psi = random_zero_mean(g, rng, modes=3, amplitude=0.4)
+    calls = {"taylor_table": 0, "sample_table": 0}
+    for name in calls:
+        method = getattr(Grid, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(Grid, name, counted)
+    pushforward_density(mu, psi, 0.3)
+    assert calls["taylor_table"] == 1
+    assert calls["sample_table"] >= 3  # several Newton iterations, then the values
 
 
 def test_pushforward_fold_guard():
@@ -279,6 +300,36 @@ def test_madelung_step_is_rk4_of_the_hamiltonian_vector_field():
     assert np.max(np.abs(final.phase.values - s)) < 1e-12
     # and the step moved the state, so the comparison is not vacuous
     assert np.max(np.abs(final.density.values - rec.states[0].density.values)) > 1e-6
+
+
+def test_hamiltonian_flow_fuses_its_transforms(monkeypatch):
+    # with hbar set, one transform of (S, mu, mu) serves dS/dx, dmu/dx and
+    # lap mu: 4 FFT calls per rate evaluation instead of 6, and the rates
+    # equal those built from one transform per derivative, bit for bit
+    g = Grid(256)
+    rng = np.random.default_rng(25)
+    mu = random_density(g, rng, modes=3).values
+    s = random_zero_mean(g, rng, modes=3, amplitude=0.3)
+    v = 1.0 - np.cos(g.points)
+    hbar = 0.8
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _transform=transform, **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    rates = hamiltonian_flow(g, mu, s, v, hbar)
+    monkeypatch.undo()
+    assert len(calls) == 4
+
+    s_x, mu_x, lap_mu = g.derivative(s), g.derivative(mu), g.laplacian(mu)
+    pressure = 0.5 * s_x * s_x + 0.125 * hbar ** 2 * (
+        (mu_x / mu) ** 2 - 2.0 * lap_mu / mu)
+    mask = g.dealias_mask
+    assert np.array_equal(rates[0], g.apply_symbol(mu * s_x, -g.derivative_symbol * mask))
+    assert np.array_equal(rates[1], g.apply_symbol(pressure, -mask) - v)
 
 
 def test_covariant_acceleration_formula_and_guards():
