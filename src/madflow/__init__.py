@@ -14,17 +14,15 @@ from .errors import (AliasError, BaseMismatchError, CompatibilityError,
 from .fields import (DensityField, FunctionalValues, PhaseField,
                      PhysicsConstants, PotentialField, WaveField,
                      density_floor, functionals, lagrangian, normalize_density,
-                     unwrapped_phase, winding_number)
+                     unwrapped_phase)
 from .grid import TAU, Grid
 from .madelung import (PolarDecomposition, complex_symplectic_form,
                        madelung_section, madelung_transform, phase_correction,
-                       quantum_potential, submersion_pullback_defect,
-                       wave_hamiltonian)
+                       submersion_pullback_defect, wave_hamiltonian)
 from .scenarios import (ScenarioConfig, builtin_config, builtin_names,
                         run_builtin, run_scenario, run_suite)
 from .transport import (QuantileTable, displacement_interpolation,
-                        displacement_path, path_action, quantile_table,
-                        w2_distance)
+                        path_action, quantile_table, w2_distance)
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
                     covariant_acceleration, fisher_generator, hamiltonian,
                     hamiltonian_vector_field, pushforward_density,

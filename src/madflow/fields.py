@@ -96,10 +96,6 @@ class DensityField:
             raise ValueError(f"density mass is {mass!r}, expected 1 within {MASS_TOL}")
         object.__setattr__(self, "values", _frozen_copy(v, float))
 
-    @property
-    def floor(self) -> float:
-        return density_floor(self.grid)
-
 
 def normalize_density(grid: Grid, raw_values) -> DensityField:
     """Scale strictly positive samples to unit mass.
@@ -263,16 +259,6 @@ def cyclic_phase_steps(psi: WaveField) -> np.ndarray:
             f"neighbouring phase step of {worst:.3f} rad >= pi/2; grid too coarse"
         )
     return steps
-
-
-def winding_number(psi: WaveField) -> int:
-    """Net number of turns of the wave around zero along the circle."""
-    steps = cyclic_phase_steps(psi)
-    total = float(steps.sum()) / (2.0 * np.pi)
-    winding = int(np.rint(total))
-    if abs(total - winding) > 1e-6:
-        raise WindingError(f"phase increments sum to {total!r} turns, not an integer")
-    return winding
 
 
 def unwrapped_phase(psi: WaveField) -> np.ndarray:

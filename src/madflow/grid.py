@@ -2,7 +2,7 @@
 
 All fields in the package are arrays of samples on such a grid and are
 interpreted through their trigonometric interpolant.  Differentiation,
-integration, filtering and off-grid evaluation are therefore spectral:
+integration, dealiasing and off-grid evaluation are therefore spectral:
 exact for band-limited data, spectrally accurate for smooth data.
 """
 
@@ -85,7 +85,9 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        mask = self._keep_mask(DEALIAS_FRACTION)
+        """1 on the modes with |m| <= (2/3)(n/2), 0 above."""
+        threshold = DEALIAS_FRACTION * (self.n / 2)
+        mask = (np.abs(self.mode_numbers) <= threshold + 1e-9).astype(float)
         mask.setflags(write=False)
         return mask
 
@@ -113,10 +115,6 @@ class Grid:
         sym[1::2, ny] = 0.0
         sym.setflags(write=False)
         return sym
-
-    def _keep_mask(self, cutoff_fraction: float) -> np.ndarray:
-        threshold = cutoff_fraction * (self.n / 2)
-        return (np.abs(self.mode_numbers) <= threshold + 1e-9).astype(float)
 
     # -- validation ---------------------------------------------------------
 
@@ -165,12 +163,6 @@ class Grid:
         so this inverts `derivative` on band-limited zero-mean fields.
         """
         return self.apply_symbol(self.check_values(values), self.antiderivative_symbol)
-
-    def low_pass(self, values, cutoff_fraction: float) -> np.ndarray:
-        """Zero all Fourier modes with |m| above cutoff_fraction * (n/2)."""
-        if not (0.0 < cutoff_fraction <= 1.0):
-            raise ValueError(f"cutoff fraction must lie in (0, 1], got {cutoff_fraction!r}")
-        return self.apply_symbol(self.check_values(values), self._keep_mask(cutoff_fraction))
 
     def dealias(self, values) -> np.ndarray:
         """2/3-rule low pass, applied to pointwise products before use."""

@@ -3,24 +3,24 @@
 madelung_transform sends a nowhere-vanishing unit wave to its density,
 unwrapped phase and the induced density velocity; madelung_section is the
 right inverse pinning the phase value at the reference point.  The module
-also carries the wave-side energy and symplectic form, and the finite
-difference pullback defect used to verify that the transform intertwines
-the two symplectic structures.
+also carries the wave-side energy and symplectic form, the phase
+correction that adds the running action integral to a mean-zero phase
+trajectory, and the finite difference pullback defect used to verify that
+the transform intertwines the two symplectic structures.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from dataclasses import dataclass
 
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
                      WaveField, check_mean_zero, lagrangian, unwrapped_phase)
 from .grid import Grid
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
-                    fisher_generator, pushforward_density, symplectic_form)
+                    pushforward_density, symplectic_form)
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ def madelung_section(mu: DensityField, phase: PhaseField, reference: float,
     shifted = phase.values - (phase.values[0] - reference)
     values = np.sqrt(mu.values) * np.exp(1j * shifted / constants.hbar)
     return WaveField(g, values)
-
-
-def quantum_potential(mu: DensityField, constants: PhysicsConstants) -> np.ndarray:
-    """(hbar^2/8) (|d log mu|^2 - 2 lap(mu)/mu), the zero-point pressure term."""
-    return 0.125 * constants.hbar ** 2 * fisher_generator(mu.grid, mu.values)
 
 
 def complex_symplectic_form(grid: Grid, f_values, g_values) -> float:

@@ -9,7 +9,7 @@ check).  Everything is deterministic given the config: re-running
 reproduces the CSV bit for bit.
 
 Builtin scenarios cover the whole acceptance surface; see
-`builtin_names` / `scenario_descriptions`.
+`builtin_names` / `SCENARIO_DESCRIPTIONS`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -80,6 +81,8 @@ def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
 def _as_float(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # JSON reads 1e400 and Infinity as inf
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     out = float(value)
     if positive and not out > 0.0:
         raise ConfigError(f"{path} must be positive, got {value!r}")
@@ -203,8 +206,11 @@ class ScenarioConfig:
         if solver == "heat" and pot_kind != "none":
             raise ConfigError("the heat flow takes no potential; use kind 'none'")
 
+        entries = data.get("checks", [])
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigError(f"checks must be a list, got {entries!r}")
         checks: list[CheckRequest] = []
-        for i, entry in enumerate(data.get("checks", [])):
+        for i, entry in enumerate(entries):
             if isinstance(entry, str):
                 entry = {"name": entry}
             entry = _require_mapping(entry, f"checks[{i}]")
@@ -282,15 +288,23 @@ def load_mapping(path: str | Path) -> dict:
     return data
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    return ScenarioConfig.from_mapping(load_mapping(path))
+def _override_slot(node, part: str, key: str):
+    """`part` as a key of `node`; a list takes an in-range integer index."""
+    if not isinstance(node, list):
+        return part
+    if not part.isdecimal() or int(part) >= len(node):
+        raise ConfigError(f"override {key!r}: {part!r} is not an index of a "
+                          f"list of {len(node)} entries")
+    return int(part)
 
 
 def apply_overrides(mapping: Mapping, overrides: Sequence[str]) -> dict:
     """Apply `dotted.key=value` overrides to a raw config mapping.
 
     Values parse as JSON when possible (numbers, booleans, null, quoted
-    strings) and fall back to plain strings.
+    strings) and fall back to plain strings.  A path segment that meets a
+    list indexes it (`checks.0.tolerance`); a mapping entry on the way that
+    is missing or neither a mapping nor a list becomes a new mapping.
     """
     out = json.loads(json.dumps(mapping))  # deep copy, JSON types only
     for item in overrides:
@@ -304,12 +318,16 @@ def apply_overrides(mapping: Mapping, overrides: Sequence[str]) -> dict:
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
+            slot = _override_slot(node, part, key)
+            nxt = node[slot] if isinstance(node, list) else node.get(slot)
+            if not isinstance(nxt, (dict, list)):
+                if isinstance(node, list):
+                    raise ConfigError(f"override {key!r}: entry {slot} is {nxt!r}, "
+                                      "not a mapping or list")
                 nxt = {}
-                node[part] = nxt
+                node[slot] = nxt
             node = nxt
-        node[parts[-1]] = value
+        node[_override_slot(node, parts[-1], key)] = value
     return out
 
 

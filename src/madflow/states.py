@@ -70,13 +70,6 @@ def plane_wave(grid: Grid, mode: int) -> WaveField:
     return WaveField(grid, values)
 
 
-def gaussian_wave(grid: Grid, center: float, sigma: float,
-                  floor_weight: float = DEFAULT_GAUSSIAN_FLOOR) -> WaveField:
-    """Real positive wave sqrt(mu) for the wrapped Gaussian density."""
-    mu = wrapped_gaussian_density(grid, center, sigma, floor_weight)
-    return WaveField.normalized(grid, np.sqrt(mu.values))
-
-
 def free_gaussian_wave(grid: Grid, center: float, sigma0: float,
                        constants: PhysicsConstants, time: float,
                        images: int = 6) -> WaveField:

@@ -137,22 +137,6 @@ def w2_distance(mu: DensityField, nu: DensityField,
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def monge_map(mu: DensityField, nu: DensityField):
-    """Monotone transport map T = q_nu(F_mu) on the fine cut-relative grid.
-
-    Returns (x, T) where x are fine-grid positions relative to the cut.
-    """
-    g = _require_shared_grid(mu, nu)
-    cut = joint_cut_index(mu, nu)
-    _check_cut_mass(mu, cut)
-    _check_cut_mass(nu, cut)
-    x_mu, cdf_mu, _ = _cumulative_from_cut(mu, cut)
-    x_nu, cdf_nu, _ = _cumulative_from_cut(nu, cut)
-    _, PchipInterpolator = splines()
-    transport = PchipInterpolator(cdf_nu, x_nu)(cdf_mu)
-    return x_mu, transport, cut
-
-
 def _check_parameter(t: float) -> None:
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
@@ -206,15 +190,6 @@ def displacement_interpolation(mu: DensityField, nu: DensityField,
     """
     _check_parameter(t)
     return displacement_geodesic(mu, nu)(t)
-
-
-def displacement_path(mu: DensityField, nu: DensityField,
-                      count: int) -> list[DensityField]:
-    """Displacement interpolation sampled at `count` uniform parameters."""
-    if count < 2:
-        raise ValueError(f"need at least two samples, got {count!r}")
-    geodesic = displacement_geodesic(mu, nu)
-    return [geodesic(t) for t in np.linspace(0.0, 1.0, count)]
 
 
 def path_action(path: Sequence[DensityField], timestep: float) -> float:

@@ -37,7 +37,7 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
-from madflow.transport import displacement_path, path_action, w2_distance
+from madflow.transport import displacement_geodesic, path_action, w2_distance
 from madflow.wgeom import (
     GRADIENT_KINDS,
     StandardVectorFieldSpec,
@@ -262,7 +262,8 @@ def test_10_displacement_path_attains_the_transport_action():
     w2 = w2_distance(mu, nu)
     count = 33
     timestep = 1.0 / (count - 1)
-    path = displacement_path(mu, nu, count)
+    geodesic = displacement_geodesic(mu, nu)
+    path = [geodesic(t) for t in np.linspace(0.0, 1.0, count)]
     optimal = path_action(path, timestep)
     gap = abs(optimal - w2 ** 2) / w2 ** 2
 

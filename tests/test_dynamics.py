@@ -16,6 +16,7 @@ from madflow import (
     PhysicsConstants,
     PotentialField,
     StabilityError,
+    WaveField,
 )
 from madflow.dynamics import (
     TrajectoryRecord,
@@ -27,10 +28,10 @@ from madflow.dynamics import (
 from madflow.madelung import PolarDecomposition, madelung_section
 from madflow.states import (
     cosine_bump_density,
-    gaussian_wave,
     perturbed_uniform_density,
     plane_wave,
     uniform_density,
+    wrapped_gaussian_density,
 )
 
 TAU = 2 * np.pi
@@ -106,8 +107,8 @@ def test_schrodinger_conserves_mass_and_energy():
     g = Grid(256)
     c = PhysicsConstants(1.0)
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
-    rec = schrodinger_evolve(gaussian_wave(g, np.pi, 0.5), V, c, 1e-3, 0.2,
-                             snapshot_stride=20)
+    psi0 = WaveField.normalized(g, np.sqrt(wrapped_gaussian_density(g, np.pi, 0.5).values))
+    rec = schrodinger_evolve(psi0, V, c, 1e-3, 0.2, snapshot_stride=20)
     assert np.abs(rec.observables["mass"] - 1.0).max() < 1e-12
     hs = rec.observables["h_s"]
     assert np.abs(hs - hs[0]).max() / abs(hs[0]) < 1e-7

@@ -31,12 +31,10 @@ from madflow.fields import (
     lagrangian,
     normalize_density,
     unwrapped_phase,
-    winding_number,
 )
 from madflow.states import (
     cosine_bump_density,
     free_gaussian_wave,
-    gaussian_wave,
     perturbed_uniform_density,
     plane_wave,
     random_density,
@@ -72,7 +70,7 @@ def test_potential_field():
 def test_density_field_admissibility():
     g = Grid(64)
     uniform = DensityField(g, np.full(64, 1 / TAU))
-    assert uniform.floor == density_floor(g) == 1e-12 / TAU
+    assert uniform.values.min() > density_floor(g) == 1e-12 / TAU
     with pytest.raises(ValueError):
         DensityField(g, np.full(64, 1.0))  # mass 2 pi, not 1
     bad = np.full(64, 1 / TAU)
@@ -227,9 +225,11 @@ def test_plane_wave_and_winding():
     for m in (0, 1, -2, 5):
         psi = plane_wave(g, m)
         assert abs(g.integrate(np.abs(psi.values) ** 2) - 1.0) < 1e-13
-        assert winding_number(psi) == m
-    with pytest.raises(WindingError):
-        unwrapped_phase(plane_wave(g, 1))
+        if m == 0:
+            unwrapped_phase(psi)
+        else:
+            with pytest.raises(WindingError, match=f"winding {m}"):
+                unwrapped_phase(psi)
 
 
 def test_unwrapped_phase_recovers_smooth_phase():
@@ -238,7 +238,6 @@ def test_unwrapped_phase_recovers_smooth_phase():
     psi = WaveField.normalized(g, np.exp(1j * theta) * (2 + np.cos(g.points)))
     rec = unwrapped_phase(psi)
     assert np.max(np.abs(rec - theta)) < 1e-12
-    assert winding_number(psi) == 0
 
 
 def test_phase_resolution_guards():
@@ -250,14 +249,6 @@ def test_phase_resolution_guards():
     node = WaveField.normalized(g, np.sin(g.points).astype(complex))
     with pytest.raises(NodeError):
         cyclic_phase_steps(node)
-
-
-def test_gaussian_wave_matches_density():
-    g = Grid(256)
-    psi = gaussian_wave(g, np.pi, 0.5)
-    mu = wrapped_gaussian_density(g, np.pi, 0.5)
-    assert np.max(np.abs(np.abs(psi.values) ** 2 - mu.values)) < 1e-12
-    assert np.max(np.abs(psi.values.imag)) == 0.0
 
 
 def test_free_gaussian_wave_time_zero_and_spreading():
@@ -290,6 +281,6 @@ def test_random_builders_reproducible():
     c = PhysicsConstants(1.0)
     psi = random_wave(g, np.random.default_rng(9), c)
     assert psi.is_nowhere_vanishing()
-    assert winding_number(psi) == 0
+    unwrapped_phase(psi)  # zero winding, or WindingError
     psi2 = random_wave(g, np.random.default_rng(9), c)
     assert np.array_equal(psi.values, psi2.values)

@@ -147,23 +147,6 @@ def test_antiderivative_inverts_derivative():
         assert np.max(np.abs(g.antiderivative(fc + 2.0) - F)) < 1e-12
 
 
-def test_low_pass_keeps_and_kills_modes():
-    g = Grid(64)
-    x = g.points
-    f = np.cos(3 * x) + np.cos(20 * x)
-    nyquist = np.cos((g.n // 2) * x)
-    for c in BRANCH_SCALES:
-        kept = g.low_pass(_lift(f, c), 10 / 32)
-        assert np.max(np.abs(kept - _lift(np.cos(3 * x), c))) < 1e-12
-        # the full band keeps every mode, the Nyquist mode included
-        whole = _lift(f + nyquist, c)
-        assert np.max(np.abs(g.low_pass(whole, 1.0) - whole)) < 1e-12
-    with pytest.raises(ValueError):
-        g.low_pass(f, 0.0)
-    with pytest.raises(ValueError):
-        g.low_pass(f, 1.5)
-
-
 def test_dealias_threshold():
     g = Grid(256)
     x = g.points
@@ -187,7 +170,8 @@ def test_dealias_makes_quadratic_products_exact():
     exact = (np.cos(10 * fine.points) + 0.3 * np.sin(4 * fine.points)) * np.sin(11 * fine.points)
     resampled = g.sample(prod, fine.points)
     # only the dealiased band of the true product can be represented
-    band = fine.low_pass(exact, (2 / 3 * 32 + 1e-9) / 128)
+    keep = (np.abs(fine.mode_numbers) <= 2 / 3 * 32 + 1e-9).astype(float)
+    band = fine.apply_symbol(exact, keep)
     assert np.max(np.abs(resampled - band)) < 1e-12
 
 

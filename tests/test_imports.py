@@ -1,4 +1,5 @@
-"""What importing madflow loads: scipy's interpolation layer only for transport.
+"""What importing madflow loads: scipy's interpolation layer only for
+transport, and every name the benchmark tracer wraps.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -12,6 +13,7 @@ from pathlib import Path
 import madflow
 
 SRC = str(Path(madflow.__file__).resolve().parents[1])
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
 
 def _run(code: str) -> None:
@@ -55,4 +57,21 @@ mu, nu = (wrapped_gaussian_density(g, c, 0.3) for c in (3.0, 3.5))
 assert abs(w2_distance(mu, nu) - 0.5) < 1e-6
 assert "scipy.interpolate" in sys.modules
 assert QuantileTable.__module__ == "madflow.transport"
+""")
+
+
+def test_bench_tracer_installs_on_the_cli_imports():
+    # bench/tracer.py wraps madflow functions and methods by name, so a
+    # rename in src/ would break every `bench/run.py --trace 1` run.  The
+    # FFT counters are left out and no bytecode is written: bench/ is only read.
+    _run(f"""
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, {BENCH!r})
+import madflow.cli
+import tracer
+tracer.Tracer().install()
+from madflow import grid, transport
+assert hasattr(grid.Grid.sample_all, "__wrapped__")
+assert hasattr(transport.displacement_interpolation, "__wrapped__")
 """)

@@ -19,7 +19,7 @@ from madflow.scenarios import (
     build_initial,
     builtin_mapping,
     builtin_names,
-    load_config,
+    load_mapping,
     resolve_output_dir,
     run_builtin,
     run_scenario,
@@ -243,20 +243,38 @@ def test_apply_overrides():
         ScenarioConfig.from_mapping(apply_overrides(m, ["integrator.cleverness=3"]))
 
 
+def test_apply_overrides_indexes_lists():
+    m = _heat_mapping()
+    out = apply_overrides(m, ["checks.0.tolerance=1e-12"])
+    assert out["checks"] == [{"name": "mass_conservation", "tolerance": 1e-12}]
+    assert ScenarioConfig.from_mapping(out).checks[0].tolerance == 1e-12
+    for bad in ("checks.9.tolerance=1", "checks.-1.tolerance=1",
+                "checks.first.tolerance=1", "checks.1=\"stationarity\""):
+        with pytest.raises(ConfigError, match="checks"):
+            apply_overrides(m, [bad])
+    # a check given by name is not a mapping to descend into
+    named = dict(m, checks=["mass_conservation"])
+    with pytest.raises(ConfigError, match="'mass_conservation', not a mapping"):
+        apply_overrides(named, ["checks.0.tolerance=1"])
+    # missing mappings on the way are still created
+    out = apply_overrides(m, ["output.formats=[\"csv\"]"])
+    assert out["output"] == {"formats": ["csv"]}
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
-        load_config(tmp_path / "missing.json")
+        load_mapping(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_config(bad)
+        load_mapping(bad)
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        load_config(listy)
+        load_mapping(listy)
     good = tmp_path / "good.json"
     good.write_text(json.dumps(_heat_mapping()))
-    assert load_config(good).name == "heat_demo"
+    assert ScenarioConfig.from_mapping(load_mapping(good)).name == "heat_demo"
 
 
 # -- builtin registry --------------------------------------------------------
@@ -457,12 +475,32 @@ def test_cli_unresolved_transport_density_exits_three(tmp_path, capsys):
     ("heat_entropy_dissipation", "integrator.total_time=0.0101"),
     ("thm44_hamiltonian", "initial_state.parameters.density_amplitude=80"),
     ("submersion_pullback", "initial_state.parameters.amplitude=80"),
+    # non-finite numbers: JSON reads 1e400 and Infinity as inf
+    ("thm21_equivalence", "integrator.total_time=1e400"),
+    ("heat_entropy_dissipation",
+     'checks=[{"name":"mass_conservation","tolerance":1e400}]'),
+    # checks must be a list
+    ("heat_entropy_dissipation", "checks=5"),
+    ("heat_entropy_dissipation", 'checks="mass_conservation"'),
 ])
 def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, override):
     out_dir = tmp_path / "never"
     assert main(["run", "--scenario", scenario, "--override", override,
                  "--out", str(out_dir)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("checks.0.tolerance=-1", "checks[0].tolerance must be positive"),
+    ("checks.5.tolerance=1", "'checks.5.tolerance'"),
+])
+def test_cli_list_index_override_names_the_entry(tmp_path, capsys, override, message):
+    out_dir = tmp_path / "never"
+    assert main(["run", "--scenario", "heat_entropy_dissipation",
+                 "--override", override, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
     assert not out_dir.exists()
 
 

@@ -17,16 +17,21 @@ from madflow.states import (
     wrapped_gaussian_density,
 )
 from madflow.transport import (
+    displacement_geodesic,
     displacement_interpolation,
-    displacement_path,
     joint_cut_index,
-    monge_map,
     path_action,
     quantile_table,
     w2_distance,
 )
 
 TAU = 2 * np.pi
+
+
+def _geodesic_samples(mu: DensityField, nu: DensityField, count: int) -> list[DensityField]:
+    """The displacement geodesic from mu to nu at `count` uniform parameters."""
+    geodesic = displacement_geodesic(mu, nu)
+    return [geodesic(t) for t in np.linspace(0.0, 1.0, count)]
 
 
 def _brute_force_w2(mu: DensityField, nu: DensityField, cells: int = 65536) -> float:
@@ -123,21 +128,6 @@ def test_w2_matches_brute_force_coupling():
         assert abs(fast - brute) < 1e-6
 
 
-def test_monge_map_pushes_mass_correctly():
-    g = Grid(256)
-    mu = wrapped_gaussian_density(g, 2.8, 0.35)
-    nu = wrapped_gaussian_density(g, 3.6, 0.35)
-    x, transport, cut = monge_map(mu, nu)
-    offset = g.points[cut]
-    # int h(T(x)) dmu = int h dnu for periodic h, via the fine interpolant
-    mu_fine = g.sample(mu.values, x + offset)
-    weights = mu_fine * np.gradient(x)
-    for h in (np.cos, np.sin):
-        lhs = np.sum(h(transport + offset) * weights)
-        rhs = g.integrate(h(g.points) * nu.values)
-        assert abs(lhs - rhs) < 1e-4
-
-
 def test_displacement_endpoints_and_validation():
     g = Grid(256)
     mu = wrapped_gaussian_density(g, 2.8, 0.3)
@@ -167,22 +157,10 @@ def test_displacement_path_has_constant_speed():
     mu = wrapped_gaussian_density(g, 2.9, 0.3)
     nu = wrapped_gaussian_density(g, 3.6, 0.3)
     total = w2_distance(mu, nu)
-    path = displacement_path(mu, nu, 5)
+    path = _geodesic_samples(mu, nu, 5)
     for k, rho in enumerate(path):
         t = k / 4
         assert abs(w2_distance(mu, rho) - t * total) < 1e-6
-    with pytest.raises(ValueError):
-        displacement_path(mu, nu, 1)
-
-
-def test_displacement_path_shares_one_geodesic_build():
-    # the path builds the transport map once; each sample keeps the bytes
-    # of a standalone displacement_interpolation
-    g = Grid(128)
-    mu = wrapped_gaussian_density(g, 2.9, 0.3)
-    nu = wrapped_gaussian_density(g, 3.6, 0.25)
-    for k, rho in enumerate(displacement_path(mu, nu, 5)):
-        assert np.array_equal(rho.values, displacement_interpolation(mu, nu, k / 4).values)
 
 
 def test_path_action_equals_squared_distance():
@@ -190,7 +168,7 @@ def test_path_action_equals_squared_distance():
     mu = wrapped_gaussian_density(g, 2.9, 0.35)
     nu = wrapped_gaussian_density(g, 3.6, 0.35)
     count = 33
-    path = displacement_path(mu, nu, count)
+    path = _geodesic_samples(mu, nu, count)
     action = path_action(path, 1.0 / (count - 1))
     w2sq = w2_distance(mu, nu) ** 2
     assert abs(action - w2sq) / w2sq < 1e-3
@@ -202,7 +180,7 @@ def test_perturbed_paths_cost_more():
     nu = wrapped_gaussian_density(g, 3.6, 0.35)
     count = 33
     dt = 1.0 / (count - 1)
-    path = displacement_path(mu, nu, count)
+    path = _geodesic_samples(mu, nu, count)
     base_action = path_action(path, dt)
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -220,7 +198,7 @@ def test_path_action_validation():
     g = Grid(128)
     mu = wrapped_gaussian_density(g, 2.9, 0.35)
     nu = wrapped_gaussian_density(g, 3.6, 0.35)
-    path = displacement_path(mu, nu, 5)
+    path = _geodesic_samples(mu, nu, 5)
     with pytest.raises(ValueError):
         path_action(path[:2], 0.1)
     with pytest.raises(ValueError):
