@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output root (default "
                               f"${scenarios.OUTPUT_ROOT_ENV} or ./runs)")
     suite_p.add_argument("--jobs", type=int, default=1,
-                         help="run scenarios in this many processes")
+                         help="run scenarios in this many processes, at "
+                              "most one per scenario (>= 1)")
     return parser
 
 

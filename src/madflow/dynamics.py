@@ -11,10 +11,11 @@ The hydrodynamic right-hand side is `wgeom.hamiltonian_flow`, the
 Hamiltonian vector field of the geometry itself, and the DLSS right-hand
 side is minus the divergence form of the total-energy generator that
 `wgeom.wasserstein_gradient("total")` returns; both run through one RK4
-step, guard and snapshot loop.  Observables come from the single
-definitions in `fields`, `wgeom` and `madelung`.  All solvers return a
-TrajectoryRecord with snapshots and per-time observables; products are
-dealiased with the 2/3 rule.
+step, guard and snapshot loop.  The solvers only integrate: a
+TrajectoryRecord holds the snapshot times and states, the mass and, on the
+Madelung solver, the gauge ledger; energies, entropy and Fisher
+information are functions of a state, derived from it by the caller.
+Products are dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 
 from .errors import NodeError, StabilityError
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
-                     WaveField, density_floor, functionals, lagrangian)
-from .madelung import PolarDecomposition, wave_hamiltonian
+                     WaveField, density_floor, functionals)
+from .madelung import PolarDecomposition
 from .wgeom import (TangentBundlePoint, energy_generator, hamiltonian,
-                    hamiltonian_flow, wasserstein_gradient)
+                    hamiltonian_flow)
 
 MASS_DRIFT_TOL = 1e-8
 ENERGY_BLOWUP_FACTOR = 1e3
@@ -37,7 +38,11 @@ DESCENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Snapshots of a run: times, states, and named observable columns."""
+    """Snapshots of a run: times, states, and per-snapshot columns.
+
+    The columns hold the mass and, on the Madelung solver, the gauge
+    ledger; every other observable is a function of the stored state.
+    """
 
     times: np.ndarray
     states: tuple
@@ -124,14 +129,12 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
     kinetic = np.exp(0.5j * hbar * dt * g.laplacian_symbol)
 
     psi = initial.values.astype(complex).copy()
-    times, states, mass_col, energy_col = [], [], [], []
+    times, states, mass_col = [], [], []
 
     def record(step_index: int) -> None:
-        wave = WaveField(g, psi)
         times.append(step_index * dt)
-        states.append(wave)
+        states.append(WaveField(g, psi))
         mass_col.append(g.integrate(np.abs(psi) ** 2))
-        energy_col.append(wave_hamiltonian(wave, potential, constants))
 
     mark_set = set(marks)
     record(0)
@@ -141,8 +144,7 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
         psi = half_potential * psi
         if step in mark_set:
             record(step)
-    return TrajectoryRecord(np.array(times), tuple(states),
-                            {"mass": mass_col, "h_s": energy_col})
+    return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass_col})
 
 
 # -- hydrodynamic solver -----------------------------------------------------
@@ -167,6 +169,9 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
     v_vals = potential.values
+    # hamiltonian + this weight gives kinetic + quantum + |V| energy, in
+    # which no cancellation can hide a blow-up
+    guard_weight = np.abs(v_vals) - v_vals
 
     def rhs(y):
         return hamiltonian_flow(g, y[0], y[1], v_vals, hbar)
@@ -177,7 +182,7 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     y[1] -= ledger
 
     times, states = [], []
-    cols = {k: [] for k in ("mass", "h_f", "l_f", "entropy", "fisher", "gauge_constant")}
+    cols = {"mass": [], "gauge_constant": []}
     reference_energy = None
 
     def settle(step_index: int, y: np.ndarray) -> None:
@@ -189,11 +194,8 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     def record(step_index: int, y: np.ndarray) -> None:
         nonlocal reference_energy
         mu_f = DensityField(g, y[0])
-        point = TangentBundlePoint(mu_f, y[1])
-        vals = functionals(mu_f, potential, constants)
-        energy = hamiltonian(point, potential, constants)
-        # kinetic + quantum + |V| energy: no cancellation can hide a blow-up
-        guard = energy - vals.potential_energy + g.integrate(np.abs(v_vals) * y[0])
+        guard = (hamiltonian(TangentBundlePoint(mu_f, y[1]), potential, constants)
+                 + g.integrate(guard_weight * y[0]))
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
@@ -204,10 +206,6 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
         times.append(step_index * dt)
         states.append(PolarDecomposition(mu_f, PhaseField(g, y[1], "mean_zero"), hbar))
         cols["mass"].append(g.integrate(y[0]))
-        cols["h_f"].append(energy)
-        cols["l_f"].append(lagrangian(point.tangent, potential, constants))
-        cols["entropy"].append(vals.entropy)
-        cols["fisher"].append(vals.fisher)
         cols["gauge_constant"].append(ledger)
 
     _rk4_run(y, rhs, dt, steps, marks, density_floor(g), settle, record)
@@ -224,18 +222,11 @@ def heat_evolve(mu0: DensityField, dt: float, total_time: float,
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
 
-    times, states = [], []
-    cols = {k: [] for k in ("mass", "entropy", "fisher")}
-    for step in marks:
-        t = step * dt
-        mu_f = DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t)))
-        vals = functionals(mu_f, PotentialField.zero(g), PhysicsConstants())
-        times.append(t)
-        states.append(mu_f)
-        cols["mass"].append(g.integrate(mu_f.values))
-        cols["entropy"].append(vals.entropy)
-        cols["fisher"].append(vals.fisher)
-    return TrajectoryRecord(np.array(times), tuple(states), cols)
+    times = [step * dt for step in marks]
+    states = [DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t)))
+              for t in times]
+    mass = [g.integrate(mu_f.values) for mu_f in states]
+    return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass})
 
 
 def dlss_evolve(mu0: DensityField, potential: PotentialField,
@@ -264,8 +255,7 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     y = g.apply_symbol(mu0.values, g.dealias_mask)[None, :]
     energy = energy_of(y[0])
 
-    times, states = [], []
-    cols = {k: [] for k in ("mass", "entropy", "fisher", "h_f", "l_f")}
+    times, states, mass_col = [], [], []
 
     def settle(step_index: int, y: np.ndarray) -> None:
         nonlocal energy
@@ -278,16 +268,9 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
         energy = new_energy
 
     def record(step_index: int, y: np.ndarray) -> None:
-        mu_f = DensityField(g, y[0])
-        vals = functionals(mu_f, potential, constants)
-        gradient = wasserstein_gradient("total", mu_f, potential, constants)
         times.append(step_index * dt)
-        states.append(mu_f)
-        cols["mass"].append(g.integrate(y[0]))
-        cols["entropy"].append(vals.entropy)
-        cols["fisher"].append(vals.fisher)
-        cols["h_f"].append(vals.total_energy)
-        cols["l_f"].append(lagrangian(gradient, potential, constants))
+        states.append(DensityField(g, y[0]))
+        mass_col.append(g.integrate(y[0]))
 
     _rk4_run(y, rhs, dt, steps, marks, density_floor(g), settle, record)
-    return TrajectoryRecord(np.array(times), tuple(states), cols)
+    return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass_col})

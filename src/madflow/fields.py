@@ -9,6 +9,7 @@ at the reference point x = 0).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,8 +53,11 @@ class PhysicsConstants:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+        # the energies scale with hbar^2, which must be a finite, normal double
+        square = float(self.hbar) * float(self.hbar)
+        if not (self.hbar > 0.0 and sys.float_info.min <= square <= sys.float_info.max):
+            raise ValueError(f"hbar must be positive with a finite, normal square, "
+                             f"got {self.hbar!r}")
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ import numpy as np
 from . import dynamics, transport
 from . import states as statelib
 from .dynamics import TrajectoryRecord
-from .errors import (AliasError, ConfigError, NodeError, StabilityError,
-                     WindingError)
+from .errors import (AliasError, ConfigError, CutError, NodeError,
+                     StabilityError, WindingError)
 from .fields import (DensityField, PhaseField, PhysicsConstants,
                      PotentialField, WaveField, density_floor, functionals,
                      lagrangian, normalize_density, unwrapped_phase)
@@ -95,6 +95,15 @@ def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value!r}")
     return value
+
+
+def _as_mode(value: Any, path: str, grid: Grid, minimum: int | None = None) -> int:
+    """An integer Fourier mode (or mode count) the grid resolves: |mode| < n/2."""
+    mode = _as_int(value, path, minimum)
+    if not 2 * abs(mode) < grid.n:
+        raise ConfigError(f"{path} must lie below n/2 = {grid.n // 2} in size, "
+                          f"got {mode!r}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -415,7 +424,7 @@ def _density_args(grid: Grid, kind: Any, params: Mapping, path: str) -> dict:
         _check_keys(params, ("amplitude", "mode", "offset"), path)
         return {
             "amplitude": _as_float(params.get("amplitude", 0.2), f"{path}.amplitude"),
-            "mode": _as_int(params.get("mode", 1), f"{path}.mode", minimum=1),
+            "mode": _as_mode(params.get("mode", 1), f"{path}.mode", grid, minimum=1),
             "offset": _as_float(params.get("offset", 0.0), f"{path}.offset")}
     if kind == "cosine_bump":
         _check_keys(params, ("center", "concentration"), path)
@@ -446,7 +455,7 @@ def _phase_values_from_spec(grid: Grid, spec: Mapping, path: str) -> np.ndarray:
         return statelib.sine_phase(
             grid,
             _as_float(spec.get("amplitude", 0.1), f"{path}.amplitude"),
-            _as_int(spec.get("mode", 1), f"{path}.mode", minimum=1),
+            _as_mode(spec.get("mode", 1), f"{path}.mode", grid, minimum=1),
             _as_float(spec.get("offset", 0.0), f"{path}.offset"))
     raise ConfigError(f"unknown phase kind {kind!r} in {path}; "
                       f"known: {PHASE_SPEC_KINDS}")
@@ -469,15 +478,13 @@ def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
             "density": mu, "phase": phase, "reference": reference}
 
 
-def _sample_marks(config: ScenarioConfig, dt: float) -> list[int]:
-    """Snapshot steps of the pseudo-time (static and displacement) runners."""
-    return dynamics._snapshot_steps(dynamics._step_count(dt, config.total_time),
-                                    config.snapshot_stride)
+def _trials(config: ScenarioConfig, trial) -> dict:
+    """The states of the pseudo-time (static and displacement) runners.
 
-
-def _static_trials(config: ScenarioConfig, trial) -> dict:
-    """Every static trial state, keyed by its snapshot step, built before the solve."""
-    return {k: trial(k) for k in _sample_marks(config, config.dt)}
+    `trial(k)` for every snapshot step k, built before the solve.
+    """
+    steps = dynamics._step_count(config.dt, config.total_time)
+    return {k: trial(k) for k in dynamics._snapshot_steps(steps, config.snapshot_stride)}
 
 
 def build_initial(config: ScenarioConfig) -> dict:
@@ -508,13 +515,13 @@ def build_initial(config: ScenarioConfig) -> dict:
         return _solver_start(solver, mu, phase_values, reference, constants)
     if kind == "plane_wave":
         _check_keys(params, ("mode",), _INIT)
-        mode = _as_int(params.get("mode", 1), f"{_INIT}.mode")
+        mode = _as_mode(params.get("mode", 1), f"{_INIT}.mode", grid)
         return {"wave": statelib.plane_wave(grid, mode), "mode": mode}
     if kind == "random_polar":
         _check_keys(params, ("seed", "modes", "density_amplitude",
                              "phase_amplitude"), _INIT)
         seed = _as_int(params.get("seed", 0), f"{_INIT}.seed", minimum=0)
-        modes = _as_int(params.get("modes", 4), f"{_INIT}.modes", minimum=1)
+        modes = _as_mode(params.get("modes", 4), f"{_INIT}.modes", grid, minimum=1)
         d_amp = _as_float(params.get("density_amplitude", 0.5),
                           f"{_INIT}.density_amplitude")
         p_amp = _as_float(params.get("phase_amplitude", 0.3),
@@ -523,8 +530,7 @@ def build_initial(config: ScenarioConfig) -> dict:
             def wave_trial(trial: int) -> WaveField:
                 rng = np.random.default_rng(seed + trial)
                 return statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)
-            return {"trials": _static_trials(config, wave_trial),
-                    "state_kind": "wave", "seed": seed}
+            return {"trials": _trials(config, wave_trial)}
         rng = np.random.default_rng(seed)
         if solver == "schrodinger":
             return {"wave": statelib.random_wave(grid, rng, constants, modes,
@@ -535,15 +541,14 @@ def build_initial(config: ScenarioConfig) -> dict:
     if kind == "random_density":
         _check_keys(params, ("seed", "modes", "amplitude"), _INIT)
         seed = _as_int(params.get("seed", 0), f"{_INIT}.seed", minimum=0)
-        modes = _as_int(params.get("modes", 3), f"{_INIT}.modes", minimum=1)
+        modes = _as_mode(params.get("modes", 3), f"{_INIT}.modes", grid, minimum=1)
         amplitude = _as_float(params.get("amplitude", 0.4), f"{_INIT}.amplitude")
 
         def density_trial(trial: int) -> DensityField:
             rng = np.random.default_rng(seed + trial)
             return statelib.random_density(grid, rng, modes, amplitude)
         if solver == "static":
-            return {"trials": _static_trials(config, density_trial),
-                    "state_kind": "density", "seed": seed}
+            return {"trials": _trials(config, density_trial)}
         return {"density": density_trial(0)}
     # gaussian_pair
     _check_keys(params, ("centers", "sigma", "floor_weight", "images"), _INIT)
@@ -555,7 +560,11 @@ def build_initial(config: ScenarioConfig) -> dict:
         statelib.wrapped_gaussian_density(
             grid, **{**args, "center": _as_float(c, f"{_INIT}.centers[{i}]")})
         for i, c in enumerate(centers))
-    return {"pair": pair}
+    # the path, sampled at t = k dt / total_time; CutError or NodeError
+    # here means the grid does not resolve it
+    geodesic = transport.displacement_geodesic(*pair)
+    return {"pair": pair, "trials": _trials(
+        config, lambda k: geodesic(min(k * config.dt / config.total_time, 1.0)))}
 
 
 # -- execution ---------------------------------------------------------------
@@ -590,25 +599,11 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
     if cfg.solver == "dlss":
         return dynamics.dlss_evolve(ctx.initial["density"], ctx.potential,
                                     ctx.constants, dt, total, stride)
-    if cfg.solver == "static":
-        return _run_sampled(ctx, dt, ctx.initial["trials"].__getitem__)
-    if cfg.solver == "displacement":
-        geodesic = transport.displacement_geodesic(*ctx.initial["pair"])
-        return _run_sampled(ctx, dt, lambda k: geodesic(
-            min(max(k * dt / cfg.total_time, 0.0), 1.0)))
-    raise ConfigError(f"unknown solver {cfg.solver!r}")
-
-
-def _run_sampled(ctx: RunContext, dt: float, sample) -> TrajectoryRecord:
-    """Pseudo-time runner: the state `sample(k)` at each snapshot step k.
-
-    Static trials are independent states; the displacement runner samples
-    the geodesic at t = k dt / total_time.
-    """
-    marks = _sample_marks(ctx.config, dt)
-    sts = tuple(sample(k) for k in marks)
-    mass = [ctx.grid.integrate(_state_arrays(state)[0]) for state in sts]
-    return TrajectoryRecord(np.asarray(marks, dtype=float) * dt, sts, {"mass": mass})
+    # static and displacement: the prebuilt trial state at each snapshot step
+    trials = ctx.initial["trials"]
+    mass = [ctx.grid.integrate(_state_arrays(s)[0]) for s in trials.values()]
+    return TrajectoryRecord(np.asarray(list(trials), dtype=float) * dt,
+                            tuple(trials.values()), {"mass": mass})
 
 
 def _divisor_dt(total: float, target: float) -> float:
@@ -627,33 +622,32 @@ def _default_dt(cfg: ScenarioConfig) -> float:
     raise ConfigError(f"solver {cfg.solver!r} needs an explicit dt")
 
 
-def _final_row_gap(a: TrajectoryRecord, b: TrajectoryRecord) -> float:
-    gap = 0.0
-    for key in set(a.observables) & set(b.observables):
-        va = float(a.observables[key][-1])
-        vb = float(b.observables[key][-1])
-        if np.isfinite(va) and np.isfinite(vb):
-            gap = max(gap, abs(va - vb))
-    return gap
+def _final_row(ctx: RunContext, rec: TrajectoryRecord) -> dict:
+    """The last observable row of `rec`: its physics row, mass and ledger."""
+    row = _physics_row(ctx, rec.states[-1])
+    row.update((key, float(column[-1])) for key, column in rec.observables.items())
+    return row
 
 
 def _resolve_record(ctx: RunContext) -> None:
-    """Run the solver; when dt is omitted, halve it until observables settle."""
+    """Run the solver; when dt is omitted, halve it until the final row settles."""
     cfg = ctx.config
     if cfg.dt is not None:  # always set for the static and displacement runners
         ctx.dt = cfg.dt
         ctx.record = _run_solver(ctx, ctx.dt)
         return
     dt = _default_dt(cfg)
-    previous = _run_solver(ctx, dt)
+    previous = _final_row(ctx, _run_solver(ctx, dt))
     for _ in range(MAX_REFINEMENTS):
         finer = _run_solver(ctx, 0.5 * dt)
-        if _final_row_gap(previous, finer) < REFINEMENT_TOL:
+        row = _final_row(ctx, finer)
+        gaps = [abs(previous[key] - row[key]) for key in previous.keys() & row.keys()]
+        if max((g for g in gaps if np.isfinite(g)), default=0.0) < REFINEMENT_TOL:
             ctx.dt = 0.5 * dt
             ctx.record = finer
             return
         dt *= 0.5
-        previous = finer
+        previous = row
     raise StabilityError(f"observables still moving after {MAX_REFINEMENTS} "
                          f"dt halvings (scenario {cfg.name!r})")
 
@@ -661,11 +655,11 @@ def _resolve_record(ctx: RunContext) -> None:
 def execute_config(config: ScenarioConfig) -> RunContext:
     """Build the scenario objects, run the solver, compose the columns."""
     grid, constants = config.grid, config.constants
-    try:  # builders range-check with ValueError; NodeError is an inadmissible state
+    try:  # builders range-check with ValueError; NodeError, CutError: unresolved
         potential = POTENTIAL_KINDS[config.potential_kind](grid,
                                                            config.potential_parameters)
         initial = build_initial(config)
-    except (ValueError, NodeError) as exc:
+    except (ValueError, NodeError, CutError) as exc:
         raise ConfigError(f"cannot build the scenario: {exc}") from exc
     ctx = RunContext(config=config, grid=grid, constants=constants,
                      potential=potential, initial=initial)
@@ -677,56 +671,58 @@ def execute_config(config: ScenarioConfig) -> RunContext:
 # -- observable composition --------------------------------------------------
 
 
+def _physics_row(ctx: RunContext, state) -> dict:
+    """The physics columns `state` defines, each from its one definition.
+
+    A wave earns the hydrodynamic columns only while its polar
+    decomposition exists (nowhere-vanishing, winding-free); a polar pair
+    earns the wave energy through the section.  A density earns entropy
+    and fisher, and on the dlss solver also its total energy and the
+    Lagrangian of its descent velocity.
+    """
+    potential, constants = ctx.potential, ctx.constants
+    if isinstance(state, (WaveField, PolarDecomposition)):
+        if isinstance(state, WaveField):
+            row = {"H_S": wave_hamiltonian(state, potential, constants)}
+            try:
+                polar, tangent = madelung_transform(state, constants)
+            except (NodeError, AliasError, WindingError):
+                return row
+            point = TangentBundlePoint(polar.density, tangent.potential)
+        else:
+            wave = WaveField(ctx.grid, state.wave_values())
+            row = {"H_S": wave_hamiltonian(wave, potential, constants)}
+            point = TangentBundlePoint(state.density, state.phase.values)
+            tangent = point.tangent
+        density = point.base
+        row["H_F"] = hamiltonian(point, potential, constants)
+        row["L_F"] = lagrangian(tangent, potential, constants)
+    else:
+        density, row = state, {}
+    vals = functionals(density, potential, constants)
+    row.update(entropy=vals.entropy, fisher=vals.fisher)
+    if ctx.config.solver == "dlss":
+        gradient = wasserstein_gradient("total", density, potential, constants)
+        row.update(H_F=vals.total_energy,
+                   L_F=lagrangian(gradient, potential, constants))
+    return row
+
+
 def _compose_columns(ctx: RunContext) -> dict:
     """The eight physics columns, with nan where a quantity is undefined.
 
-    Wave rows earn hydrodynamic columns only while the polar decomposition
-    exists (nowhere-vanishing, winding-free); polar rows earn the wave
-    energy through the section.  Density-only rows keep entropy and
-    fisher; their gauge ledger never accrues and stays zero.
+    Mass and the gauge ledger come from the record (a density-only or
+    static record keeps a zero ledger); every other column is derived
+    from the stored state by `_physics_row`.
     """
     rec = ctx.record
-    native = rec.observables
     rows = len(rec.times)
     cols = {name: np.full(rows, np.nan) for name in OBSERVABLE_COLUMNS}
-    cols["time"] = rec.times.copy()
-    cols["mass"] = native["mass"].copy()
-    cols["gauge_constant"] = native.get("gauge_constant",
-                                        np.zeros(rows)).copy()
-    for key, column in (("h_s", "H_S"), ("h_f", "H_F"), ("l_f", "L_F"),
-                        ("entropy", "entropy"), ("fisher", "fisher")):
-        if key in native:
-            cols[column] = native[key].copy()
-
-    solver = ctx.config.solver
-    if solver in ("schrodinger", "static"):
-        for i, state in enumerate(rec.states):
-            if not isinstance(state, WaveField):
-                break
-            if solver == "static":
-                cols["H_S"][i] = wave_hamiltonian(state, ctx.potential, ctx.constants)
-            try:
-                polar, tangent = madelung_transform(state, ctx.constants)
-            except (NodeError, AliasError, WindingError):
-                continue
-            vals = functionals(polar.density, ctx.potential, ctx.constants)
-            point = TangentBundlePoint(polar.density, tangent.potential)
-            cols["H_F"][i] = hamiltonian(point, ctx.potential, ctx.constants)
-            cols["L_F"][i] = lagrangian(tangent, ctx.potential, ctx.constants)
-            cols["entropy"][i] = vals.entropy
-            cols["fisher"][i] = vals.fisher
-    if solver == "madelung":
-        for i, state in enumerate(rec.states):
-            wave = WaveField(ctx.grid, state.wave_values())
-            cols["H_S"][i] = wave_hamiltonian(wave, ctx.potential, ctx.constants)
-    if solver in ("heat", "dlss", "displacement") or (
-            solver == "static" and ctx.initial.get("state_kind") == "density"):
-        for i, state in enumerate(rec.states):
-            if not isinstance(state, DensityField):
-                break
-            vals = functionals(state, ctx.potential, ctx.constants)
-            cols["entropy"][i] = vals.entropy
-            cols["fisher"][i] = vals.fisher
+    cols.update(time=rec.times.copy(), gauge_constant=np.zeros(rows))
+    cols.update((key, column.copy()) for key, column in rec.observables.items())
+    for i, state in enumerate(rec.states):
+        for name, value in _physics_row(ctx, state).items():
+            cols[name][i] = value
     return cols
 
 
@@ -1332,7 +1328,12 @@ def _suite_worker(name: str, root: str) -> tuple[str, bool, list[str]]:
 
 def run_suite(out_root: str | Path | None = None, jobs: int = 1,
               names: Sequence[str] | None = None) -> dict[str, tuple[bool, list[str]]]:
-    """Run every builtin scenario into out_root/<name>; returns per-name verdicts."""
+    """Run every builtin scenario into out_root/<name>; returns per-name verdicts.
+
+    `jobs` > 1 runs them in min(jobs, scenario count) worker processes.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
     if out_root is None:
         out_root = Path(os.environ.get(OUTPUT_ROOT_ENV, DEFAULT_OUTPUT_ROOT))
     root = Path(out_root)
@@ -1341,9 +1342,10 @@ def run_suite(out_root: str | Path | None = None, jobs: int = 1,
         if name not in _builtin_mappings():
             raise ConfigError(f"unknown scenario {name!r}")
     results: dict[str, tuple[bool, list[str]]] = {}
-    if jobs > 1:
+    workers = min(jobs, len(chosen))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_suite_worker, name, str(root))
                        for name in chosen]
             for future in futures:

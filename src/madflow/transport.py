@@ -58,6 +58,14 @@ def _check_cut_mass(density: DensityField, cut_index: int) -> None:
         )
 
 
+def _resolved_fine(density: DensityField) -> np.ndarray:
+    """The density's interpolant on the refined grid; NodeError unless positive."""
+    fine = density.grid.upsample(density.values, _REFINE)
+    if fine.min() <= 0.0:
+        raise NodeError("density is not resolved (its interpolant is not positive)")
+    return fine
+
+
 def _cumulative_from_cut(density: DensityField, cut_index: int):
     """Fine-grid positions (relative to the cut) and exact running mass.
 
@@ -68,9 +76,7 @@ def _cumulative_from_cut(density: DensityField, cut_index: int):
     """
     g = density.grid
     fine_grid = g.refined(_REFINE)
-    fine = np.roll(g.upsample(density.values, _REFINE), -cut_index * _REFINE)
-    if fine.min() <= 0.0:
-        raise NodeError("density is not resolved (its interpolant is not positive)")
+    fine = np.roll(_resolved_fine(density), -cut_index * _REFINE)
     mean = 1.0 / g.length
     # Quantiles in floor-level tails magnify CDF rounding by 1/mu (~1e9): real
     # transforms moved path densities by 2e-8, so the CDF keeps complex ones.
@@ -148,7 +154,8 @@ def displacement_geodesic(mu: DensityField, nu: DensityField):
     The t-independent part (cut, fine samples, both CDFs, the monotone
     map T and its slope T' = mu / nu(T)) is built once here; each call of
     the returned function, with t in [0, 1], only warps the fine samples
-    and resamples them to the base grid.
+    and resamples them to the base grid.  A sample the grid does not
+    resolve raises NodeError, as an unresolved endpoint does here.
     """
     g = _require_shared_grid(mu, nu)
     cut = joint_cut_index(mu, nu)
@@ -173,8 +180,9 @@ def displacement_geodesic(mu: DensityField, nu: DensityField):
         # monotone resample back to the base grid (periodic extension)
         extended_x = np.concatenate([warped - g.length, warped, warped + g.length])
         extended_v = np.tile(values, 3)
-        resampled = CubicSpline(extended_x, extended_v)(base_rel)
-        return normalize_density(g, resampled)
+        resampled = normalize_density(g, CubicSpline(extended_x, extended_v)(base_rel))
+        _resolved_fine(resampled)
+        return resampled
 
     return at
 

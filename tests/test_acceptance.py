@@ -230,8 +230,9 @@ def test_07_metric_gradients_are_directional_derivatives():
 def test_08_heat_flow_dissipates_entropy_at_fisher_rate():
     mu0 = perturbed_uniform_density(GRID, amplitude=0.3, mode=1)
     record = heat_evolve(mu0, dt=1e-3, total_time=0.5)
-    entropy = record.observables["entropy"]
-    fisher = record.observables["fisher"]
+    values = [functionals(s, PotentialField.zero(GRID), ONE) for s in record.states]
+    entropy = np.array([v.entropy for v in values])
+    fisher = np.array([v.fisher for v in values])
     rate = (entropy[2:] - entropy[:-2]) / (2.0 * 1e-3)
     worst = float(np.max(np.abs(rate + fisher[1:-1]) / fisher[1:-1]))
     ok = worst <= 1e-4
@@ -244,7 +245,7 @@ def test_09_quartic_descent_is_monotone_and_fixes_uniform():
     none = PotentialField(small, np.zeros(small.n))
     record = dlss_evolve(perturbed_uniform_density(small, amplitude=0.2, mode=2),
                          none, ONE, dt=2e-5, total_time=0.01)
-    energy = record.observables["h_f"]
+    energy = np.array([functionals(s, none, ONE).total_energy for s in record.states])
     ascent = float(np.max(np.diff(energy)))
     flat = dlss_evolve(uniform_density(small), none, ONE,
                        dt=2e-5, total_time=0.01)
@@ -295,14 +296,15 @@ def test_11_gauge_ledger_reconciles_with_the_action_integral(equivalence_outcome
 
 def test_12_scenario_suite_is_deterministic(tmp_path):
     first = run_suite(tmp_path / "a")
-    second = run_suite(tmp_path / "b")
+    second = run_suite(tmp_path / "b", jobs=2)  # serial and parallel agree
     all_passed = all(ok for ok, _ in first.values()) \
         and all(ok for ok, _ in second.values())
     identical = all(
-        (tmp_path / "a" / name / "observables.csv").read_bytes()
-        == (tmp_path / "b" / name / "observables.csv").read_bytes()
-        for name in first)
+        (tmp_path / "a" / name / artifact).read_bytes()
+        == (tmp_path / "b" / name / artifact).read_bytes()
+        for name in first
+        for artifact in ("observables.csv", "snapshots.json", "summary.json"))
     ok = all_passed and identical and first.keys() == second.keys()
     assert _report(12, "suite determinism",
-                   ok, f"{len(first)} scenarios passed twice with "
-                       f"byte-identical observables: {identical}")
+                   ok, f"{len(first)} scenarios passed twice (serial, then in "
+                       f"2 processes) with byte-identical artifacts: {identical}")

@@ -25,7 +25,8 @@ from madflow.dynamics import (
     madelung_evolve,
     schrodinger_evolve,
 )
-from madflow.madelung import PolarDecomposition, madelung_section
+from madflow.fields import functionals, lagrangian
+from madflow.madelung import PolarDecomposition, madelung_section, wave_hamiltonian
 from madflow.states import (
     cosine_bump_density,
     perturbed_uniform_density,
@@ -33,12 +34,19 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
+from madflow.wgeom import TangentBundlePoint, TangentVector, hamiltonian
 
 TAU = 2 * np.pi
 
 
 def _zero_phase(g, mu):
     return PhaseField.mean_zero(g, np.zeros(g.n), mu)
+
+
+def _lagrangians(rec, V, c):
+    """L_F of each polar snapshot, with the phase as velocity potential."""
+    return np.array([lagrangian(TangentVector(s.density, s.phase.values), V, c)
+                     for s in rec.states])
 
 
 # -- record container --------------------------------------------------------
@@ -110,7 +118,7 @@ def test_schrodinger_conserves_mass_and_energy():
     psi0 = WaveField.normalized(g, np.sqrt(wrapped_gaussian_density(g, np.pi, 0.5).values))
     rec = schrodinger_evolve(psi0, V, c, 1e-3, 0.2, snapshot_stride=20)
     assert np.abs(rec.observables["mass"] - 1.0).max() < 1e-12
-    hs = rec.observables["h_s"]
+    hs = np.array([wave_hamiltonian(s, V, c) for s in rec.states])
     assert np.abs(hs - hs[0]).max() / abs(hs[0]) < 1e-7
 
 
@@ -140,8 +148,10 @@ def test_madelung_constant_potential_feeds_the_ledger():
     V = PotentialField(g, np.full(g.n, 0.8))
     rec = madelung_evolve(mu, _zero_phase(g, mu), V, c, 1e-3, 0.1, snapshot_stride=20)
     assert np.max(np.abs(rec.observables["gauge_constant"] - (-0.8 * rec.times))) < 1e-12
-    assert np.max(np.abs(rec.observables["l_f"] + 0.8)) < 1e-12
-    assert np.max(np.abs(rec.observables["h_f"] - 0.8)) < 1e-12
+    assert np.max(np.abs(_lagrangians(rec, V, c) + 0.8)) < 1e-12
+    h_f = [hamiltonian(TangentBundlePoint(s.density, s.phase.values), V, c)
+           for s in rec.states]
+    assert np.max(np.abs(np.array(h_f) - 0.8)) < 1e-12
 
 
 def test_madelung_pinned_input_enters_ledger_on_conversion():
@@ -175,7 +185,7 @@ def test_madelung_gauge_ledger_matches_action_integral():
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
     mu0 = cosine_bump_density(g, np.pi, 2.0)
     rec = madelung_evolve(mu0, _zero_phase(g, mu0), V, c, 1e-4, 0.02, snapshot_stride=1)
-    lf = rec.observables["l_f"]
+    lf = _lagrangians(rec, V, c)
     gc = rec.observables["gauge_constant"]
     running = np.concatenate(([0.0], np.cumsum(0.5 * (lf[1:] + lf[:-1]) * 1e-4)))
     assert abs(gc[-1]) > 1e-3  # the reconciliation is not vacuous
@@ -191,6 +201,18 @@ def test_madelung_node_guard():
     with pytest.raises(NodeError):
         madelung_evolve(mu, kick, PotentialField.zero(g), PhysicsConstants(1.0),
                         1e-3, 1.0)
+
+
+def test_madelung_energy_guard():
+    # At five times the builtin step the trapped bump's energy runs away
+    # while the density stays above its floor, so the blow-up guard is
+    # what stops the run (at twice this step the floor trips first).
+    g = Grid(256)
+    c = PhysicsConstants(1.0)
+    V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
+    mu0 = cosine_bump_density(g, np.pi, 2.0)
+    with pytest.raises(StabilityError, match=r"energy grew to .* at t = 0\.046"):
+        madelung_evolve(mu0, _zero_phase(g, mu0), V, c, 5e-4, 0.1, snapshot_stride=1)
 
 
 # -- gradient flows ----------------------------------------------------------
@@ -210,8 +232,10 @@ def test_heat_single_mode_decay_exact():
 def test_heat_dissipates_entropy_at_fisher_rate():
     g = Grid(128)
     rec = heat_evolve(perturbed_uniform_density(g, 0.3), 1e-3, 0.1)
-    ent = rec.observables["entropy"]
-    fis = rec.observables["fisher"]
+    V, c = PotentialField.zero(g), PhysicsConstants()
+    values = [functionals(s, V, c) for s in rec.states]
+    ent = np.array([v.entropy for v in values])
+    fis = np.array([v.fisher for v in values])
     assert np.all(np.diff(ent) < 0)
     rate = (ent[2:] - ent[:-2]) / (2e-3)
     rel = np.abs(rate + fis[1:-1]) / fis[1:-1]
@@ -229,9 +253,9 @@ def test_dlss_uniform_is_stationary():
 def test_dlss_descends_and_relaxes_toward_uniform():
     g = Grid(64)
     mu0 = perturbed_uniform_density(g, 0.2, mode=2)
-    rec = dlss_evolve(mu0, PotentialField.zero(g), PhysicsConstants(1.0),
-                      2e-5, 2e-3, snapshot_stride=10)
-    hf = rec.observables["h_f"]
+    V, c = PotentialField.zero(g), PhysicsConstants(1.0)
+    rec = dlss_evolve(mu0, V, c, 2e-5, 2e-3, snapshot_stride=10)
+    hf = np.array([functionals(s, V, c).total_energy for s in rec.states])
     assert np.all(np.diff(hf) <= 1e-10)
     assert hf[-1] < hf[0]
     start_gap = np.max(np.abs(rec.states[0].values - 1.0 / TAU))

@@ -56,6 +56,13 @@ def test_physics_constants_validation():
         PhysicsConstants(0.0)
     with pytest.raises(ValueError):
         PhysicsConstants(np.nan)
+    # hbar^2 must be a finite, normal double: 1e154^2 overflows, 1e-155^2
+    # is subnormal; numpy scalars must not warn on the way
+    assert PhysicsConstants(1e150).hbar == 1e150
+    assert PhysicsConstants(1e-150).hbar == 1e-150
+    for hbar in (1e155, 1e-155, np.float64(1e200), np.float64(1e-300), np.inf):
+        with pytest.raises(ValueError, match="finite, normal square"):
+            PhysicsConstants(hbar)
 
 
 def test_potential_field():

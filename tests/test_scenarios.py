@@ -23,6 +23,7 @@ from madflow.scenarios import (
     resolve_output_dir,
     run_builtin,
     run_scenario,
+    run_suite,
 )
 
 TAU = 2 * np.pi
@@ -144,14 +145,15 @@ _KINDS = ("gaussian", "perturbed_uniform", "polar_pair", "plane_wave",
 _SOLVERS = _FIELD_SOLVERS + ("static", "displacement")
 #: the entry each solver starts from
 _START_KEY = {"schrodinger": "wave", "madelung": "phase", "heat": "density",
-              "dlss": "density", "static": "trials", "displacement": "pair"}
+              "dlss": "density", "static": "trials", "displacement": "trials"}
 
 
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("solver", _SOLVERS)
 def test_initial_kind_solver_table(kind, solver):
     assert set(INITIAL_KINDS) == set(_KINDS)
-    params = {"centers": [2.5, 3.5]} if kind == "gaussian_pair" else {}
+    # sigma 0.4: the default 0.1 is too narrow for the 64-point grid
+    params = {"centers": [2.5, 3.5], "sigma": 0.4} if kind == "gaussian_pair" else {}
     dt, total = {"static": (1.0, 2.0), "displacement": (0.5, 1.0)}.get(
         solver, (1e-3, 2e-3))
     m = _heat_mapping(solver=solver, dt=dt, total_time=total, snapshot_stride=1)
@@ -377,6 +379,17 @@ def test_dt_refinement_when_dt_omitted(tmp_path):
     assert outcome.passed
 
 
+def test_dt_refinement_halves_until_the_final_row_settles():
+    # a packet in a deep well keeps its final row moving at the 1e-3
+    # target; three halvings bring the change below REFINEMENT_TOL
+    m = apply_overrides(builtin_mapping("free_gaussian"), [
+        "potential.kind=cosine_well", "potential.parameters.depth=50.0",
+        "initial_state.parameters.floor_weight=1e-8", "integrator.dt=null",
+        "integrator.total_time=0.1", "integrator.snapshot_stride=1"])
+    outcome = run_scenario(ScenarioConfig.from_mapping(m), write=False)
+    assert outcome.summary["dt_used"] == 1.25e-4
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -458,13 +471,17 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_cli_unresolved_transport_density_exits_three(tmp_path, capsys):
-    # sigma = 0.1 packets on 16 points: their interpolant dips below zero
+@pytest.mark.parametrize("override", [
+    "grid.n=16",   # the pair's interpolants dip below zero
+    "grid.n=128",  # the pair is resolved, a sample along the path is not
+])
+def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
+    # sigma = 0.1 packets: the path is sampled and tested before the solve
     out_dir = tmp_path / "bb_out"
     assert main(["run", "--scenario", "benamou_brenier_action",
-                 "--override", "grid.n=16", "--out", str(out_dir)]) == 3
+                 "--override", override, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert "run failed" in err and "not resolved" in err
+    assert err.startswith("config error: ") and "not resolved" in err
     assert not out_dir.exists()
 
 
@@ -482,12 +499,31 @@ def test_cli_unresolved_transport_density_exits_three(tmp_path, capsys):
     # checks must be a list
     ("heat_entropy_dissipation", "checks=5"),
     ("heat_entropy_dissipation", 'checks="mass_conservation"'),
+    # hbar whose square is not a finite, normal double
+    ("heat_entropy_dissipation", "constants.hbar=1e308"),
+    ("dlss_descent", "constants.hbar=1e200"),
+    pytest.param("dlss_descent", ("constants.hbar=1e-300", "integrator.dt=null"),
+                 id="dlss_descent-constants.hbar=1e-300-integrator.dt=null"),
+    # modes the grid cannot resolve: |mode| < n/2 = 128
+    ("heat_entropy_dissipation", "initial_state.parameters.mode=1000"),
+    ("plane_wave_eigenstate", "initial_state.parameters.mode=200"),
+    pytest.param("thm21_equivalence", ("initial_state.parameters.phase.kind=sine",
+                                       "initial_state.parameters.phase.mode=500"),
+                 id="thm21_equivalence-sine-phase-mode=500"),
+    ("thm44_hamiltonian", "initial_state.parameters.modes=128"),
+    ("submersion_pullback", "initial_state.parameters.modes=128"),
+    # a gaussian pair with mass at the transport cut
+    ("benamou_brenier_action", "initial_state.parameters.floor_weight=0.5"),
 ])
 def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, override):
     out_dir = tmp_path / "never"
-    assert main(["run", "--scenario", scenario, "--override", override,
-                 "--out", str(out_dir)]) == 2
-    assert "config error" in capsys.readouterr().err
+    overrides = (override,) if isinstance(override, str) else override
+    argv = ["run", "--scenario", scenario, "--out", str(out_dir)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
     assert not out_dir.exists()
 
 
@@ -514,3 +550,39 @@ def test_cli_suite(tmp_path, capsys):
     for name in builtin_names():
         assert f"PASS  {name}" in out
         assert (tmp_path / "suite" / name / "observables.csv").exists()
+
+def test_suite_forks_at_most_one_worker_per_scenario(tmp_path, monkeypatch):
+    # the pool forks all its workers at the first submit, so the bound is
+    # checked on a stand-in that runs each scenario inline: no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    names = ["plane_wave_eigenstate", "free_gaussian"]
+    results = run_suite(tmp_path, jobs=10**6, names=names)
+    assert sizes == [2]
+    assert list(results) == names and all(ok for ok, _ in results.values())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_suite_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out_dir = tmp_path / "never"
+    assert main(["suite", "--jobs", jobs, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out_dir.exists()
