@@ -7,11 +7,12 @@ heat_evolve          exact spectral semigroup of the heat flow
 dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
 
-The hydrodynamic right-hand side is `wgeom.hamiltonian_flow`, the
+The hydrodynamic right-hand side is `wgeom.flow_coefficients`, the
 Hamiltonian vector field of the geometry itself, and the DLSS right-hand
 side is minus the divergence form of the total-energy generator that
 `wgeom.wasserstein_gradient("total")` returns; both run through one RK4
-step, guard and snapshot loop.  The solvers only integrate: a
+step, guard and snapshot loop, which steps `rfft` coefficients and returns
+to samples once per step.  The solvers only integrate: a
 TrajectoryRecord holds the snapshot times and states, the mass and, on the
 Madelung solver, the gauge ledger; energies, entropy and Fisher
 information are functions of a state, derived from it by the caller.
@@ -28,8 +29,8 @@ from .errors import NodeError, StabilityError
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
                      WaveField, density_floor, functionals)
 from .madelung import PolarDecomposition
-from .wgeom import (TangentBundlePoint, energy_generator, hamiltonian,
-                    hamiltonian_flow)
+from .wgeom import (TangentBundlePoint, energy_coefficients, flow_coefficients,
+                    hamiltonian)
 
 MASS_DRIFT_TOL = 1e-8
 ENERGY_BLOWUP_FACTOR = 1e3
@@ -88,30 +89,35 @@ def _snapshot_steps(steps: int, stride: int) -> list[int]:
     return marks
 
 
-def _rk4_run(y, rhs, dt: float, steps: int, marks: list[int], floor: float,
+def _rk4_run(grid, y, rhs, dt: float, steps: int, marks: list[int], floor: float,
              settle, record) -> None:
-    """Classical RK4 on the stacked state `y`, whose row 0 is the density.
+    """Classical RK4 on `y`, the `Grid.rfft` coefficients of a stacked state.
 
-    After each step the density must stay at or above `floor` (NodeError);
-    `settle(step, y)` then applies the solver's own guard or re-gauging in
-    place, and `record(step, y)` runs at every mark, step 0 included.
+    After each step one inverse transform gives the samples `x`, whose row
+    0, the density, must stay at or above `floor` (NodeError); then
+    `settle(step, y, x)` applies the solver's own guard or re-gauging to
+    both in place, and `record(step, x)` runs at every mark.  Step 0 is
+    settled and recorded too.
     """
     mark_set = set(marks)
-    record(0, y)
+    x = grid.irfft(y)
+    settle(0, y, x)
+    record(0, x)
     for step in range(1, steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        low = float(y[0].min())
+        x = grid.irfft(y)
+        low = float(x[0].min())
         if not low >= floor:
             raise NodeError(
                 f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"
             )
-        settle(step, y)
+        settle(step, y, x)
         if step in mark_set:
-            record(step, y)
+            record(step, x)
 
 
 # -- linear wave solver ------------------------------------------------------
@@ -158,7 +164,7 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     d(mu)/dt = -d/dx(mu dS/dx)
     d(S)/dt  = -( |dS/dx|^2 / 2 + V + quantum correction )
 
-    The right-hand side is `wgeom.hamiltonian_flow`.  The phase is
+    The right-hand side is `wgeom.flow_coefficients`.  The phase is
     re-gauged to mean zero after every step; removed constants accumulate
     in the gauge_constant observable (the ledger reconciled against the
     running action integral).  Raises NodeError when the density reaches
@@ -172,30 +178,31 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     # hamiltonian + this weight gives kinetic + quantum + |V| energy, in
     # which no cancellation can hide a blow-up
     guard_weight = np.abs(v_vals) - v_vals
+    v_hat = g.rfft(v_vals)
 
     def rhs(y):
-        return hamiltonian_flow(g, y[0], y[1], v_vals, hbar)
+        return flow_coefficients(g, y, v_hat, hbar)
 
     # Work on dealiased copies so every retained mode is evolved consistently.
-    y = g.apply_symbol(np.stack((mu0.values, phase0.values)), g.dealias_mask)
-    ledger = g.integrate(y[1] * y[0])
-    y[1] -= ledger
+    y = g.rfft(np.stack((mu0.values, phase0.values))) * g.dealias_mask[: g.n // 2 + 1]
 
     times, states = [], []
     cols = {"mass": [], "gauge_constant": []}
+    ledger = 0.0
     reference_energy = None
 
-    def settle(step_index: int, y: np.ndarray) -> None:
+    def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
         nonlocal ledger
-        removed = g.integrate(y[1] * y[0])
-        y[1] -= removed
+        removed = g.integrate(x[1] * x[0])
+        x[1] -= removed
+        y[1, 0] -= removed * g.n
         ledger += removed
 
-    def record(step_index: int, y: np.ndarray) -> None:
+    def record(step_index: int, x: np.ndarray) -> None:
         nonlocal reference_energy
-        mu_f = DensityField(g, y[0])
-        guard = (hamiltonian(TangentBundlePoint(mu_f, y[1]), potential, constants)
-                 + g.integrate(guard_weight * y[0]))
+        mu_f = DensityField(g, x[0])
+        guard = (hamiltonian(TangentBundlePoint(mu_f, x[1]), potential, constants)
+                 + g.integrate(guard_weight * x[0]))
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
@@ -204,11 +211,11 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
         times.append(step_index * dt)
-        states.append(PolarDecomposition(mu_f, PhaseField(g, y[1], "mean_zero"), hbar))
-        cols["mass"].append(g.integrate(y[0]))
+        states.append(PolarDecomposition(mu_f, PhaseField(g, x[1], "mean_zero"), hbar))
+        cols["mass"].append(g.integrate(x[0]))
         cols["gauge_constant"].append(ledger)
 
-    _rk4_run(y, rhs, dt, steps, marks, density_floor(g), settle, record)
+    _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
     return TrajectoryRecord(np.array(times), tuple(states), cols)
 
 
@@ -243,23 +250,20 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     hbar = constants.hbar
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
-    v_vals = potential.values
+    v_hat = g.rfft(potential.values)
 
     def rhs(y):
-        generator = energy_generator(g, y[0], v_vals, hbar)
-        return -hamiltonian_flow(g, y[0], generator)[:1]
+        generator = energy_coefficients(g, y[0], v_hat, hbar)
+        return -flow_coefficients(g, np.stack((y[0], generator)))[:1]
 
-    def energy_of(values: np.ndarray) -> float:
-        return functionals(DensityField(g, values), potential, constants).total_energy
-
-    y = g.apply_symbol(mu0.values, g.dealias_mask)[None, :]
-    energy = energy_of(y[0])
+    y = g.rfft(mu0.values[None, :]) * g.dealias_mask[: g.n // 2 + 1]
+    energy = np.inf
 
     times, states, mass_col = [], [], []
 
-    def settle(step_index: int, y: np.ndarray) -> None:
+    def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
         nonlocal energy
-        new_energy = energy_of(y[0])
+        new_energy = functionals(DensityField(g, x[0]), potential, constants).total_energy
         if new_energy > energy + DESCENT_TOL:
             raise StabilityError(
                 f"energy rose by {new_energy - energy:.3e} in one step at "
@@ -267,10 +271,10 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
             )
         energy = new_energy
 
-    def record(step_index: int, y: np.ndarray) -> None:
+    def record(step_index: int, x: np.ndarray) -> None:
         times.append(step_index * dt)
-        states.append(DensityField(g, y[0]))
-        mass_col.append(g.integrate(y[0]))
+        states.append(DensityField(g, x[0]))
+        mass_col.append(g.integrate(x[0]))
 
-    _rk4_run(y, rhs, dt, steps, marks, density_floor(g), settle, record)
+    _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
     return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass_col})

@@ -140,8 +140,15 @@ class Grid:
         v = np.asarray(values)
         if np.iscomplexobj(v):
             return np.fft.ifft(symbol * np.fft.fft(v))
-        half = np.asarray(symbol)[..., : self.n // 2 + 1]
-        return np.fft.irfft(half * np.fft.rfft(v), self.n)
+        return self.irfft(np.asarray(symbol)[..., : self.n // 2 + 1] * self.rfft(v))
+
+    def rfft(self, values) -> np.ndarray:
+        """Half-spectrum coefficients (modes 0 .. n/2) of real samples, along the last axis."""
+        return np.fft.rfft(values)
+
+    def irfft(self, coefficients) -> np.ndarray:
+        """Real samples of half-spectrum coefficients: the inverse of `rfft`."""
+        return np.fft.irfft(coefficients, self.n)
 
     def derivative(self, values) -> np.ndarray:
         """Spectral first derivative; preserves real/complex kind."""

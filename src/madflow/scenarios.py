@@ -212,6 +212,8 @@ class ScenarioConfig:
                 steps = dynamics._step_count(dt, total_time)
             except ValueError as exc:
                 raise ConfigError(f"integrator: {exc}") from exc
+        else:
+            _default_dt(solver, grid, constants.hbar, total_time)  # ConfigError before the solve
         if solver == "heat" and pot_kind != "none":
             raise ConfigError("the heat flow takes no potential; use kind 'none'")
 
@@ -606,20 +608,23 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
                             tuple(trials.values()), {"mass": mass})
 
 
-def _divisor_dt(total: float, target: float) -> float:
-    return total / math.ceil(total / target)
-
-
-def _default_dt(cfg: ScenarioConfig) -> float:
-    if cfg.solver in DT_TARGETS:
-        return _divisor_dt(cfg.total_time, DT_TARGETS[cfg.solver])
-    if cfg.solver == "dlss":
-        # explicit stepping of a fourth-order operator: dt below the
+def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> float:
+    """The first dt of the refinement ladder, the largest divisor of total_time
+    below the solver's target: a normal positive double, else ConfigError."""
+    if solver not in DT_TARGETS and solver != "dlss":
+        raise ConfigError(f"solver {solver!r} needs an explicit dt")
+    try:
+        # dlss steps a fourth-order operator explicitly: dt below the
         # stability ceiling ~ 11 / (hbar^2 k_max^4), with margin
-        k_max = (TAU / cfg.grid.length) * cfg.grid.n / 3.0
-        target = 2.0 / (cfg.constants.hbar ** 2 * k_max ** 4)
-        return _divisor_dt(cfg.total_time, target)
-    raise ConfigError(f"solver {cfg.solver!r} needs an explicit dt")
+        target = DT_TARGETS.get(solver) or 2.0 / (
+            hbar ** 2 * (TAU / grid.length * grid.n / 3.0) ** 4)
+        dt = total_time / math.ceil(total_time / target)
+    except ArithmeticError:  # k_max ** 4 under- or overflows
+        dt = 0.0
+    if not dt >= sys.float_info.min:
+        raise ConfigError(f"the default {solver} dt is not a normal positive number "
+                          f"on this grid; set integrator.dt")
+    return dt
 
 
 def _final_row(ctx: RunContext, rec: TrajectoryRecord) -> dict:
@@ -636,7 +641,7 @@ def _resolve_record(ctx: RunContext) -> None:
         ctx.dt = cfg.dt
         ctx.record = _run_solver(ctx, ctx.dt)
         return
-    dt = _default_dt(cfg)
+    dt = _default_dt(cfg.solver, cfg.grid, cfg.constants.hbar, cfg.total_time)
     previous = _final_row(ctx, _run_solver(ctx, dt))
     for _ in range(MAX_REFINEMENTS):
         finer = _run_solver(ctx, 0.5 * dt)
@@ -1064,21 +1069,19 @@ def _write_observables(path: Path, ctx: RunContext,
 
 def _state_payload(state) -> dict:
     if isinstance(state, WaveField):
-        return {"kind": "wave",
-                "real": [float(v) for v in state.values.real],
-                "imag": [float(v) for v in state.values.imag]}
+        return {"kind": "wave", "real": state.values.real.tolist(),
+                "imag": state.values.imag.tolist()}
     if isinstance(state, PolarDecomposition):
-        return {"kind": "polar",
-                "density": [float(v) for v in state.density.values],
-                "phase": [float(v) for v in state.phase.values]}
-    return {"kind": "density", "density": [float(v) for v in state.values]}
+        return {"kind": "polar", "density": state.density.values.tolist(),
+                "phase": state.phase.values.tolist()}
+    return {"kind": "density", "density": state.values.tolist()}
 
 
 def _write_snapshots(path: Path, ctx: RunContext) -> None:
     payload = {
         "scenario": ctx.config.name,
         "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
-        "times": [float(t) for t in ctx.record.times],
+        "times": ctx.record.times.tolist(),
         "states": [_state_payload(s) for s in ctx.record.states],
     }
     path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")

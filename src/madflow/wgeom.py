@@ -155,12 +155,13 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
 
 
 @lru_cache(maxsize=8)
-def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(d, d, lap) for a phase's slope and a density's slope and Laplacian;
-    (-d, -1) behind the 2/3 rule."""
-    ik, mask = grid.derivative_symbol, grid.dealias_mask
-    out = (np.stack((ik, ik, grid.laplacian_symbol)),
-           np.stack((-ik * mask, -mask)))
+def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-spectrum (d, 1, d, lap) for (S, mu, mu, mu); (-d, -1) behind the
+    2/3 rule for the flux and the pressure; the 2/3 mask."""
+    h = grid.n // 2 + 1
+    ik, mask = grid.derivative_symbol[:h], grid.dealias_mask[:h]
+    out = (np.stack((ik, np.ones(h), ik, grid.laplacian_symbol[:h])),
+           np.stack((-ik * mask, -mask)), mask)
     for sym in out:
         sym.setflags(write=False)
     return out
@@ -171,47 +172,56 @@ def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.nd
     return (mu_x / mu) ** 2 - 2.0 * lap_mu / mu
 
 
-def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
-                     potential_values=0.0, hbar: float = 0.0) -> np.ndarray:
-    """Rates (dmu/dt, dS/dt) of the Hamiltonian flow, stacked as rows.
+def flow_coefficients(grid: Grid, coefficients: np.ndarray, potential=0.0,
+                      hbar: float = 0.0) -> np.ndarray:
+    """Rates (dmu/dt, dS/dt) of the Hamiltonian flow, in `Grid.rfft` coefficients.
 
     dmu/dt = -d/dx(mu dS/dx)                             (divergence form)
     dS/dt  = -(|dS/dx|^2 / 2 + V + (hbar^2/8) fisher generator)
 
-    With hbar set, one transform of the stack (S, mu, mu) gives dS/dx,
-    dmu/dx and lap mu; the flux and the whole drift are then each
-    dealiased once.  With no potential and hbar = 0 it is the geodesic
-    flow, whose density rate is a tangent vector's divergence form.
-    Unchecked, for use on RK stages.
+    `coefficients` stacks those of mu and S, `potential` is those of V.  One
+    inverse transform gives mu, dS/dx (and dmu/dx, lap mu with hbar set); one
+    forward transform dealiases flux and pressure.  Unchecked, for RK stages.
     """
+    into, out, _ = _flow_symbols(grid)
     if hbar:
-        s_x, mu_x, lap_mu = grid.apply_symbol(np.stack((fiber, mu, mu)),
-                                              _flow_symbols(grid)[0])
+        s_x, mu, mu_x, lap_mu = grid.irfft(into * coefficients[[1, 0, 0, 0]])
         pressure = 0.5 * s_x * s_x + 0.125 * hbar ** 2 * _fisher_terms(mu, mu_x, lap_mu)
     else:
-        s_x = grid.apply_symbol(fiber, grid.derivative_symbol)
+        s_x, mu = grid.irfft(into[:2] * coefficients[::-1])
         pressure = 0.5 * s_x * s_x
-    rates = grid.apply_symbol(np.stack((mu * s_x, pressure)), _flow_symbols(grid)[1])
-    rates[1] -= potential_values
+    rates = grid.rfft(np.stack((mu * s_x, pressure))) * out
+    rates[1] -= potential
     return rates
 
 
+def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
+                     potential_values=0.0, hbar: float = 0.0) -> np.ndarray:
+    """`flow_coefficients` on samples, rows (dmu/dt, dS/dt).  With no potential
+    and hbar = 0, row 0 is a tangent vector's divergence form."""
+    coef = grid.rfft(np.stack((mu, fiber, np.broadcast_to(potential_values, np.shape(mu)))))
+    return grid.irfft(flow_coefficients(grid, coef[:2], coef[2], hbar))
+
+
+def fisher_coefficients(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
+    """The dealiased Fisher generator of mu, in `Grid.rfft` coefficients of both."""
+    into, _, mask = _flow_symbols(grid)
+    return grid.rfft(_fisher_terms(*grid.irfft(into[1:] * coefficients))) * mask
+
+
 def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
-    """(d mu / mu)^2 - 2 (lap mu)/mu, the generator of the Fisher gradient.
-
-    |d log mu|^2 - 2 (lap mu)/mu without the logarithm, so it stays finite
-    on the non-positive stages an explicit step can produce; dealiased in
-    one pass and unchecked.  hbar^2/8 times it is the quantum correction.
-    """
-    mu_x, lap_mu = grid.apply_symbol(density_values, _flow_symbols(grid)[0][1:])
-    return grid.apply_symbol(_fisher_terms(density_values, mu_x, lap_mu),
-                             grid.dealias_mask)
+    """(d mu / mu)^2 - 2 (lap mu)/mu, the generator of the Fisher gradient:
+    |d log mu|^2 - 2 (lap mu)/mu without the logarithm, finite on the
+    non-positive stages an explicit step can produce; dealiased, unchecked.
+    hbar^2/8 times it is the quantum correction."""
+    return grid.irfft(fisher_coefficients(grid, grid.rfft(density_values)))
 
 
-def energy_generator(grid: Grid, density_values: np.ndarray, potential_values,
-                     hbar: float) -> np.ndarray:
-    """V + (hbar^2/8) * fisher generator: the generator of the total-energy gradient."""
-    return potential_values + 0.125 * hbar ** 2 * fisher_generator(grid, density_values)
+def energy_coefficients(grid: Grid, coefficients: np.ndarray, potential,
+                        hbar: float) -> np.ndarray:
+    """V + (hbar^2/8) * fisher generator, the generator of the total-energy
+    gradient, in `Grid.rfft` coefficients (of mu and V in, of it out)."""
+    return potential + 0.125 * hbar ** 2 * fisher_coefficients(grid, coefficients)
 
 
 GRADIENT_KINDS = ("potential", "entropy", "fisher", "total")
@@ -239,7 +249,8 @@ def wasserstein_gradient(kind: str, mu: DensityField,
     elif kind == "total":
         if potential is None or constants is None:
             raise ValueError("the total-energy gradient needs a potential and constants")
-        generator = energy_generator(g, mu.values, potential.values, constants.hbar)
+        coef = g.rfft(np.stack((mu.values, potential.values)))
+        generator = g.irfft(energy_coefficients(g, coef[0], coef[1], constants.hbar))
     else:
         raise ValueError(f"unknown gradient kind {kind!r}; known: {GRADIENT_KINDS}")
     return TangentVector(mu, generator)

@@ -204,15 +204,41 @@ def test_madelung_node_guard():
 
 
 def test_madelung_energy_guard():
-    # At five times the builtin step the trapped bump's energy runs away
-    # while the density stays above its floor, so the blow-up guard is
-    # what stops the run (at twice this step the floor trips first).
+    # dt = 1e-3 is past the RK4 ceiling of mode 80 (hbar k^2 dt / 2 = 3.2 >
+    # 2.83), so a 1e-3 ripple at that mode grows about 2.3 times per step
+    # while the density stays near uniform: the blow-up guard is what stops
+    # the run.  The ripple, not rounding, seeds the growth, so the step at
+    # which the guard trips does not depend on the order of operations.
     g = Grid(256)
+    mu0 = perturbed_uniform_density(g, 1e-3, mode=80)
+    with pytest.raises(StabilityError, match=r"energy grew to .* at t = 0\.005"):
+        madelung_evolve(mu0, _zero_phase(g, mu0), PotentialField.zero(g),
+                        PhysicsConstants(1.0), 1e-3, 0.1, snapshot_stride=1)
+
+
+@pytest.mark.parametrize("solver, per_step", [("madelung", 9), ("dlss", 19)])
+def test_rk4_step_makes_a_fixed_number_of_fft_calls(fft_calls, solver, per_step):
+    # a step is four half-spectrum right-hand sides (2 calls each for
+    # Madelung; 4 for DLSS, its generator and then the flow) and one inverse
+    # transform back to samples, plus the 2 calls of `functionals` in the
+    # DLSS descent guard.  A 20-step run minus a 10-step run cancels the
+    # set-up and the two recorded snapshots.
+    g = Grid(64)
     c = PhysicsConstants(1.0)
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
-    mu0 = cosine_bump_density(g, np.pi, 2.0)
-    with pytest.raises(StabilityError, match=r"energy grew to .* at t = 0\.046"):
-        madelung_evolve(mu0, _zero_phase(g, mu0), V, c, 5e-4, 0.1, snapshot_stride=1)
+    mu0 = cosine_bump_density(g, np.pi, 0.3)
+    dt = 1e-5
+
+    def calls(steps):
+        before = len(fft_calls)
+        if solver == "madelung":
+            madelung_evolve(mu0, _zero_phase(g, mu0), V, c, dt, steps * dt,
+                            snapshot_stride=steps)
+        else:
+            dlss_evolve(mu0, V, c, dt, steps * dt, snapshot_stride=steps)
+        return len(fft_calls) - before
+
+    assert calls(20) - calls(10) == 10 * per_step
 
 
 # -- gradient flows ----------------------------------------------------------

@@ -514,6 +514,11 @@ def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
     ("submersion_pullback", "initial_state.parameters.modes=128"),
     # a gaussian pair with mass at the transport cut
     ("benamou_brenier_action", "initial_state.parameters.floor_weight=0.5"),
+    # a default dt that underflows to 0 or overflows
+    pytest.param("dlss_descent", ("grid.length=1e300", "integrator.dt=null"),
+                 id="dlss_descent-grid.length=1e300-integrator.dt=null"),
+    pytest.param("dlss_descent", ("grid.length=1e-100", "integrator.dt=null"),
+                 id="dlss_descent-grid.length=1e-100-integrator.dt=null"),
 ])
 def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, override):
     out_dir = tmp_path / "never"

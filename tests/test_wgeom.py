@@ -28,6 +28,7 @@ from madflow.wgeom import (
     TangentVector,
     covariant_acceleration,
     fisher_generator,
+    flow_coefficients,
     hamiltonian,
     hamiltonian_flow,
     hamiltonian_vector_field,
@@ -302,34 +303,32 @@ def test_madelung_step_is_rk4_of_the_hamiltonian_vector_field():
     assert np.max(np.abs(final.density.values - rec.states[0].density.values)) > 1e-6
 
 
-def test_hamiltonian_flow_fuses_its_transforms(monkeypatch):
-    # with hbar set, one transform of (S, mu, mu) serves dS/dx, dmu/dx and
-    # lap mu: 4 FFT calls per rate evaluation instead of 6, and the rates
-    # equal those built from one transform per derivative, bit for bit
+def test_hamiltonian_flow_fuses_its_transforms(fft_calls):
+    # the half-spectrum kernel makes one inverse transform of (S, mu, mu, mu)
+    # for dS/dx, mu, dmu/dx and lap mu, and one forward transform of the
+    # flux and the pressure: 2 FFT calls, and the rates equal those built
+    # from one transform per row, bit for bit
     g = Grid(256)
     rng = np.random.default_rng(25)
     mu = random_density(g, rng, modes=3).values
     s = random_zero_mean(g, rng, modes=3, amplitude=0.3)
-    v = 1.0 - np.cos(g.points)
     hbar = 0.8
-    calls = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        transform = getattr(np.fft, name)
+    coef, v_hat = g.rfft(np.stack((mu, s))), g.rfft(1.0 - np.cos(g.points))
+    before = len(fft_calls)
+    rates = flow_coefficients(g, coef, v_hat, hbar)
+    assert len(fft_calls) - before == 2
 
-        def counted(*args, _transform=transform, **kwargs):
-            calls.append(1)
-            return _transform(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    rates = hamiltonian_flow(g, mu, s, v, hbar)
-    monkeypatch.undo()
-    assert len(calls) == 4
-
-    s_x, mu_x, lap_mu = g.derivative(s), g.derivative(mu), g.laplacian(mu)
+    h = g.n // 2 + 1
+    ik, mask = g.derivative_symbol[:h], g.dealias_mask[:h]
+    mu_r, s_x = g.irfft(coef[0]), g.irfft(ik * coef[1])
+    mu_x, lap_mu = g.irfft(ik * coef[0]), g.irfft(g.laplacian_symbol[:h] * coef[0])
     pressure = 0.5 * s_x * s_x + 0.125 * hbar ** 2 * (
-        (mu_x / mu) ** 2 - 2.0 * lap_mu / mu)
-    mask = g.dealias_mask
-    assert np.array_equal(rates[0], g.apply_symbol(mu * s_x, -g.derivative_symbol * mask))
-    assert np.array_equal(rates[1], g.apply_symbol(pressure, -mask) - v)
+        (mu_x / mu_r) ** 2 - 2.0 * lap_mu / mu_r)
+    assert np.array_equal(rates[0], g.rfft(mu_r * s_x) * (-ik * mask))
+    assert np.array_equal(rates[1], g.rfft(pressure) * -mask - v_hat)
+    # the sample-space wrapper is the same kernel between one rfft and one irfft
+    assert np.array_equal(hamiltonian_flow(g, mu, s, 1.0 - np.cos(g.points), hbar),
+                          g.irfft(rates))
 
 
 def test_covariant_acceleration_formula_and_guards():
