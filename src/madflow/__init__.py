@@ -13,11 +13,11 @@ from .errors import (AliasError, BaseMismatchError, CompatibilityError,
                      MadflowError, NodeError, StabilityError, WindingError)
 from .fields import (DensityField, FunctionalValues, PhaseField,
                      PhysicsConstants, PotentialField, WaveField,
-                     density_floor, functionals, lagrangian, normalize_density,
+                     density_floor, functionals, normalize_density,
                      unwrapped_phase)
 from .grid import TAU, Grid
-from .madelung import (PolarDecomposition, complex_symplectic_form,
-                       madelung_section, madelung_transform, phase_correction,
+from .madelung import (complex_symplectic_form, madelung_section,
+                       madelung_transform, phase_correction, polar_wave,
                        submersion_pullback_defect, wave_hamiltonian)
 from .scenarios import (ScenarioConfig, builtin_config, builtin_names,
                         run_builtin, run_scenario, run_suite)
@@ -25,7 +25,7 @@ from .transport import (QuantileTable, displacement_interpolation,
                         path_action, quantile_table, w2_distance)
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
                     covariant_acceleration, fisher_generator, hamiltonian,
-                    hamiltonian_vector_field, pushforward_density,
+                    hamiltonian_vector_field, lagrangian, pushforward_density,
                     solve_velocity_potential, symplectic_form, tangent_inner,
                     wasserstein_gradient)
 

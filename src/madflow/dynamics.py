@@ -13,26 +13,25 @@ side is minus the divergence form of the total-energy generator that
 `wgeom.wasserstein_gradient("total")` returns; both run through one RK4
 step, guard and snapshot loop, which steps `rfft` coefficients and returns
 to samples once per step.  The solvers only integrate: a
-TrajectoryRecord holds the snapshot times and states, the mass and, on the
-Madelung solver, the gauge ledger; energies, entropy and Fisher
-information are functions of a state, derived from it by the caller.
-Products are dealiased with the 2/3 rule.
+TrajectoryRecord holds the snapshot times and states (a Madelung state is
+a `wgeom.TangentBundlePoint`) and, on the Madelung solver, the gauge
+ledger; mass, energies, entropy and Fisher information are functions of a
+state, derived from it by the caller.  Products are dealiased with the 2/3
+rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NodeError, StabilityError
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
                      WaveField, density_floor, functionals)
-from .madelung import PolarDecomposition
 from .wgeom import (TangentBundlePoint, energy_coefficients, flow_coefficients,
                     hamiltonian)
 
-MASS_DRIFT_TOL = 1e-8
 ENERGY_BLOWUP_FACTOR = 1e3
 DESCENT_TOL = 1e-10
 
@@ -41,13 +40,13 @@ DESCENT_TOL = 1e-10
 class TrajectoryRecord:
     """Snapshots of a run: times, states, and per-snapshot columns.
 
-    The columns hold the mass and, on the Madelung solver, the gauge
-    ledger; every other observable is a function of the stored state.
+    The only column is the Madelung solver's gauge ledger, which no state
+    determines; every other observable is a function of the stored state.
     """
 
     times: np.ndarray
     states: tuple
-    observables: dict
+    observables: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -59,11 +58,6 @@ class TrajectoryRecord:
         for key, col in obs.items():
             if col.shape != t.shape:
                 raise ValueError(f"observable {key!r} has shape {col.shape}, expected {t.shape}")
-        if "mass" not in obs:
-            raise ValueError("observables must include a mass column")
-        drift = float(np.abs(obs["mass"] - 1.0).max())
-        if drift > MASS_DRIFT_TOL:
-            raise ValueError(f"mass drifts by {drift:.3e}, beyond {MASS_DRIFT_TOL}")
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -135,12 +129,11 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
     kinetic = np.exp(0.5j * hbar * dt * g.laplacian_symbol)
 
     psi = initial.values.astype(complex).copy()
-    times, states, mass_col = [], [], []
+    times, states = [], []
 
     def record(step_index: int) -> None:
         times.append(step_index * dt)
         states.append(WaveField(g, psi))
-        mass_col.append(g.integrate(np.abs(psi) ** 2))
 
     mark_set = set(marks)
     record(0)
@@ -150,7 +143,7 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
         psi = half_potential * psi
         if step in mark_set:
             record(step)
-    return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass_col})
+    return TrajectoryRecord(np.array(times), tuple(states))
 
 
 # -- hydrodynamic solver -----------------------------------------------------
@@ -164,14 +157,14 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     d(mu)/dt = -d/dx(mu dS/dx)
     d(S)/dt  = -( |dS/dx|^2 / 2 + V + quantum correction )
 
-    The right-hand side is `wgeom.flow_coefficients`.  The phase is
-    re-gauged to mean zero after every step; removed constants accumulate
-    in the gauge_constant observable (the ledger reconciled against the
-    running action integral).  Raises NodeError when the density reaches
-    its floor and StabilityError on energy blow-up.
+    The right-hand side is `wgeom.flow_coefficients`; each snapshot is the
+    `TangentBundlePoint` (mu, S).  The phase is re-gauged to mean zero
+    after every step; removed constants accumulate in the gauge_constant
+    observable (the ledger reconciled against the running action
+    integral).  Raises NodeError when the density reaches its floor and
+    StabilityError on energy blow-up.
     """
     g = mu0.grid
-    hbar = constants.hbar
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
     v_vals = potential.values
@@ -181,13 +174,12 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
     v_hat = g.rfft(v_vals)
 
     def rhs(y):
-        return flow_coefficients(g, y, v_hat, hbar)
+        return flow_coefficients(g, y, v_hat, constants.hbar)
 
     # Work on dealiased copies so every retained mode is evolved consistently.
     y = g.rfft(np.stack((mu0.values, phase0.values))) * g.dealias_mask[: g.n // 2 + 1]
 
-    times, states = [], []
-    cols = {"mass": [], "gauge_constant": []}
+    times, states, ledgers = [], [], []
     ledger = 0.0
     reference_energy = None
 
@@ -200,9 +192,8 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
 
     def record(step_index: int, x: np.ndarray) -> None:
         nonlocal reference_energy
-        mu_f = DensityField(g, x[0])
-        guard = (hamiltonian(TangentBundlePoint(mu_f, x[1]), potential, constants)
-                 + g.integrate(guard_weight * x[0]))
+        point = TangentBundlePoint(DensityField(g, x[0]), x[1])
+        guard = hamiltonian(point, potential, constants) + g.integrate(guard_weight * x[0])
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
@@ -211,12 +202,11 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
         times.append(step_index * dt)
-        states.append(PolarDecomposition(mu_f, PhaseField(g, x[1], "mean_zero"), hbar))
-        cols["mass"].append(g.integrate(x[0]))
-        cols["gauge_constant"].append(ledger)
+        states.append(point)
+        ledgers.append(ledger)
 
     _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
-    return TrajectoryRecord(np.array(times), tuple(states), cols)
+    return TrajectoryRecord(np.array(times), tuple(states), {"gauge_constant": ledgers})
 
 
 # -- gradient flows ----------------------------------------------------------
@@ -232,8 +222,7 @@ def heat_evolve(mu0: DensityField, dt: float, total_time: float,
     times = [step * dt for step in marks]
     states = [DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t)))
               for t in times]
-    mass = [g.integrate(mu_f.values) for mu_f in states]
-    return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass})
+    return TrajectoryRecord(np.array(times), tuple(states))
 
 
 def dlss_evolve(mu0: DensityField, potential: PotentialField,
@@ -259,7 +248,7 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     y = g.rfft(mu0.values[None, :]) * g.dealias_mask[: g.n // 2 + 1]
     energy = np.inf
 
-    times, states, mass_col = [], [], []
+    times, states = [], []
 
     def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
         nonlocal energy
@@ -274,7 +263,6 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     def record(step_index: int, x: np.ndarray) -> None:
         times.append(step_index * dt)
         states.append(DensityField(g, x[0]))
-        mass_col.append(g.integrate(x[0]))
 
     _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
-    return TrajectoryRecord(np.array(times), tuple(states), {"mass": mass_col})
+    return TrajectoryRecord(np.array(times), tuple(states))

@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AliasError, GaugeError, NodeError, WindingError
 from .grid import Grid
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .wgeom import TangentVector
 
 # Admissibility floor for densities, relative to the uniform level 1/length.
 FLOOR_RELATIVE = 1e-12
@@ -231,15 +227,6 @@ def functionals(mu: DensityField, potential: PotentialField,
     potential_energy = g.integrate(potential.values * mu.values)
     total = potential_energy + 0.125 * constants.hbar ** 2 * fisher
     return FunctionalValues(entropy, fisher, potential_energy, total)
-
-
-def lagrangian(tangent: "TangentVector", potential: PotentialField,
-               constants: PhysicsConstants) -> float:
-    """Kinetic energy of a tangent vector minus the total energy of its base."""
-    g = tangent.base.grid
-    slope = g.derivative(tangent.potential)
-    kinetic = 0.5 * g.integrate(slope * slope * tangent.base.values)
-    return kinetic - functionals(tangent.base, potential, constants).total_energy
 
 
 # -- phase unwrapping and winding -------------------------------------------

@@ -1,56 +1,43 @@
 """Polar (hydrodynamic) description of waves and the maps between pictures.
 
-madelung_transform sends a nowhere-vanishing unit wave to its density,
-unwrapped phase and the induced density velocity; madelung_section is the
-right inverse pinning the phase value at the reference point.  The module
-also carries the wave-side energy and symplectic form, the phase
-correction that adds the running action integral to a mean-zero phase
-trajectory, and the finite difference pullback defect used to verify that
-the transform intertwines the two symplectic structures.
+madelung_transform sends a nowhere-vanishing unit wave to its point of the
+tangent bundle: the density and hbar times the unwrapped phase, whose
+tangent vector is the density velocity the wave induces; polar_wave maps
+a point back, and madelung_section is the right inverse pinning the phase
+value at the reference point.  The module also carries the wave-side
+energy and symplectic form, the phase correction that adds the running
+action integral to a mean-zero phase trajectory, and the finite difference
+pullback defect used to verify that the transform intertwines the two
+symplectic structures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
-                     WaveField, check_mean_zero, lagrangian, unwrapped_phase)
+                     WaveField, check_mean_zero, unwrapped_phase)
 from .grid import Grid
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
-                    pushforward_density, symplectic_form)
+                    lagrangian, pushforward_density, symplectic_form)
 
 
-@dataclass(frozen=True)
-class PolarDecomposition:
-    """Density and single-valued phase of a nowhere-vanishing wave."""
-
-    density: DensityField
-    phase: PhaseField
-    hbar: float
-
-    def wave_values(self) -> np.ndarray:
-        """sqrt(mu) * exp(i S / hbar), the wave this pair represents."""
-        return np.sqrt(self.density.values) * np.exp(1j * self.phase.values / self.hbar)
+def polar_wave(point: TangentBundlePoint, constants: PhysicsConstants) -> np.ndarray:
+    """sqrt(mu) * exp(i S / hbar), the wave values the point (mu, S) represents."""
+    return np.sqrt(point.base.values) * np.exp(1j * point.fiber_potential / constants.hbar)
 
 
-def madelung_transform(psi: WaveField, constants: PhysicsConstants
-                       ) -> tuple[PolarDecomposition, TangentVector]:
-    """Split a wave into (density, phase) and the velocity it induces.
+def madelung_transform(psi: WaveField, constants: PhysicsConstants) -> TangentBundlePoint:
+    """The point (|psi|^2, hbar * unwrapped argument of psi) of the bundle.
 
-    The phase is hbar times the unwrapped argument, returned pinned at its
-    actual value at x = 0; the tangent vector is the transported density
-    variation -d/dx(mu dS/dx).  Raises NodeError / AliasError /
-    WindingError when no admissible single-valued phase exists.
+    The phase keeps its actual value at x = 0; the point's tangent is the
+    transported density variation -d/dx(mu dS/dx).  Raises NodeError /
+    AliasError / WindingError when no admissible single-valued phase exists.
     """
-    g = psi.grid
-    theta = unwrapped_phase(psi)
-    phase_values = constants.hbar * theta
-    mu = DensityField(g, np.abs(psi.values) ** 2)
-    phase = PhaseField(g, phase_values, "pinned", float(phase_values[0]))
-    return PolarDecomposition(mu, phase, constants.hbar), TangentVector(mu, phase_values)
+    return TangentBundlePoint(DensityField(psi.grid, np.abs(psi.values) ** 2),
+                              constants.hbar * unwrapped_phase(psi))
 
 
 def madelung_section(mu: DensityField, phase: PhaseField, reference: float,
@@ -63,10 +50,8 @@ def madelung_section(mu: DensityField, phase: PhaseField, reference: float,
     two_pi_hbar = 2.0 * np.pi * constants.hbar
     if not (0.0 <= reference < two_pi_hbar):
         raise ValueError(f"reference phase must lie in [0, {two_pi_hbar!r}), got {reference!r}")
-    g = mu.grid
     shifted = phase.values - (phase.values[0] - reference)
-    values = np.sqrt(mu.values) * np.exp(1j * shifted / constants.hbar)
-    return WaveField(g, values)
+    return WaveField(mu.grid, polar_wave(TangentBundlePoint(mu, shifted), constants))
 
 
 def complex_symplectic_form(grid: Grid, f_values, g_values) -> float:

@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -31,12 +31,13 @@ from .errors import (AliasError, ConfigError, CutError, NodeError,
                      StabilityError, WindingError)
 from .fields import (DensityField, PhaseField, PhysicsConstants,
                      PotentialField, WaveField, density_floor, functionals,
-                     lagrangian, normalize_density, unwrapped_phase)
+                     normalize_density, unwrapped_phase)
 from .grid import TAU, Grid
-from .madelung import (PolarDecomposition, madelung_section, madelung_transform,
+from .madelung import (madelung_section, madelung_transform, polar_wave,
                        submersion_pullback_defect, wave_hamiltonian)
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint,
-                    covariant_acceleration, hamiltonian, wasserstein_gradient)
+                    covariant_acceleration, hamiltonian, lagrangian,
+                    wasserstein_gradient)
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "MADFLOW_OUTPUT_ROOT"
@@ -76,6 +77,13 @@ def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {_where(path)}; "
                           f"allowed: {sorted(allowed)}")
+
+
+def _as_name(value: Any, what: str, known: Collection[str]) -> str:
+    """`value` as a string naming one of `known` (ConfigError otherwise)."""
+    if not isinstance(value, str) or value not in known:
+        raise ConfigError(f"unknown {what} {value!r}; known: {sorted(known)}")
+    return value
 
 
 def _as_float(value: Any, path: str, positive: bool = False) -> float:
@@ -164,10 +172,8 @@ class ScenarioConfig:
         pot_map = _require_mapping(data.get("potential", {"kind": "none"}),
                                    "potential")
         _check_keys(pot_map, ("kind", "parameters"), "potential")
-        pot_kind = pot_map.get("kind", "none")
-        if pot_kind not in POTENTIAL_KINDS:
-            raise ConfigError(f"unknown potential kind {pot_kind!r}; "
-                              f"known: {sorted(POTENTIAL_KINDS)}")
+        pot_kind = _as_name(pot_map.get("kind", "none"), "potential kind",
+                            POTENTIAL_KINDS)
         pot_params = _require_mapping(pot_map.get("parameters", {}),
                                       "potential.parameters")
 
@@ -175,10 +181,8 @@ class ScenarioConfig:
             raise ConfigError("config needs an initial_state section")
         init_map = _require_mapping(data["initial_state"], "initial_state")
         _check_keys(init_map, ("kind", "parameters"), "initial_state")
-        init_kind = init_map.get("kind")
-        if init_kind not in INITIAL_KINDS:
-            raise ConfigError(f"unknown initial state kind {init_kind!r}; "
-                              f"known: {sorted(INITIAL_KINDS)}")
+        init_kind = _as_name(init_map.get("kind"), "initial state kind",
+                             INITIAL_KINDS)
         init_params = _require_mapping(init_map.get("parameters", {}),
                                        "initial_state.parameters")
 
@@ -187,9 +191,7 @@ class ScenarioConfig:
         integ = _require_mapping(data["integrator"], "integrator")
         _check_keys(integ, ("solver", "dt", "total_time", "snapshot_stride"),
                     "integrator")
-        solver = integ.get("solver")
-        if solver not in SOLVER_KINDS:
-            raise ConfigError(f"unknown solver {solver!r}; known: {SOLVER_KINDS}")
+        solver = _as_name(integ.get("solver"), "solver", SOLVER_KINDS)
         dt = integ.get("dt")
         if dt is not None:
             dt = _as_float(dt, "integrator.dt", positive=True)
@@ -226,10 +228,9 @@ class ScenarioConfig:
                 entry = {"name": entry}
             entry = _require_mapping(entry, f"checks[{i}]")
             _check_keys(entry, ("name", "tolerance"), f"checks[{i}]")
-            cname = entry.get("name")
-            if cname not in CHECKS:
-                raise ConfigError(f"unknown check {cname!r}; "
-                                  f"known: {sorted(CHECKS)}")
+            cname = _as_name(entry.get("name"), "check", CHECKS)
+            if any(c.name == cname for c in checks):
+                raise ConfigError(f"check {cname!r} is listed twice")
             definition = CHECKS[cname]
             if solver not in definition.solvers:
                 raise ConfigError(f"check {cname!r} does not apply to the "
@@ -249,10 +250,10 @@ class ScenarioConfig:
         directory = out_map.get("directory")
         if directory is not None and not isinstance(directory, str):
             raise ConfigError("output.directory must be a string path")
-        formats = tuple(out_map.get("formats", ("csv", "json")))
-        bad = sorted(set(formats) - {"csv", "json"})
-        if bad:
-            raise ConfigError(f"unknown output formats {bad}; allowed: csv, json")
+        formats = out_map.get("formats", ("csv", "json"))
+        if not isinstance(formats, (list, tuple)):
+            raise ConfigError(f"output.formats must be a list, got {formats!r}")
+        formats = tuple(_as_name(f, "output format", ("csv", "json")) for f in formats)
 
         if solver == "displacement":
             transport.splines()  # import scipy's splines now, not inside the solve
@@ -603,9 +604,8 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
                                     ctx.constants, dt, total, stride)
     # static and displacement: the prebuilt trial state at each snapshot step
     trials = ctx.initial["trials"]
-    mass = [ctx.grid.integrate(_state_arrays(s)[0]) for s in trials.values()]
     return TrajectoryRecord(np.asarray(list(trials), dtype=float) * dt,
-                            tuple(trials.values()), {"mass": mass})
+                            tuple(trials.values()))
 
 
 def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> float:
@@ -628,7 +628,7 @@ def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> floa
 
 
 def _final_row(ctx: RunContext, rec: TrajectoryRecord) -> dict:
-    """The last observable row of `rec`: its physics row, mass and ledger."""
+    """The last observable row of `rec`: its physics row and ledger."""
     row = _physics_row(ctx, rec.states[-1])
     row.update((key, float(column[-1])) for key, column in rec.observables.items())
     return row
@@ -679,31 +679,28 @@ def execute_config(config: ScenarioConfig) -> RunContext:
 def _physics_row(ctx: RunContext, state) -> dict:
     """The physics columns `state` defines, each from its one definition.
 
-    A wave earns the hydrodynamic columns only while its polar
-    decomposition exists (nowhere-vanishing, winding-free); a polar pair
-    earns the wave energy through the section.  A density earns entropy
-    and fisher, and on the dlss solver also its total energy and the
-    Lagrangian of its descent velocity.
+    Every state has a mass.  A wave earns the hydrodynamic columns only
+    while its Madelung transform exists (nowhere-vanishing, winding-free);
+    a bundle point earns the wave energy through `polar_wave`.  A density
+    earns entropy and fisher, and on the dlss solver also its total energy
+    and the Lagrangian of its descent velocity.
     """
     potential, constants = ctx.potential, ctx.constants
-    if isinstance(state, (WaveField, PolarDecomposition)):
-        if isinstance(state, WaveField):
-            row = {"H_S": wave_hamiltonian(state, potential, constants)}
-            try:
-                polar, tangent = madelung_transform(state, constants)
-            except (NodeError, AliasError, WindingError):
-                return row
-            point = TangentBundlePoint(polar.density, tangent.potential)
-        else:
-            wave = WaveField(ctx.grid, state.wave_values())
-            row = {"H_S": wave_hamiltonian(wave, potential, constants)}
-            point = TangentBundlePoint(state.density, state.phase.values)
-            tangent = point.tangent
+    row = {"mass": ctx.grid.integrate(_state_arrays(state)[0])}
+    density = point = state
+    if isinstance(state, WaveField):
+        row["H_S"] = wave_hamiltonian(state, potential, constants)
+        try:
+            point = madelung_transform(state, constants)
+        except (NodeError, AliasError, WindingError):
+            return row
+    elif isinstance(state, TangentBundlePoint):
+        wave = WaveField(ctx.grid, polar_wave(state, constants))
+        row["H_S"] = wave_hamiltonian(wave, potential, constants)
+    if isinstance(point, TangentBundlePoint):
         density = point.base
         row["H_F"] = hamiltonian(point, potential, constants)
-        row["L_F"] = lagrangian(tangent, potential, constants)
-    else:
-        density, row = state, {}
+        row["L_F"] = lagrangian(point.tangent, potential, constants)
     vals = functionals(density, potential, constants)
     row.update(entropy=vals.entropy, fisher=vals.fisher)
     if ctx.config.solver == "dlss":
@@ -716,9 +713,9 @@ def _physics_row(ctx: RunContext, state) -> dict:
 def _compose_columns(ctx: RunContext) -> dict:
     """The eight physics columns, with nan where a quantity is undefined.
 
-    Mass and the gauge ledger come from the record (a density-only or
-    static record keeps a zero ledger); every other column is derived
-    from the stored state by `_physics_row`.
+    The gauge ledger comes from the record (a record without one keeps a
+    zero ledger); every other column is derived from the stored state by
+    `_physics_row`.
     """
     rec = ctx.record
     rows = len(rec.times)
@@ -763,8 +760,8 @@ def _uniform_snapshot_step(ctx: RunContext) -> float:
 
 
 def _state_arrays(state) -> tuple[np.ndarray, ...]:
-    if isinstance(state, PolarDecomposition):
-        return (state.density.values, state.phase.values)
+    if isinstance(state, TangentBundlePoint):
+        return (state.base.values, state.fiber_potential)
     if isinstance(state, WaveField):
         return (np.abs(state.values) ** 2,)
     return (state.values,)
@@ -831,7 +828,7 @@ def _check_schrodinger_density_match(ctx: RunContext) -> np.ndarray:
     oracle = _wave_oracle(ctx)
     out = np.zeros(len(ctx.record.times))
     for i, (polar, wave) in enumerate(zip(ctx.record.states, oracle.states)):
-        diff = polar.density.values - np.abs(wave.values) ** 2
+        diff = polar.base.values - np.abs(wave.values) ** 2
         out[i] = np.sqrt(g.integrate(diff * diff))
     return out
 
@@ -847,7 +844,7 @@ def _check_velocity_potential_match(ctx: RunContext) -> np.ndarray:
             continue
         s_wave = hbar * unwrapped_phase(wave)
         s_wave = s_wave - g.integrate(s_wave * wave_density)
-        diff = s_wave - polar.phase.values
+        diff = s_wave - polar.fiber_potential
         out[i] = np.sqrt(g.integrate(diff * diff))
     return out
 
@@ -857,9 +854,9 @@ def _check_newton_residual(ctx: RunContext) -> np.ndarray:
     sts = ctx.record.states
     out = np.full(len(sts), np.nan)
     for i in range(1, len(sts) - 1):
-        mu = sts[i].density
-        curve = [sts[i - 1].phase.values, sts[i].phase.values,
-                 sts[i + 1].phase.values]
+        mu = sts[i].base
+        curve = [sts[i - 1].fiber_potential, sts[i].fiber_potential,
+                 sts[i + 1].fiber_potential]
         acceleration = covariant_acceleration(curve, mu, h)
         gradient = wasserstein_gradient("total", mu, ctx.potential, ctx.constants)
         mismatch = (acceleration + gradient).norm()
@@ -1071,9 +1068,9 @@ def _state_payload(state) -> dict:
     if isinstance(state, WaveField):
         return {"kind": "wave", "real": state.values.real.tolist(),
                 "imag": state.values.imag.tolist()}
-    if isinstance(state, PolarDecomposition):
-        return {"kind": "polar", "density": state.density.values.tolist(),
-                "phase": state.phase.values.tolist()}
+    if isinstance(state, TangentBundlePoint):
+        return {"kind": "polar", "density": state.base.values.tolist(),
+                "phase": state.fiber_potential.tolist()}
     return {"kind": "density", "density": state.values.tolist()}
 
 
@@ -1130,16 +1127,25 @@ def resolve_output_dir(config: ScenarioConfig, out_dir: str | Path | None,
     return Path(root) / config.name
 
 
+def _require_directory_path(target: Path) -> Path:
+    """`target`, unless it or its nearest existing ancestor is not a
+    directory (ConfigError); creates nothing."""
+    probe = next(p for p in (target, *target.parents) if os.path.lexists(p))
+    if not probe.is_dir():
+        raise ConfigError(f"output directory {target}: {probe} exists and is "
+                          "not a directory")
+    return target
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  write: bool = True) -> ScenarioOutcome:
     """Execute a validated config, evaluate its checks, write artifacts."""
+    target = _require_directory_path(resolve_output_dir(config, out_dir)) if write else None
     ctx = execute_config(config)
     results = evaluate_checks(ctx)
     passed = all(r.passed for r in results)
     summary = _summary_payload(ctx, results, passed)
-    target: Path | None = None
-    if write:
-        target = resolve_output_dir(config, out_dir)
+    if target is not None:
         target.mkdir(parents=True, exist_ok=True)
         if "csv" in config.output_formats:
             _write_observables(target / "observables.csv", ctx, results)
@@ -1339,7 +1345,7 @@ def run_suite(out_root: str | Path | None = None, jobs: int = 1,
         raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
     if out_root is None:
         out_root = Path(os.environ.get(OUTPUT_ROOT_ENV, DEFAULT_OUTPUT_ROOT))
-    root = Path(out_root)
+    root = _require_directory_path(Path(out_root))
     chosen = list(names) if names is not None else builtin_names()
     for name in chosen:
         if name not in _builtin_mappings():

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BaseMismatchError, CompatibilityError, FoldError
 from .fields import (DensityField, PhysicsConstants, PotentialField,
-                     functionals, normalize_density)
+                     _frozen_copy, functionals, normalize_density)
 from .grid import Grid
 
 # Net-mass tolerance for admissible density variations.
@@ -90,7 +90,9 @@ def tangent_inner(a: TangentVector, b: TangentVector) -> float:
     if not _same_base(a.base, b.base):
         raise BaseMismatchError("tangent vectors live over different base densities")
     g = a.grid
-    return g.integrate(g.derivative(a.potential) * g.derivative(b.potential) * a.base.values)
+    slope = g.derivative(a.potential)
+    other = slope if b is a else g.derivative(b.potential)
+    return g.integrate(slope * other * a.base.values)
 
 
 def solve_velocity_potential(mu: DensityField, source) -> TangentVector:
@@ -267,10 +269,8 @@ class TangentBundlePoint:
     fiber_potential: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.base.grid.check_values(self.fiber_potential), dtype=float)
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "fiber_potential", v)
+        v = self.base.grid.check_values(self.fiber_potential)
+        object.__setattr__(self, "fiber_potential", _frozen_copy(v, float))
 
     @property
     def grid(self) -> Grid:
@@ -294,12 +294,9 @@ class StandardVectorFieldSpec:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.grid.check_values(self.psi), dtype=float).copy()
-        q = np.asarray(self.grid.check_values(self.phi), dtype=float).copy()
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "psi", p)
-        object.__setattr__(self, "phi", q)
+        for name in ("psi", "phi"):
+            v = self.grid.check_values(getattr(self, name))
+            object.__setattr__(self, name, _frozen_copy(v, float))
 
 
 def symplectic_form(point: TangentBundlePoint, a: StandardVectorFieldSpec,
@@ -319,10 +316,15 @@ def symplectic_form(point: TangentBundlePoint, a: StandardVectorFieldSpec,
 def hamiltonian(point: TangentBundlePoint, potential: PotentialField,
                 constants: PhysicsConstants) -> float:
     """Kinetic energy of the fiber plus total energy of the base density."""
-    g = point.grid
-    df = g.derivative(point.fiber_potential)
-    kinetic = 0.5 * g.integrate(df * df * point.base.values)
-    return kinetic + functionals(point.base, potential, constants).total_energy
+    t = point.tangent
+    return 0.5 * tangent_inner(t, t) + functionals(point.base, potential, constants).total_energy
+
+
+def lagrangian(tangent: TangentVector, potential: PotentialField,
+               constants: PhysicsConstants) -> float:
+    """Kinetic energy of a tangent vector minus the total energy of its base."""
+    energy = functionals(tangent.base, potential, constants).total_energy
+    return 0.5 * tangent_inner(tangent, tangent) - energy
 
 
 def hamiltonian_vector_field(point: TangentBundlePoint, potential: PotentialField,

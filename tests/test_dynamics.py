@@ -25,8 +25,8 @@ from madflow.dynamics import (
     madelung_evolve,
     schrodinger_evolve,
 )
-from madflow.fields import functionals, lagrangian
-from madflow.madelung import PolarDecomposition, madelung_section, wave_hamiltonian
+from madflow.fields import functionals
+from madflow.madelung import madelung_section, wave_hamiltonian
 from madflow.states import (
     cosine_bump_density,
     perturbed_uniform_density,
@@ -34,7 +34,7 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
-from madflow.wgeom import TangentBundlePoint, TangentVector, hamiltonian
+from madflow.wgeom import TangentBundlePoint, hamiltonian, lagrangian
 
 TAU = 2 * np.pi
 
@@ -45,8 +45,7 @@ def _zero_phase(g, mu):
 
 def _lagrangians(rec, V, c):
     """L_F of each polar snapshot, with the phase as velocity potential."""
-    return np.array([lagrangian(TangentVector(s.density, s.phase.values), V, c)
-                     for s in rec.states])
+    return np.array([lagrangian(s.tangent, V, c) for s in rec.states])
 
 
 # -- record container --------------------------------------------------------
@@ -56,19 +55,16 @@ def test_trajectory_record_validation():
     g = Grid(16)
     mu = uniform_density(g)
     good = TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu),
-                            {"mass": np.array([1.0, 1.0])})
+                            {"gauge_constant": np.array([0.0, 0.5])})
     assert good.states == (mu, mu)
+    assert TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu)).observables == {}
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (mu,), {"mass": np.array([1.0, 1.0])})
+        TrajectoryRecord(np.array([0.0, 1.0]), (mu,))
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([1.0, 0.5]), (mu, mu), {"mass": np.array([1.0, 1.0])})
-    with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu), {"energy": np.array([1.0, 1.0])})
-    with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu), {"mass": np.array([1.0, 1.1])})
+        TrajectoryRecord(np.array([1.0, 0.5]), (mu, mu))
     with pytest.raises(ValueError):
         TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu),
-                         {"mass": np.array([1.0, 1.0]), "extra": np.array([1.0])})
+                         {"gauge_constant": np.array([0.0, 0.5]), "extra": np.array([1.0])})
 
 
 def test_step_count_and_stride_semantics():
@@ -117,7 +113,8 @@ def test_schrodinger_conserves_mass_and_energy():
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
     psi0 = WaveField.normalized(g, np.sqrt(wrapped_gaussian_density(g, np.pi, 0.5).values))
     rec = schrodinger_evolve(psi0, V, c, 1e-3, 0.2, snapshot_stride=20)
-    assert np.abs(rec.observables["mass"] - 1.0).max() < 1e-12
+    mass = np.array([g.integrate(np.abs(s.values) ** 2) for s in rec.states])
+    assert np.abs(mass - 1.0).max() < 1e-12
     hs = np.array([wave_hamiltonian(s, V, c) for s in rec.states])
     assert np.abs(hs - hs[0]).max() / abs(hs[0]) < 1e-7
 
@@ -132,9 +129,9 @@ def test_madelung_uniform_rest_state_is_stationary():
     rec = madelung_evolve(mu, _zero_phase(g, mu), PotentialField.zero(g),
                           c, 1e-3, 0.05, snapshot_stride=10)
     final = rec.states[-1]
-    assert isinstance(final, PolarDecomposition)
-    assert np.max(np.abs(final.density.values - mu.values)) < 1e-14
-    assert np.max(np.abs(final.phase.values)) < 1e-14
+    assert isinstance(final, TangentBundlePoint)
+    assert np.max(np.abs(final.base.values - mu.values)) < 1e-14
+    assert np.max(np.abs(final.fiber_potential)) < 1e-14
     assert np.abs(rec.observables["gauge_constant"]).max() < 1e-14
 
 
@@ -149,8 +146,7 @@ def test_madelung_constant_potential_feeds_the_ledger():
     rec = madelung_evolve(mu, _zero_phase(g, mu), V, c, 1e-3, 0.1, snapshot_stride=20)
     assert np.max(np.abs(rec.observables["gauge_constant"] - (-0.8 * rec.times))) < 1e-12
     assert np.max(np.abs(_lagrangians(rec, V, c) + 0.8)) < 1e-12
-    h_f = [hamiltonian(TangentBundlePoint(s.density, s.phase.values), V, c)
-           for s in rec.states]
+    h_f = [hamiltonian(s, V, c) for s in rec.states]
     assert np.max(np.abs(np.array(h_f) - 0.8)) < 1e-12
 
 
@@ -175,7 +171,7 @@ def test_madelung_tracks_the_wave_solver():
                               1e-4, 0.05, snapshot_stride=100)
     assert np.allclose(mrec.times, wrec.times)
     for polar, wave in zip(mrec.states, wrec.states):
-        gap = polar.density.values - np.abs(wave.values) ** 2
+        gap = polar.base.values - np.abs(wave.values) ** 2
         assert np.sqrt(g.integrate(gap * gap)) < 1e-9
 
 
@@ -252,7 +248,8 @@ def test_heat_single_mode_decay_exact():
     for t, state in zip(rec.times, rec.states):
         exact = (1.0 + a * np.exp(-t) * np.cos(g.points)) / TAU
         assert np.max(np.abs(state.values - exact)) < 1e-14
-    assert np.abs(rec.observables["mass"] - 1.0).max() < 1e-14
+    mass = np.array([g.integrate(s.values) for s in rec.states])
+    assert np.abs(mass - 1.0).max() < 1e-14
 
 
 def test_heat_dissipates_entropy_at_fisher_rate():

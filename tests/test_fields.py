@@ -28,7 +28,6 @@ from madflow.fields import (
     cyclic_phase_steps,
     density_floor,
     functionals,
-    lagrangian,
     normalize_density,
     unwrapped_phase,
 )
@@ -44,7 +43,7 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
-from madflow.wgeom import solve_velocity_potential
+from madflow.wgeom import lagrangian, solve_velocity_potential
 
 TAU = 2 * np.pi
 

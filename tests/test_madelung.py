@@ -10,6 +10,7 @@ from madflow.madelung import (
     madelung_section,
     madelung_transform,
     phase_correction,
+    polar_wave,
     submersion_pullback_defect,
     wave_hamiltonian,
 )
@@ -35,12 +36,12 @@ def test_transform_round_trip():
     g = Grid(128)
     c = PhysicsConstants(1.0)
     psi = random_wave(g, np.random.default_rng(1), c)
-    polar, tangent = madelung_transform(psi, c)
-    assert np.max(np.abs(polar.wave_values() - psi.values)) < 1e-12
-    assert np.max(np.abs(polar.density.values - np.abs(psi.values) ** 2)) < 1e-14
+    point = madelung_transform(psi, c)
+    assert np.max(np.abs(polar_wave(point, c) - psi.values)) < 1e-12
+    assert np.max(np.abs(point.base.values - np.abs(psi.values) ** 2)) < 1e-14
     # the tangent potential is the gauge-fixed phase
-    fixed = PhaseField.mean_zero(g, polar.phase.values, polar.density)
-    assert np.max(np.abs(tangent.potential - fixed.values)) < 1e-12
+    fixed = PhaseField.mean_zero(g, point.fiber_potential, point.base)
+    assert np.max(np.abs(point.tangent.potential - fixed.values)) < 1e-12
 
 
 def test_transform_scales_phase_with_hbar():
@@ -51,9 +52,8 @@ def test_transform_scales_phase_with_hbar():
         c = PhysicsConstants(hbar)
         psi_values = np.sqrt(mu.values) * np.exp(1j * theta)
         from madflow.fields import WaveField
-        polar, _ = madelung_transform(WaveField(g, psi_values), c)
-        assert np.max(np.abs(polar.phase.values - hbar * theta)) < 1e-12
-        assert polar.hbar == hbar
+        point = madelung_transform(WaveField(g, psi_values), c)
+        assert np.max(np.abs(point.fiber_potential - hbar * theta)) < 1e-12
 
 
 def test_section_is_right_inverse():
@@ -65,10 +65,10 @@ def test_section_is_right_inverse():
     for ref in (0.0, 1.0, 6.0):
         psi = madelung_section(mu, phase, ref, c)
         assert abs(np.angle(psi.values[0]) % TAU - ref % TAU) < 1e-10
-        polar, _ = madelung_transform(psi, c)
-        assert np.max(np.abs(polar.density.values - mu.values)) < 1e-13
+        point = madelung_transform(psi, c)
+        assert np.max(np.abs(point.base.values - mu.values)) < 1e-13
         # phases agree up to the pinning constant
-        diff = polar.phase.values - phase.values
+        diff = point.fiber_potential - phase.values
         assert np.max(np.abs(diff - diff[0])) < 1e-12
 
 
@@ -137,9 +137,8 @@ def test_hamiltonians_agree_through_the_transform():
         rng = np.random.default_rng(100 + seed)
         c = PhysicsConstants((0.5, 1.0, 2.0)[seed % 3])
         psi = random_wave(g, rng, c)
-        polar, tangent = madelung_transform(psi, c)
         h_wave = wave_hamiltonian(psi, V, c)
-        h_flow = hamiltonian(TangentBundlePoint(polar.density, tangent.potential), V, c)
+        h_flow = hamiltonian(madelung_transform(psi, c), V, c)
         assert abs(h_wave - h_flow) < 1e-10 * abs(h_flow)
 
 

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from madflow import scenarios
 from madflow.cli import main
 from madflow.errors import ConfigError
+from madflow.fields import DensityField, WaveField, functionals
+from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
 from madflow.states import wrapped_gaussian_density
 from madflow.scenarios import (
     INITIAL_KINDS,
@@ -19,12 +22,14 @@ from madflow.scenarios import (
     build_initial,
     builtin_mapping,
     builtin_names,
+    execute_config,
     load_mapping,
     resolve_output_dir,
     run_builtin,
     run_scenario,
     run_suite,
 )
+from madflow.wgeom import hamiltonian, lagrangian, wasserstein_gradient
 
 TAU = 2 * np.pi
 
@@ -116,6 +121,10 @@ def test_config_rejects_bad_entries():
     m = _heat_mapping()
     m["output"] = {"formats": ["yaml"]}
     cases.append(m)
+
+    m = _heat_mapping()
+    m["checks"] = ["mass_conservation", {"name": "mass_conservation"}]
+    cases.append(m)  # one residual column per check name
 
     for mapping in cases:
         with pytest.raises(ConfigError):
@@ -390,6 +399,52 @@ def test_dt_refinement_halves_until_the_final_row_settles():
     assert outcome.summary["dt_used"] == 1.25e-4
 
 
+def _rebuilt_row(ctx, state):
+    """The physics columns of one stored state, from the public definitions."""
+    g, V, c = ctx.grid, ctx.potential, ctx.constants
+    row = dict.fromkeys(("H_S", "H_F", "L_F"), np.nan)
+    if isinstance(state, DensityField):
+        vals = functionals(state, V, c)
+        row["mass"] = g.integrate(state.values)
+        if ctx.config.solver == "dlss":
+            gradient = wasserstein_gradient("total", state, V, c)
+            row.update(H_F=vals.total_energy, L_F=lagrangian(gradient, V, c))
+    else:
+        if isinstance(state, WaveField):
+            wave, point = state, madelung_transform(state, c)
+            row["mass"] = g.integrate(np.abs(wave.values) ** 2)
+        else:
+            wave, point = WaveField(g, polar_wave(state, c)), state
+            row["mass"] = g.integrate(point.base.values)
+        vals = functionals(point.base, V, c)
+        row.update(H_S=wave_hamiltonian(wave, V, c), H_F=hamiltonian(point, V, c),
+                   L_F=lagrangian(point.tangent, V, c))
+    row.update(entropy=vals.entropy, fisher=vals.fisher)
+    return row
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("thm21_equivalence", ["integrator.solver=schrodinger", "integrator.total_time=0.01",
+                           'checks=["mass_conservation"]']),
+    ("thm21_equivalence", ["integrator.total_time=0.01", 'checks=["mass_conservation"]']),
+    ("dlss_descent", []),
+    ("thm44_hamiltonian", ["integrator.total_time=9.0"]),
+], ids=["schrodinger", "madelung", "dlss", "static"])
+def test_columns_are_rebuilt_from_the_stored_states(scenario, overrides):
+    # every column but the gauge ledger is a function of the stored state
+    mapping = apply_overrides(builtin_mapping(scenario), overrides)
+    ctx = execute_config(ScenarioConfig.from_mapping(mapping))
+    rec = ctx.record
+    rows = [_rebuilt_row(ctx, state) for state in rec.states]
+    rebuilt = {name: np.array([row[name] for row in rows])
+               for name in OBSERVABLE_COLUMNS[1:-1]}
+    rebuilt.update(time=rec.times, gauge_constant=rec.observables.get(
+        "gauge_constant", np.zeros(len(rows))))
+    assert len(rows) > 1 and set(rec.observables) <= {"gauge_constant"}
+    for name in OBSERVABLE_COLUMNS:
+        assert np.array_equal(ctx.columns[name], rebuilt[name], equal_nan=True), name
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -519,6 +574,13 @@ def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
                  id="dlss_descent-grid.length=1e300-integrator.dt=null"),
     pytest.param("dlss_descent", ("grid.length=1e-100", "integrator.dt=null"),
                  id="dlss_descent-grid.length=1e-100-integrator.dt=null"),
+    # kinds and names must be strings naming a known entry
+    ("heat_entropy_dissipation", 'initial_state.kind=["polar_pair"]'),
+    ("heat_entropy_dissipation", "potential.kind={}"),
+    ("heat_entropy_dissipation", 'checks=[{"name":["x"]}]'),
+    ("heat_entropy_dissipation", 'output.formats=[["csv"]]'),
+    ("heat_entropy_dissipation", 'output.formats="csv"'),
+    ("heat_entropy_dissipation", 'checks=["mass_conservation","mass_conservation"]'),
 ])
 def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, override):
     out_dir = tmp_path / "never"
@@ -543,6 +605,25 @@ def test_cli_list_index_override_names_the_entry(tmp_path, capsys, override, mes
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    (["run", "--scenario", "thm21_equivalence"], "file/sub"),
+    (["run", "--scenario", "thm21_equivalence"], "file"),
+    (["suite"], "file"),
+])
+def test_cli_output_path_through_a_file_exits_two_before_the_solve(
+        tmp_path, capsys, monkeypatch, command, out):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+
+    def unreachable(ctx, dt):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr(scenarios, "_run_solver", unreachable)
+    assert main(command + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep"
 
 
 def test_cli_suite(tmp_path, capsys):

@@ -297,10 +297,10 @@ def test_madelung_step_is_rk4_of_the_hamiltonian_vector_field():
     s = s - g.integrate(s * mu)
 
     final = rec.states[-1]
-    assert np.max(np.abs(final.density.values - mu)) < 1e-12
-    assert np.max(np.abs(final.phase.values - s)) < 1e-12
+    assert np.max(np.abs(final.base.values - mu)) < 1e-12
+    assert np.max(np.abs(final.fiber_potential - s)) < 1e-12
     # and the step moved the state, so the comparison is not vacuous
-    assert np.max(np.abs(final.density.values - rec.states[0].density.values)) > 1e-6
+    assert np.max(np.abs(final.base.values - rec.states[0].base.values)) > 1e-6
 
 
 def test_hamiltonian_flow_fuses_its_transforms(fft_calls):
