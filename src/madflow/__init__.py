@@ -10,11 +10,11 @@ from .dynamics import (TrajectoryRecord, dlss_evolve, heat_evolve,
                        madelung_evolve, schrodinger_evolve)
 from .errors import (AliasError, BaseMismatchError, CompatibilityError,
                      ConfigError, CutError, FoldError, GaugeError,
-                     MadflowError, NodeError, StabilityError, WindingError)
-from .fields import (DensityField, FunctionalValues, PhaseField,
-                     PhysicsConstants, PotentialField, WaveField,
-                     density_floor, functionals, normalize_density,
-                     unwrapped_phase)
+                     MadflowError, NodeError, NonFiniteError, StabilityError,
+                     WindingError)
+from .fields import (DensityField, FunctionalValues, PhysicsConstants,
+                     PotentialField, WaveField, density_floor, functionals,
+                     normalize_density, unwrapped_phase)
 from .grid import TAU, Grid
 from .madelung import (complex_symplectic_form, madelung_section,
                        madelung_transform, phase_correction, polar_wave,

@@ -2,7 +2,8 @@
 
 schrodinger_evolve   split-step Fourier (Strang) for the linear wave equation
 madelung_evolve      RK4 lines for the coupled (density, phase) system with
-                     per-step mean-zero re-gauging and a gauge ledger
+                     per-step mean-zero re-gauging and a gauge ledger; it
+                     starts from and stores `wgeom.TangentBundlePoint`s
 heat_evolve          exact spectral semigroup of the heat flow
 dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
@@ -13,22 +14,21 @@ side is minus the divergence form of the total-energy generator that
 `wgeom.wasserstein_gradient("total")` returns; both run through one RK4
 step, guard and snapshot loop, which steps `rfft` coefficients and returns
 to samples once per step.  The solvers only integrate: a
-TrajectoryRecord holds the snapshot times and states (a Madelung state is
-a `wgeom.TangentBundlePoint`) and, on the Madelung solver, the gauge
-ledger; mass, energies, entropy and Fisher information are functions of a
-state, derived from it by the caller.  Products are dealiased with the 2/3
-rule.
+TrajectoryRecord holds the snapshot times and states and, on the Madelung
+solver, the gauge ledger; mass, energies, entropy and Fisher information
+are functions of a state, derived from it by the caller.  Products are
+dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NodeError, StabilityError
-from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
-                     WaveField, density_floor, functionals)
+from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
+                     density_floor, functionals)
 from .wgeom import (TangentBundlePoint, energy_coefficients, flow_coefficients,
                     hamiltonian)
 
@@ -38,15 +38,16 @@ DESCENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Snapshots of a run: times, states, and per-snapshot columns.
+    """Snapshots of a run: times, states, and the Madelung gauge ledger.
 
-    The only column is the Madelung solver's gauge ledger, which no state
-    determines; every other observable is a function of the stored state.
+    The ledger (None on the other solvers) is the one per-snapshot column
+    no state determines; every other observable is a function of the
+    stored state.
     """
 
     times: np.ndarray
     states: tuple
-    observables: dict = field(default_factory=dict)
+    gauge_constant: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -54,15 +55,15 @@ class TrajectoryRecord:
             raise ValueError("times and states must have matching lengths")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("snapshot times must be strictly increasing")
-        obs = {k: np.asarray(v, dtype=float) for k, v in self.observables.items()}
-        for key, col in obs.items():
-            if col.shape != t.shape:
-                raise ValueError(f"observable {key!r} has shape {col.shape}, expected {t.shape}")
+        if self.gauge_constant is not None:
+            ledger = np.asarray(self.gauge_constant, dtype=float)
+            if ledger.shape != t.shape:
+                raise ValueError(f"gauge ledger has shape {ledger.shape}, expected {t.shape}")
+            object.__setattr__(self, "gauge_constant", ledger)
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "observables", obs)
 
 
 def _step_count(dt: float, total_time: float) -> int:
@@ -149,22 +150,22 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
 # -- hydrodynamic solver -----------------------------------------------------
 
 
-def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialField,
+def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
                     constants: PhysicsConstants, dt: float, total_time: float,
                     snapshot_stride: int = 1) -> TrajectoryRecord:
-    """RK4 integration of the coupled density / phase system.
+    """RK4 integration of the coupled density / phase system from `point`.
 
     d(mu)/dt = -d/dx(mu dS/dx)
     d(S)/dt  = -( |dS/dx|^2 / 2 + V + quantum correction )
 
     The right-hand side is `wgeom.flow_coefficients`; each snapshot is the
-    `TangentBundlePoint` (mu, S).  The phase is re-gauged to mean zero
-    after every step; removed constants accumulate in the gauge_constant
-    observable (the ledger reconciled against the running action
-    integral).  Raises NodeError when the density reaches its floor and
-    StabilityError on energy blow-up.
+    `TangentBundlePoint` (mu, S), so a stored snapshot restarts the run.
+    The phase is re-gauged to mean zero at the start and after every step;
+    removed constants accumulate in the record's gauge_constant ledger
+    (reconciled against the running action integral).  Raises NodeError
+    when the density reaches its floor and StabilityError on energy blow-up.
     """
-    g = mu0.grid
+    g = point.grid
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
     v_vals = potential.values
@@ -177,7 +178,8 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
         return flow_coefficients(g, y, v_hat, constants.hbar)
 
     # Work on dealiased copies so every retained mode is evolved consistently.
-    y = g.rfft(np.stack((mu0.values, phase0.values))) * g.dealias_mask[: g.n // 2 + 1]
+    y = g.rfft(np.stack((point.base.values, point.fiber_potential)))
+    y *= g.dealias_mask[: g.n // 2 + 1]
 
     times, states, ledgers = [], [], []
     ledger = 0.0
@@ -192,8 +194,8 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
 
     def record(step_index: int, x: np.ndarray) -> None:
         nonlocal reference_energy
-        point = TangentBundlePoint(DensityField(g, x[0]), x[1])
-        guard = hamiltonian(point, potential, constants) + g.integrate(guard_weight * x[0])
+        state = TangentBundlePoint(DensityField(g, x[0]), x[1])
+        guard = hamiltonian(state, potential, constants) + g.integrate(guard_weight * x[0])
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
@@ -202,11 +204,11 @@ def madelung_evolve(mu0: DensityField, phase0: PhaseField, potential: PotentialF
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
         times.append(step_index * dt)
-        states.append(point)
+        states.append(state)
         ledgers.append(ledger)
 
     _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
-    return TrajectoryRecord(np.array(times), tuple(states), {"gauge_constant": ledgers})
+    return TrajectoryRecord(np.array(times), tuple(states), np.array(ledgers))
 
 
 # -- gradient flows ----------------------------------------------------------

@@ -34,7 +34,11 @@ class CutError(MadflowError):
 
 
 class GaugeError(MadflowError):
-    """A phase field is not in the gauge required by the operation."""
+    """A fiber potential is not in the gauge required by the operation."""
+
+
+class NonFiniteError(MadflowError, ValueError):
+    """A field holds an infinite or NaN sample (bad input, or an overflow)."""
 
 
 class StabilityError(MadflowError):

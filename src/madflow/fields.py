@@ -2,9 +2,7 @@
 
 A density is admissible when it is strictly positive (above a small floor
 relative to the uniform level) and integrates to one; a wave is admissible
-when it has unit L2 norm.  Phases carry an explicit gauge tag: either
-`mean_zero` (density-weighted mean vanishes) or `pinned` (prescribed value
-at the reference point x = 0).
+when it has unit L2 norm.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasError, GaugeError, NodeError, WindingError
+from .errors import AliasError, NodeError, WindingError
 from .grid import Grid
 
 # Admissibility floor for densities, relative to the uniform level 1/length.
@@ -23,10 +21,6 @@ FLOOR_RELATIVE = 1e-12
 # Construction tolerances.
 MASS_TOL = 1e-12
 NORM_TOL = 1e-12
-GAUGE_TOL = 1e-10
-
-GAUGE_MEAN_ZERO = "mean_zero"
-GAUGE_PINNED = "pinned"
 
 # A neighbouring phase step at least this large cannot be unwrapped reliably.
 PHASE_STEP_LIMIT = np.pi / 2
@@ -147,53 +141,6 @@ class WaveField:
     def is_nowhere_vanishing(self) -> bool:
         """Membership in the admissible class (modulus above sqrt of the floor)."""
         return self.min_modulus > np.sqrt(density_floor(self.grid))
-
-
-@dataclass(frozen=True)
-class PhaseField:
-    """Real phase with an explicit gauge tag.
-
-    mean_zero: the density-weighted mean vanished at construction (the
-    witnessing density is not stored).  pinned: values[0] == pin_value.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    gauge: str
-    pin_value: float = 0.0
-
-    def __post_init__(self) -> None:
-        v = self.grid.check_values(self.values)
-        if np.iscomplexobj(v):
-            raise ValueError("phase must be real valued")
-        if self.gauge not in (GAUGE_MEAN_ZERO, GAUGE_PINNED):
-            raise GaugeError(f"unknown gauge {self.gauge!r}")
-        if self.gauge == GAUGE_PINNED and abs(v[0] - self.pin_value) > GAUGE_TOL:
-            raise GaugeError(
-                f"pinned phase has value {v[0]!r} at the reference point, "
-                f"declared {self.pin_value!r}"
-            )
-        object.__setattr__(self, "values", _frozen_copy(v, float))
-
-    @classmethod
-    def mean_zero(cls, grid: Grid, values, density: DensityField) -> "PhaseField":
-        v = np.asarray(grid.check_values(values), dtype=float)
-        shift = grid.integrate(v * density.values)
-        return cls(grid, v - shift, GAUGE_MEAN_ZERO)
-
-    @classmethod
-    def pinned(cls, grid: Grid, values, pin_value: float) -> "PhaseField":
-        v = np.asarray(grid.check_values(values), dtype=float)
-        return cls(grid, v - (v[0] - pin_value), GAUGE_PINNED, float(pin_value))
-
-
-def check_mean_zero(phase: PhaseField, density: DensityField) -> None:
-    """Raise GaugeError unless `phase` is mean_zero with respect to `density`."""
-    if phase.gauge != GAUGE_MEAN_ZERO:
-        raise GaugeError(f"expected a mean_zero phase, got gauge {phase.gauge!r}")
-    mean = phase.grid.integrate(phase.values * density.values)
-    if abs(mean) > GAUGE_TOL:
-        raise GaugeError(f"phase has weighted mean {mean:.3e}, beyond {GAUGE_TOL}")
 
 
 # -- scalar functionals -----------------------------------------------------

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 TAU = 2.0 * np.pi
 
 # Cutoff fraction used for the standard 2/3-rule dealiasing of products.
@@ -33,7 +35,7 @@ class Grid:
     """n equispaced samples of the circle of circumference `length`.
 
     Points are x_j = j * length / n for j = 0 .. n-1; x = 0 is the
-    reference point used by pinned phase gauges.
+    reference point at which `madelung_section` pins the phase.
     """
 
     n: int
@@ -123,7 +125,7 @@ class Grid:
         if v.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite samples")
+            raise NonFiniteError("field contains non-finite samples")
         return v
 
     # -- calculus -----------------------------------------------------------

@@ -6,9 +6,9 @@ tangent vector is the density velocity the wave induces; polar_wave maps
 a point back, and madelung_section is the right inverse pinning the phase
 value at the reference point.  The module also carries the wave-side
 energy and symplectic form, the phase correction that adds the running
-action integral to a mean-zero phase trajectory, and the finite difference
-pullback defect used to verify that the transform intertwines the two
-symplectic structures.
+action integral to a trajectory of mean-zero points, and the finite
+difference pullback defect used to verify that the transform intertwines
+the two symplectic structures.
 """
 
 from __future__ import annotations
@@ -17,11 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import (DensityField, PhaseField, PhysicsConstants, PotentialField,
-                     WaveField, check_mean_zero, unwrapped_phase)
+from .errors import GaugeError
+from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
+                     unwrapped_phase)
 from .grid import Grid
-from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
-                    lagrangian, pushforward_density, symplectic_form)
+from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, lagrangian,
+                    pushforward_density, symplectic_form)
+
+# Largest base-weighted fiber mean that `phase_correction` accepts as zero.
+GAUGE_TOL = 1e-10
 
 
 def polar_wave(point: TangentBundlePoint, constants: PhysicsConstants) -> np.ndarray:
@@ -40,9 +44,10 @@ def madelung_transform(psi: WaveField, constants: PhysicsConstants) -> TangentBu
                               constants.hbar * unwrapped_phase(psi))
 
 
-def madelung_section(mu: DensityField, phase: PhaseField, reference: float,
+def madelung_section(point: TangentBundlePoint, reference: float,
                      constants: PhysicsConstants) -> WaveField:
-    """Wave sqrt(mu) exp(i (S - (S(0) - r)) / hbar) with phase r at x = 0.
+    """Wave sqrt(mu) exp(i (S - (S(0) - r)) / hbar) of the point (mu, S),
+    with phase r at x = 0.
 
     `reference` must lie in [0, 2 pi hbar); composing with
     madelung_transform recovers (mu, S) up to the pinning constant.
@@ -50,8 +55,9 @@ def madelung_section(mu: DensityField, phase: PhaseField, reference: float,
     two_pi_hbar = 2.0 * np.pi * constants.hbar
     if not (0.0 <= reference < two_pi_hbar):
         raise ValueError(f"reference phase must lie in [0, {two_pi_hbar!r}), got {reference!r}")
-    shifted = phase.values - (phase.values[0] - reference)
-    return WaveField(mu.grid, polar_wave(TangentBundlePoint(mu, shifted), constants))
+    fiber = point.fiber_potential
+    pinned = TangentBundlePoint(point.base, fiber - (fiber[0] - reference))
+    return WaveField(point.grid, polar_wave(pinned, constants))
 
 
 def complex_symplectic_form(grid: Grid, f_values, g_values) -> float:
@@ -70,32 +76,26 @@ def wave_hamiltonian(psi: WaveField, potential: PotentialField,
     return kinetic + g.integrate(np.abs(psi.values) ** 2 * potential.values)
 
 
-def phase_correction(phases: Sequence[PhaseField], densities: Sequence[DensityField],
-                     potential: PotentialField, constants: PhysicsConstants,
-                     timestep: float) -> list[PhaseField]:
-    """Add the running action integral to a mean-zero phase trajectory.
+def phase_correction(points: Sequence[TangentBundlePoint], potential: PotentialField,
+                     constants: PhysicsConstants, timestep: float) -> list[TangentBundlePoint]:
+    """Add the running action integral to a trajectory of mean-zero points.
 
-    Input phases must be mean_zero with respect to the matching densities
-    (GaugeError otherwise).  Output phases are S + int_0^t L ds with the
-    Lagrangian L evaluated along the trajectory, returned pinned-style
-    (no re-zeroing).
+    Each fiber must have base-weighted mean zero within GAUGE_TOL
+    (GaugeError otherwise).  The output fibers are S + int_0^t L ds with
+    the Lagrangian L evaluated along the trajectory (no re-zeroing).
     """
-    if len(phases) != len(densities) or not phases:
-        raise ValueError("need matching non-empty phase and density trajectories")
+    if not points:
+        raise ValueError("need a non-empty trajectory of points")
     if not timestep > 0.0:
         raise ValueError(f"timestep must be positive, got {timestep!r}")
-    for phase, mu in zip(phases, densities):
-        check_mean_zero(phase, mu)
-    lag = np.array([
-        lagrangian(TangentVector(mu, phase.values), potential, constants)
-        for phase, mu in zip(phases, densities)
-    ])
+    for point in points:
+        mean = point.grid.integrate(point.fiber_potential * point.base.values)
+        if abs(mean) > GAUGE_TOL:
+            raise GaugeError(f"fiber has weighted mean {mean:.3e}, beyond {GAUGE_TOL}")
+    lag = np.array([lagrangian(p.tangent, potential, constants) for p in points])
     running = np.concatenate(([0.0], np.cumsum(0.5 * (lag[1:] + lag[:-1]) * timestep)))
-    out = []
-    for phase, shift in zip(phases, running):
-        values = phase.values + shift
-        out.append(PhaseField(phase.grid, values, "pinned", float(values[0])))
-    return out
+    return [TangentBundlePoint(p.base, p.fiber_potential + shift)
+            for p, shift in zip(points, running)]
 
 
 def submersion_pullback_defect(point: TangentBundlePoint,
@@ -116,10 +116,8 @@ def submersion_pullback_defect(point: TangentBundlePoint,
     fiber = point.fiber_potential
 
     def section_values(spec: StandardVectorFieldSpec, t: float) -> np.ndarray:
-        mu_t = pushforward_density(mu, spec.psi, t)
-        phase_values = fiber + t * spec.phi
-        phase = PhaseField(g, phase_values, "pinned", float(phase_values[0]))
-        return madelung_section(mu_t, phase, reference, constants).values
+        moved = TangentBundlePoint(pushforward_density(mu, spec.psi, t), fiber + t * spec.phi)
+        return madelung_section(moved, reference, constants).values
 
     tangents = []
     for spec in (a, b):

@@ -29,13 +29,12 @@ from . import states as statelib
 from .dynamics import TrajectoryRecord
 from .errors import (AliasError, ConfigError, CutError, NodeError,
                      StabilityError, WindingError)
-from .fields import (DensityField, PhaseField, PhysicsConstants,
-                     PotentialField, WaveField, density_floor, functionals,
-                     normalize_density, unwrapped_phase)
+from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
+                     density_floor, functionals, normalize_density, unwrapped_phase)
 from .grid import TAU, Grid
 from .madelung import (madelung_section, madelung_transform, polar_wave,
                        submersion_pullback_defect, wave_hamiltonian)
-from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint,
+from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
                     covariant_acceleration, hamiltonian, lagrangian,
                     wasserstein_gradient)
 
@@ -469,16 +468,16 @@ def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
     """What `solver` starts from, given a density, a raw phase and a reference.
 
     Density solvers take mu alone and need the phase to be zero; the wave
-    and hydrodynamic solvers take the mean-zero phase and its section wave.
+    and hydrodynamic solvers take the point (mu, mean-zero phase) and its
+    section wave.
     """
     if solver in ("heat", "dlss"):
         if np.any(phase_values != 0.0):
             raise ConfigError(f"the {solver!r} solver evolves densities only; "
                               "use a zero phase")
         return {"density": mu}
-    phase = PhaseField.mean_zero(mu.grid, phase_values, mu)
-    return {"wave": madelung_section(mu, phase, reference, constants),
-            "density": mu, "phase": phase, "reference": reference}
+    point = TangentBundlePoint(mu, TangentVector(mu, phase_values).potential)
+    return {"wave": madelung_section(point, reference, constants), "point": point}
 
 
 def _trials(config: ScenarioConfig, trial) -> dict:
@@ -595,8 +594,8 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
         return dynamics.schrodinger_evolve(ctx.initial["wave"], ctx.potential,
                                            ctx.constants, dt, total, stride)
     if cfg.solver == "madelung":
-        return dynamics.madelung_evolve(ctx.initial["density"], ctx.initial["phase"],
-                                        ctx.potential, ctx.constants, dt, total, stride)
+        return dynamics.madelung_evolve(ctx.initial["point"], ctx.potential,
+                                        ctx.constants, dt, total, stride)
     if cfg.solver == "heat":
         return dynamics.heat_evolve(ctx.initial["density"], dt, total, stride)
     if cfg.solver == "dlss":
@@ -630,7 +629,8 @@ def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> floa
 def _final_row(ctx: RunContext, rec: TrajectoryRecord) -> dict:
     """The last observable row of `rec`: its physics row and ledger."""
     row = _physics_row(ctx, rec.states[-1])
-    row.update((key, float(column[-1])) for key, column in rec.observables.items())
+    if rec.gauge_constant is not None:
+        row["gauge_constant"] = float(rec.gauge_constant[-1])
     return row
 
 
@@ -660,11 +660,11 @@ def _resolve_record(ctx: RunContext) -> None:
 def execute_config(config: ScenarioConfig) -> RunContext:
     """Build the scenario objects, run the solver, compose the columns."""
     grid, constants = config.grid, config.constants
-    try:  # builders range-check with ValueError; NodeError, CutError: unresolved
+    try:  # range checks: ValueError; unresolved: NodeError, CutError; too big: MemoryError
         potential = POTENTIAL_KINDS[config.potential_kind](grid,
                                                            config.potential_parameters)
         initial = build_initial(config)
-    except (ValueError, NodeError, CutError) as exc:
+    except (ValueError, NodeError, CutError, MemoryError) as exc:
         raise ConfigError(f"cannot build the scenario: {exc}") from exc
     ctx = RunContext(config=config, grid=grid, constants=constants,
                      potential=potential, initial=initial)
@@ -720,8 +720,8 @@ def _compose_columns(ctx: RunContext) -> dict:
     rec = ctx.record
     rows = len(rec.times)
     cols = {name: np.full(rows, np.nan) for name in OBSERVABLE_COLUMNS}
-    cols.update(time=rec.times.copy(), gauge_constant=np.zeros(rows))
-    cols.update((key, column.copy()) for key, column in rec.observables.items())
+    ledger = np.zeros(rows) if rec.gauge_constant is None else rec.gauge_constant.copy()
+    cols.update(time=rec.times.copy(), gauge_constant=ledger)
     for i, state in enumerate(rec.states):
         for name, value in _physics_row(ctx, state).items():
             cols[name][i] = value

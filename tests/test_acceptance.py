@@ -12,7 +12,6 @@ import pytest
 from madflow.dynamics import dlss_evolve, heat_evolve, schrodinger_evolve
 from madflow.fields import (
     DensityField,
-    PhaseField,
     PhysicsConstants,
     PotentialField,
     functionals,
@@ -171,9 +170,9 @@ def test_05_hamiltonians_agree_through_the_section():
         constants = PhysicsConstants(hbar=HBAR_CYCLE[i % 3])
         mu = random_density(GRID, rng, modes=4, amplitude=0.5)
         fiber = random_zero_mean(GRID, rng, modes=4, amplitude=0.4)
-        h_flow = hamiltonian(TangentBundlePoint(mu, fiber), potential, constants)
-        phase = PhaseField.mean_zero(GRID, fiber, mu)
-        psi = madelung_section(mu, phase, 0.0, constants)
+        point = TangentBundlePoint(mu, fiber)
+        h_flow = hamiltonian(point, potential, constants)
+        psi = madelung_section(point, 0.0, constants)
         h_wave = wave_hamiltonian(psi, potential, constants)
         worst = max(worst, abs(h_wave - h_flow) / max(1.0, abs(h_flow)))
     ok = worst <= 1e-8

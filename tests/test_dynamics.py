@@ -12,7 +12,6 @@ import pytest
 from madflow import (
     Grid,
     NodeError,
-    PhaseField,
     PhysicsConstants,
     PotentialField,
     StabilityError,
@@ -27,6 +26,7 @@ from madflow.dynamics import (
 )
 from madflow.fields import functionals
 from madflow.madelung import madelung_section, wave_hamiltonian
+from madflow.scenarios import builtin_config, execute_config
 from madflow.states import (
     cosine_bump_density,
     perturbed_uniform_density,
@@ -39,8 +39,8 @@ from madflow.wgeom import TangentBundlePoint, hamiltonian, lagrangian
 TAU = 2 * np.pi
 
 
-def _zero_phase(g, mu):
-    return PhaseField.mean_zero(g, np.zeros(g.n), mu)
+def _at_rest(mu):
+    return TangentBundlePoint(mu, np.zeros(mu.grid.n))
 
 
 def _lagrangians(rec, V, c):
@@ -54,17 +54,15 @@ def _lagrangians(rec, V, c):
 def test_trajectory_record_validation():
     g = Grid(16)
     mu = uniform_density(g)
-    good = TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu),
-                            {"gauge_constant": np.array([0.0, 0.5])})
+    good = TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu), np.array([0.0, 0.5]))
     assert good.states == (mu, mu)
-    assert TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu)).observables == {}
+    assert TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu)).gauge_constant is None
     with pytest.raises(ValueError):
         TrajectoryRecord(np.array([0.0, 1.0]), (mu,))
     with pytest.raises(ValueError):
         TrajectoryRecord(np.array([1.0, 0.5]), (mu, mu))
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu),
-                         {"gauge_constant": np.array([0.0, 0.5]), "extra": np.array([1.0])})
+        TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu), np.array([1.0]))  # ledger shape
 
 
 def test_step_count_and_stride_semantics():
@@ -126,13 +124,13 @@ def test_madelung_uniform_rest_state_is_stationary():
     g = Grid(128)
     c = PhysicsConstants(1.0)
     mu = uniform_density(g)
-    rec = madelung_evolve(mu, _zero_phase(g, mu), PotentialField.zero(g),
+    rec = madelung_evolve(_at_rest(mu), PotentialField.zero(g),
                           c, 1e-3, 0.05, snapshot_stride=10)
     final = rec.states[-1]
     assert isinstance(final, TangentBundlePoint)
     assert np.max(np.abs(final.base.values - mu.values)) < 1e-14
     assert np.max(np.abs(final.fiber_potential)) < 1e-14
-    assert np.abs(rec.observables["gauge_constant"]).max() < 1e-14
+    assert np.abs(rec.gauge_constant).max() < 1e-14
 
 
 def test_madelung_constant_potential_feeds_the_ledger():
@@ -143,8 +141,8 @@ def test_madelung_constant_potential_feeds_the_ledger():
     c = PhysicsConstants(1.0)
     mu = uniform_density(g)
     V = PotentialField(g, np.full(g.n, 0.8))
-    rec = madelung_evolve(mu, _zero_phase(g, mu), V, c, 1e-3, 0.1, snapshot_stride=20)
-    assert np.max(np.abs(rec.observables["gauge_constant"] - (-0.8 * rec.times))) < 1e-12
+    rec = madelung_evolve(_at_rest(mu), V, c, 1e-3, 0.1, snapshot_stride=20)
+    assert np.max(np.abs(rec.gauge_constant - (-0.8 * rec.times))) < 1e-12
     assert np.max(np.abs(_lagrangians(rec, V, c) + 0.8)) < 1e-12
     h_f = [hamiltonian(s, V, c) for s in rec.states]
     assert np.max(np.abs(np.array(h_f) - 0.8)) < 1e-12
@@ -154,10 +152,11 @@ def test_madelung_pinned_input_enters_ledger_on_conversion():
     g = Grid(64)
     c = PhysicsConstants(1.0)
     mu = uniform_density(g)
-    pinned = PhaseField.pinned(g, np.cos(g.points) + 1.5, 2.5)
-    mean = g.integrate(pinned.values * mu.values)
-    rec = madelung_evolve(mu, pinned, PotentialField.zero(g), c, 1e-3, 0.002)
-    assert abs(rec.observables["gauge_constant"][0] - mean) < 1e-12
+    raw = np.cos(g.points) + 1.5
+    shifted = TangentBundlePoint(mu, raw - (raw[0] - 2.5))  # the phase pinned to 2.5 at x = 0
+    mean = g.integrate(shifted.fiber_potential * mu.values)
+    rec = madelung_evolve(shifted, PotentialField.zero(g), c, 1e-3, 0.002)
+    assert abs(rec.gauge_constant[0] - mean) < 1e-12
 
 
 def test_madelung_tracks_the_wave_solver():
@@ -165,9 +164,9 @@ def test_madelung_tracks_the_wave_solver():
     c = PhysicsConstants(1.0)
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
     mu0 = cosine_bump_density(g, np.pi, 2.0)
-    ph0 = _zero_phase(g, mu0)
-    mrec = madelung_evolve(mu0, ph0, V, c, 1e-4, 0.05, snapshot_stride=100)
-    wrec = schrodinger_evolve(madelung_section(mu0, ph0, 0.0, c), V, c,
+    start = _at_rest(mu0)
+    mrec = madelung_evolve(start, V, c, 1e-4, 0.05, snapshot_stride=100)
+    wrec = schrodinger_evolve(madelung_section(start, 0.0, c), V, c,
                               1e-4, 0.05, snapshot_stride=100)
     assert np.allclose(mrec.times, wrec.times)
     for polar, wave in zip(mrec.states, wrec.states):
@@ -180,12 +179,28 @@ def test_madelung_gauge_ledger_matches_action_integral():
     c = PhysicsConstants(1.0)
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
     mu0 = cosine_bump_density(g, np.pi, 2.0)
-    rec = madelung_evolve(mu0, _zero_phase(g, mu0), V, c, 1e-4, 0.02, snapshot_stride=1)
+    rec = madelung_evolve(_at_rest(mu0), V, c, 1e-4, 0.02, snapshot_stride=1)
     lf = _lagrangians(rec, V, c)
-    gc = rec.observables["gauge_constant"]
+    gc = rec.gauge_constant
     running = np.concatenate(([0.0], np.cumsum(0.5 * (lf[1:] + lf[:-1]) * 1e-4)))
     assert abs(gc[-1]) > 1e-3  # the reconciliation is not vacuous
     assert np.max(np.abs(gc - running)) < 1e-9
+
+
+def test_madelung_restarts_from_a_stored_snapshot():
+    # the solver starts from the point type it stores: two halves of the
+    # thm21 run, the second started from the first's final snapshot, land
+    # on the unbroken run, and their gauge ledgers add up to its ledger
+    ctx = execute_config(builtin_config("thm21_equivalence"))
+    full, half_time = ctx.record, 0.5 * ctx.config.total_time
+    args = (ctx.potential, ctx.constants, ctx.dt, half_time)
+    half = madelung_evolve(ctx.initial["point"], *args, snapshot_stride=1250)
+    rest = madelung_evolve(half.states[-1], *args, snapshot_stride=1250)
+    end, restarted = full.states[-1], rest.states[-1]
+    assert np.max(np.abs(restarted.base.values - end.base.values)) < 1e-12
+    assert np.max(np.abs(restarted.fiber_potential - end.fiber_potential)) < 1e-12
+    ledger = half.gauge_constant[-1] + rest.gauge_constant[-1]
+    assert abs(ledger - full.gauge_constant[-1]) < 1e-15
 
 
 def test_madelung_node_guard():
@@ -193,10 +208,9 @@ def test_madelung_node_guard():
     # integrator must refuse to continue instead of going negative.
     g = Grid(64)
     mu = uniform_density(g)
-    kick = PhaseField.mean_zero(g, 6.0 * np.cos(g.points), mu)
+    kick = TangentBundlePoint(mu, 6.0 * np.cos(g.points))
     with pytest.raises(NodeError):
-        madelung_evolve(mu, kick, PotentialField.zero(g), PhysicsConstants(1.0),
-                        1e-3, 1.0)
+        madelung_evolve(kick, PotentialField.zero(g), PhysicsConstants(1.0), 1e-3, 1.0)
 
 
 def test_madelung_energy_guard():
@@ -208,7 +222,7 @@ def test_madelung_energy_guard():
     g = Grid(256)
     mu0 = perturbed_uniform_density(g, 1e-3, mode=80)
     with pytest.raises(StabilityError, match=r"energy grew to .* at t = 0\.005"):
-        madelung_evolve(mu0, _zero_phase(g, mu0), PotentialField.zero(g),
+        madelung_evolve(_at_rest(mu0), PotentialField.zero(g),
                         PhysicsConstants(1.0), 1e-3, 0.1, snapshot_stride=1)
 
 
@@ -228,7 +242,7 @@ def test_rk4_step_makes_a_fixed_number_of_fft_calls(fft_calls, solver, per_step)
     def calls(steps):
         before = len(fft_calls)
         if solver == "madelung":
-            madelung_evolve(mu0, _zero_phase(g, mu0), V, c, dt, steps * dt,
+            madelung_evolve(_at_rest(mu0), V, c, dt, steps * dt,
                             snapshot_stride=steps)
         else:
             dlss_evolve(mu0, V, c, dt, steps * dt, snapshot_stride=steps)

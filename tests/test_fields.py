@@ -1,4 +1,4 @@
-"""Field types, gauges, functionals and the state builders.
+"""Field types, functionals and the state builders.
 
 Functional oracles used below:
   * flat density 1/L: entropy = -log L, fisher = 0
@@ -17,14 +17,12 @@ from madflow import (
     DensityField,
     Grid,
     NodeError,
-    PhaseField,
     PhysicsConstants,
     PotentialField,
     WaveField,
 )
-from madflow.errors import AliasError, GaugeError, WindingError
+from madflow.errors import AliasError, WindingError
 from madflow.fields import (
-    check_mean_zero,
     cyclic_phase_steps,
     density_floor,
     functionals,
@@ -104,33 +102,6 @@ def test_wave_field_normalization():
     assert psi.is_nowhere_vanishing()
     node = WaveField.normalized(g, np.sin(g.points).astype(complex))
     assert not node.is_nowhere_vanishing()
-
-
-def test_phase_gauges():
-    g = Grid(64)
-    mu = perturbed_uniform_density(g, 0.4)
-    raw = np.cos(g.points) + 3.0
-    mz = PhaseField.mean_zero(g, raw, mu)
-    check_mean_zero(mz, mu)  # does not raise
-    assert abs(g.integrate(mz.values * mu.values)) < 1e-12
-
-    pinned = PhaseField.pinned(g, mz.values, 0.25)
-    assert pinned.gauge == "pinned"
-    assert abs(pinned.values[0] - 0.25) < 1e-12
-    # gauge changes are additive constants: slopes agree exactly
-    assert np.max(np.abs(np.diff(pinned.values) - np.diff(mz.values))) < 1e-12
-
-    back = PhaseField.mean_zero(g, pinned.values, mu)
-    assert np.max(np.abs(back.values - mz.values)) < 1e-12
-
-    with pytest.raises(GaugeError):
-        check_mean_zero(pinned, mu)
-    with pytest.raises(GaugeError):
-        check_mean_zero(PhaseField(g, raw, "mean_zero"), mu)
-    with pytest.raises(GaugeError):
-        PhaseField(g, raw, "frobnicated")
-    with pytest.raises(GaugeError):
-        PhaseField(g, raw, "pinned", pin_value=0.0)  # raw[0] = 4, not 0
 
 
 def test_functionals_uniform():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from madflow import Grid
+from madflow import Grid, MadflowError, NonFiniteError
 from madflow.grid import TAU
 
 # A real field goes through the half-spectrum real transforms and a complex
@@ -47,6 +47,10 @@ def test_check_values_rejects_bad_fields():
         g.derivative(np.zeros(17))
     with pytest.raises(ValueError):
         g.integrate(np.full(16, np.nan))
+    # a MadflowError too, so an overflow during a solve is a run failure
+    with pytest.raises(NonFiniteError):
+        g.integrate(np.full(16, np.inf))
+    assert issubclass(NonFiniteError, MadflowError)
 
 
 def test_derivative_exact_on_trig_modes():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from madflow import Grid, PhaseField, PhysicsConstants, PotentialField
+from madflow import Grid, PhysicsConstants, PotentialField
 from madflow.errors import GaugeError
 from madflow.madelung import (
     complex_symplectic_form,
@@ -40,8 +40,9 @@ def test_transform_round_trip():
     assert np.max(np.abs(polar_wave(point, c) - psi.values)) < 1e-12
     assert np.max(np.abs(point.base.values - np.abs(psi.values) ** 2)) < 1e-14
     # the tangent potential is the gauge-fixed phase
-    fixed = PhaseField.mean_zero(g, point.fiber_potential, point.base)
-    assert np.max(np.abs(point.tangent.potential - fixed.values)) < 1e-12
+    fiber = point.fiber_potential
+    fixed = fiber - g.integrate(fiber * point.base.values)
+    assert np.max(np.abs(point.tangent.potential - fixed)) < 1e-12
 
 
 def test_transform_scales_phase_with_hbar():
@@ -61,27 +62,27 @@ def test_section_is_right_inverse():
     c = PhysicsConstants(1.0)
     mu = cosine_bump_density(g, 2.0, 1.5)
     raw_phase = 0.4 * np.sin(g.points) + 0.2 * np.cos(2 * g.points)
-    phase = PhaseField.mean_zero(g, raw_phase, mu)
+    start = TangentBundlePoint(mu, raw_phase)
     for ref in (0.0, 1.0, 6.0):
-        psi = madelung_section(mu, phase, ref, c)
+        psi = madelung_section(start, ref, c)
         assert abs(np.angle(psi.values[0]) % TAU - ref % TAU) < 1e-10
         point = madelung_transform(psi, c)
         assert np.max(np.abs(point.base.values - mu.values)) < 1e-13
         # phases agree up to the pinning constant
-        diff = point.fiber_potential - phase.values
+        diff = point.fiber_potential - raw_phase
         assert np.max(np.abs(diff - diff[0])) < 1e-12
 
 
 def test_section_reference_validation():
     g = Grid(64)
     mu = uniform_density(g)
-    phase = PhaseField.mean_zero(g, np.zeros(g.n), mu)
+    rest = TangentBundlePoint(mu, np.zeros(g.n))
     with pytest.raises(ValueError):
-        madelung_section(mu, phase, -0.1, PhysicsConstants(1.0))
+        madelung_section(rest, -0.1, PhysicsConstants(1.0))
     with pytest.raises(ValueError):
-        madelung_section(mu, phase, TAU, PhysicsConstants(1.0))
+        madelung_section(rest, TAU, PhysicsConstants(1.0))
     # the admissible window scales with hbar
-    madelung_section(mu, phase, 3.0 * np.pi, PhysicsConstants(2.0))
+    madelung_section(rest, 3.0 * np.pi, PhysicsConstants(2.0))
 
 
 def _quantum_potential(mu, c):
@@ -143,7 +144,7 @@ def test_hamiltonians_agree_through_the_transform():
 
 
 def test_phase_correction_constant_potential():
-    # With mu uniform and S = 0 the Lagrangian is -V0: the corrected phase
+    # With mu uniform and S = 0 the Lagrangian is -V0: the corrected fiber
     # ramps linearly downward while the density never moves.
     g = Grid(64)
     mu = uniform_density(g)
@@ -151,12 +152,11 @@ def test_phase_correction_constant_potential():
     V = PotentialField(g, np.full(g.n, 0.8))
     n_steps = 5
     dt = 0.1
-    phases = [PhaseField.mean_zero(g, np.zeros(g.n), mu) for _ in range(n_steps)]
-    densities = [mu] * n_steps
-    out = phase_correction(phases, densities, V, c, dt)
-    for k, phase in enumerate(out):
-        assert phase.gauge == "pinned"
-        assert np.max(np.abs(phase.values - (-0.8 * k * dt))) < 1e-12
+    points = [TangentBundlePoint(mu, np.zeros(g.n))] * n_steps
+    out = phase_correction(points, V, c, dt)
+    for k, point in enumerate(out):
+        assert point.base is mu
+        assert np.max(np.abs(point.fiber_potential - (-0.8 * k * dt))) < 1e-12
 
 
 def test_phase_correction_validation():
@@ -164,16 +164,14 @@ def test_phase_correction_validation():
     mu = uniform_density(g)
     c = PhysicsConstants(1.0)
     V = PotentialField.zero(g)
-    zero = PhaseField.mean_zero(g, np.zeros(g.n), mu)
+    zero = TangentBundlePoint(mu, np.zeros(g.n))
     with pytest.raises(ValueError):
-        phase_correction([], [], V, c, 0.1)
+        phase_correction([], V, c, 0.1)
     with pytest.raises(ValueError):
-        phase_correction([zero], [mu, mu], V, c, 0.1)
-    with pytest.raises(ValueError):
-        phase_correction([zero], [mu], V, c, 0.0)
-    crooked = PhaseField(g, np.cos(g.points) + 1.0, "mean_zero")
+        phase_correction([zero], V, c, 0.0)
+    crooked = TangentBundlePoint(mu, np.cos(g.points) + 1.0)
     with pytest.raises(GaugeError):
-        phase_correction([crooked], [mu], V, c, 0.1)
+        phase_correction([crooked], V, c, 0.1)
 
 
 def _pullback_trial(g, trial):

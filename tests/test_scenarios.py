@@ -1,11 +1,15 @@
 """Scenario configs, artifact writing, the check registry and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import madflow
 from madflow import scenarios
 from madflow.cli import main
 from madflow.errors import ConfigError
@@ -32,6 +36,7 @@ from madflow.scenarios import (
 from madflow.wgeom import hamiltonian, lagrangian, wasserstein_gradient
 
 TAU = 2 * np.pi
+SRC = str(Path(madflow.__file__).resolve().parents[1])
 
 
 def _heat_mapping(**integrator):
@@ -153,7 +158,7 @@ _KINDS = ("gaussian", "perturbed_uniform", "polar_pair", "plane_wave",
           "random_polar", "random_density", "gaussian_pair")
 _SOLVERS = _FIELD_SOLVERS + ("static", "displacement")
 #: the entry each solver starts from
-_START_KEY = {"schrodinger": "wave", "madelung": "phase", "heat": "density",
+_START_KEY = {"schrodinger": "wave", "madelung": "point", "heat": "density",
               "dlss": "density", "static": "trials", "displacement": "trials"}
 
 
@@ -438,9 +443,9 @@ def test_columns_are_rebuilt_from_the_stored_states(scenario, overrides):
     rows = [_rebuilt_row(ctx, state) for state in rec.states]
     rebuilt = {name: np.array([row[name] for row in rows])
                for name in OBSERVABLE_COLUMNS[1:-1]}
-    rebuilt.update(time=rec.times, gauge_constant=rec.observables.get(
-        "gauge_constant", np.zeros(len(rows))))
-    assert len(rows) > 1 and set(rec.observables) <= {"gauge_constant"}
+    rebuilt.update(time=rec.times, gauge_constant=np.zeros(len(rows))
+                   if rec.gauge_constant is None else rec.gauge_constant)
+    assert len(rows) > 1
     for name in OBSERVABLE_COLUMNS:
         assert np.array_equal(ctx.columns[name], rebuilt[name], equal_nan=True), name
 
@@ -523,6 +528,38 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
                  "--override", "integrator.dt=2e-3", "--out", str(out_dir)]) == 3
     err = capsys.readouterr().err
     assert "run failed" in err and "density reached" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("override, code, prefix", [
+    # a 1e300 phase overflows the energy guard on the first snapshot
+    ('initial_state.parameters.phase={"kind":"sine","amplitude":1e300}', 3, "run failed: "),
+    # the density overflows while the scenario is built
+    ("initial_state.parameters.density.concentration=1e5", 2, "config error: "),
+])
+def test_cli_non_finite_field_exits_without_a_traceback(tmp_path, override, code, prefix):
+    # a fresh interpreter: this one turns the overflow's RuntimeWarning into an error
+    out_dir = tmp_path / "never"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "madflow.cli", "run",
+                           "--scenario", "thm21_equivalence", "--override", override,
+                           "--out", str(out_dir)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert prefix in done.stderr and "Traceback" not in done.stderr
+    assert not out_dir.exists()
+
+
+def test_cli_memory_error_while_building_exits_two(tmp_path, capsys, monkeypatch):
+    def too_large(grid, parameters):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+    monkeypatch.setitem(scenarios.POTENTIAL_KINDS, "none", too_large)
+    out_dir = tmp_path / "never"
+    assert main(["run", "--scenario", "heat_entropy_dissipation",
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Unable to allocate" in err
     assert not out_dir.exists()
 
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from madflow import DensityField, Grid, PhaseField, PhysicsConstants, PotentialField
+from madflow import DensityField, Grid, PhysicsConstants, PotentialField
 from madflow.dynamics import madelung_evolve
 from madflow.errors import BaseMismatchError, CompatibilityError, FoldError
 from madflow.fields import functionals
@@ -275,18 +275,18 @@ def test_madelung_step_is_rk4_of_the_hamiltonian_vector_field():
     g = Grid(64)
     rng = np.random.default_rng(21)
     mu0 = random_density(g, rng, modes=3)
-    phase0 = PhaseField.mean_zero(g, random_zero_mean(g, rng, modes=3, amplitude=0.3), mu0)
+    start = TangentBundlePoint(mu0, random_zero_mean(g, rng, modes=3, amplitude=0.3))
     V = PotentialField(g, 1.0 - np.cos(g.points))
     c = PhysicsConstants(0.8)
     dt = 1e-3
-    rec = madelung_evolve(mu0, phase0, V, c, dt, dt)
+    rec = madelung_evolve(start, V, c, dt, dt)
 
     def field(mu, s):
         base = DensityField(g, mu)
         flow = hamiltonian_vector_field(TangentBundlePoint(base, s), V, c)
         return TangentVector(base, s).divergence_form, flow.phi
 
-    mu, s = g.dealias(mu0.values), g.dealias(phase0.values)
+    mu, s = g.dealias(mu0.values), g.dealias(start.fiber_potential)
     s = s - g.integrate(s * mu)
     k1 = field(mu, s)
     k2 = field(mu + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1])
