@@ -2,12 +2,16 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 configuration error (nothing written), 3 a solver aborted the run.
+Floating-point warnings are silenced: the guards already turn a
+non-finite value into exit 2 or 3, with one line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import scenarios
 from .errors import ConfigError, MadflowError
@@ -91,11 +95,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "list":
-            return _cmd_list()
-        return _cmd_suite(args)
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "list":
+                return _cmd_list()
+            return _cmd_suite(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

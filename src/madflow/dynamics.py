@@ -8,12 +8,15 @@ heat_evolve          exact spectral semigroup of the heat flow
 dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
 
-The hydrodynamic right-hand side is `wgeom.flow_coefficients`, the
-Hamiltonian vector field of the geometry itself, and the DLSS right-hand
-side is minus the divergence form of the total-energy generator that
-`wgeom.wasserstein_gradient("total")` returns; both run through one RK4
-step, guard and snapshot loop, which steps `rfft` coefficients and returns
-to samples once per step.  The solvers only integrate: a
+The hydrodynamic right-hand side is `wgeom.flow_kernel`, the Hamiltonian
+vector field of the geometry itself, and the DLSS right-hand side is
+`wgeom.descent_kernel`, minus the divergence form of the total-energy
+generator that `wgeom.wasserstein_gradient("total")` returns.  Each kernel
+is built once per run and owns its transform buffers; as `rhs(y, out)` it
+writes the rates of the coefficients `y` into `out`.  Both run through one
+RK4 step, guard and snapshot loop, which owns the stage buffers, steps
+`rfft` coefficients in place and returns to samples once per step.  The
+solvers only integrate: a
 TrajectoryRecord holds the snapshot times and states and, on the Madelung
 solver, the gauge ledger; mass, energies, entropy and Fisher information
 are functions of a state, derived from it by the caller.  Products are
@@ -26,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeError, StabilityError
+from .errors import NodeError, NonFiniteError, StabilityError
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      density_floor, functionals)
-from .wgeom import (TangentBundlePoint, energy_coefficients, flow_coefficients,
-                    hamiltonian)
+from .wgeom import TangentBundlePoint, descent_kernel, flow_kernel, hamiltonian
 
 ENERGY_BLOWUP_FACTOR = 1e3
 DESCENT_TOL = 1e-10
@@ -88,23 +90,42 @@ def _rk4_run(grid, y, rhs, dt: float, steps: int, marks: list[int], floor: float
              settle, record) -> None:
     """Classical RK4 on `y`, the `Grid.rfft` coefficients of a stacked state.
 
-    After each step one inverse transform gives the samples `x`, whose row
-    0, the density, must stay at or above `floor` (NodeError); then
-    `settle(step, y, x)` applies the solver's own guard or re-gauging to
-    both in place, and `record(step, x)` runs at every mark.  Step 0 is
-    settled and recorded too.
+    `rhs(y, out)` writes the rates of the coefficients `y` into `out`; it
+    must not keep either array.  The loop owns the rates k1 .. k4, the
+    stage and the samples, and advances `y` in place; every stage and the
+    combination round exactly as y + (c dt) k and y + (dt/6)(k1 + 2 k2 +
+    2 k3 + k4) do.  After each step one inverse transform gives the
+    samples `x`, whose row 0, the density, must stay at or above `floor`
+    (NodeError); then `settle(step, y, x)` applies the solver's own guard
+    or re-gauging to both in place, and `record(step, x)` runs at every
+    mark.  Step 0 is settled and recorded too.  `settle` and `record` must
+    copy what they keep: `x` is overwritten by the next step.
     """
     mark_set = set(marks)
     x = grid.irfft(y)
     settle(0, y, x)
     record(0, x)
+    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
+    half, sixth = 0.5 * dt, dt / 6.0
     for step in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = grid.irfft(y)
+        rhs(y, k1)
+        np.multiply(k1, half, out=stage)
+        stage += y
+        rhs(stage, k2)
+        np.multiply(k2, half, out=stage)
+        stage += y
+        rhs(stage, k3)
+        np.multiply(k3, dt, out=stage)
+        stage += y
+        rhs(stage, k4)
+        k2 *= 2.0
+        k3 *= 2.0
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= sixth
+        y += k1
+        grid.irfft(y, out=x)
         low = float(x[0].min())
         if not low >= floor:
             raise NodeError(
@@ -158,7 +179,7 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     d(mu)/dt = -d/dx(mu dS/dx)
     d(S)/dt  = -( |dS/dx|^2 / 2 + V + quantum correction )
 
-    The right-hand side is `wgeom.flow_coefficients`; each snapshot is the
+    The right-hand side is `wgeom.flow_kernel`; each snapshot is the
     `TangentBundlePoint` (mu, S), so a stored snapshot restarts the run.
     The phase is re-gauged to mean zero at the start and after every step;
     removed constants accumulate in the record's gauge_constant ledger
@@ -172,11 +193,7 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     # hamiltonian + this weight gives kinetic + quantum + |V| energy, in
     # which no cancellation can hide a blow-up
     guard_weight = np.abs(v_vals) - v_vals
-    v_hat = g.rfft(v_vals)
-
-    def rhs(y):
-        return flow_coefficients(g, y, v_hat, constants.hbar)
-
+    rhs = flow_kernel(g, g.rfft(v_vals), constants.hbar)
     # Work on dealiased copies so every retained mode is evolved consistently.
     y = g.rfft(np.stack((point.base.values, point.fiber_potential)))
     y *= g.dealias_mask[: g.n // 2 + 1]
@@ -187,7 +204,10 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
 
     def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
         nonlocal ledger
-        removed = g.integrate(x[1] * x[0])
+        removed = float(g.spacing * (x[1] * x[0]).sum())
+        if not np.isfinite(removed):
+            raise NonFiniteError(
+                f"phase reached a non-finite mean at t = {step_index * dt:.4g}")
         x[1] -= removed
         y[1, 0] -= removed * g.n
         ledger += removed
@@ -238,15 +258,9 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     tolerance raises StabilityError (step size violation).
     """
     g = mu0.grid
-    hbar = constants.hbar
     steps = _step_count(dt, total_time)
     marks = _snapshot_steps(steps, snapshot_stride)
-    v_hat = g.rfft(potential.values)
-
-    def rhs(y):
-        generator = energy_coefficients(g, y[0], v_hat, hbar)
-        return -flow_coefficients(g, np.stack((y[0], generator)))[:1]
-
+    rhs = descent_kernel(g, g.rfft(potential.values), constants.hbar)
     y = g.rfft(mu0.values[None, :]) * g.dealias_mask[: g.n // 2 + 1]
     energy = np.inf
 

@@ -144,13 +144,15 @@ class Grid:
             return np.fft.ifft(symbol * np.fft.fft(v))
         return self.irfft(np.asarray(symbol)[..., : self.n // 2 + 1] * self.rfft(v))
 
-    def rfft(self, values) -> np.ndarray:
-        """Half-spectrum coefficients (modes 0 .. n/2) of real samples, along the last axis."""
-        return np.fft.rfft(values)
+    def rfft(self, values, out=None) -> np.ndarray:
+        """Half-spectrum coefficients (modes 0 .. n/2) of real samples, along the last axis.
 
-    def irfft(self, coefficients) -> np.ndarray:
+        `out`, when given, receives them and is returned."""
+        return np.fft.rfft(values, out=out)
+
+    def irfft(self, coefficients, out=None) -> np.ndarray:
         """Real samples of half-spectrum coefficients: the inverse of `rfft`."""
-        return np.fft.irfft(coefficients, self.n)
+        return np.fft.irfft(coefficients, self.n, out=out)
 
     def derivative(self, values) -> np.ndarray:
         """Spectral first derivative; preserves real/complex kind."""

@@ -170,30 +170,102 @@ def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.ndarray:
-    """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing."""
-    return (mu_x / mu) ** 2 - 2.0 * lap_mu / mu
+    """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing, written over `mu_x` and
+    returned; `lap_mu` is spent as scratch."""
+    mu_x /= mu
+    mu_x *= mu_x
+    lap_mu *= 2.0
+    lap_mu /= mu
+    mu_x -= lap_mu
+    return mu_x
 
 
-def flow_coefficients(grid: Grid, coefficients: np.ndarray, potential=0.0,
-                      hbar: float = 0.0) -> np.ndarray:
-    """Rates (dmu/dt, dS/dt) of the Hamiltonian flow, in `Grid.rfft` coefficients.
+def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
+    """The rates of `flow_coefficients`, with the buffers built once.
 
     dmu/dt = -d/dx(mu dS/dx)                             (divergence form)
     dS/dt  = -(|dS/dx|^2 / 2 + V + (hbar^2/8) fisher generator)
 
-    `coefficients` stacks those of mu and S, `potential` is those of V.  One
-    inverse transform gives mu, dS/dx (and dmu/dx, lap mu with hbar set); one
-    forward transform dealiases flux and pressure.  Unchecked, for RK stages.
+    Returns rates(coefficients, out): `coefficients` stacks the `Grid.rfft`
+    coefficients of mu and S, `potential` holds those of V, and the (2,
+    n/2+1) rates are written into `out`, which is returned.  One inverse
+    transform gives mu, dS/dx (and dmu/dx, lap mu with hbar set); one forward
+    transform dealiases flux and pressure.  The spectral stack, the sample
+    stack and the flux/pressure rows belong to the kernel and are overwritten
+    by every call.  Unchecked, for RK stages.
     """
-    into, out, _ = _flow_symbols(grid)
-    if hbar:
-        s_x, mu, mu_x, lap_mu = grid.irfft(into * coefficients[[1, 0, 0, 0]])
-        pressure = 0.5 * s_x * s_x + 0.125 * hbar ** 2 * _fisher_terms(mu, mu_x, lap_mu)
-    else:
-        s_x, mu = grid.irfft(into[:2] * coefficients[::-1])
-        pressure = 0.5 * s_x * s_x
-    rates = grid.rfft(np.stack((mu * s_x, pressure))) * out
-    rates[1] -= potential
+    into, outof, _ = _flow_symbols(grid)
+    rows = 4 if hbar else 2
+    spectral = np.empty((rows, grid.n // 2 + 1), dtype=complex)
+    samples = np.empty((rows, grid.n))
+    fluxes = np.empty((2, grid.n))
+    flux, pressure = fluxes
+    s_x, mu, *gradients = samples
+    slope_symbol, density_symbols = into[0], into[1:rows]
+    slope_hat, density_hats = spectral[0], spectral[1:]
+    quantum = 0.125 * hbar ** 2
+
+    def rates(coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(slope_symbol, coefficients[1], out=slope_hat)
+        np.multiply(density_symbols, coefficients[0], out=density_hats)
+        grid.irfft(spectral, out=samples)
+        np.multiply(s_x, 0.5, out=pressure)
+        np.multiply(pressure, s_x, out=pressure)
+        if hbar:
+            terms = _fisher_terms(mu, *gradients)
+            np.multiply(terms, quantum, out=terms)
+            np.add(pressure, terms, out=pressure)
+        np.multiply(mu, s_x, out=flux)
+        grid.rfft(fluxes, out=out)
+        out *= outof
+        out[1] -= potential
+        return out
+    return rates
+
+
+def flow_coefficients(grid: Grid, coefficients: np.ndarray, potential=0.0,
+                      hbar: float = 0.0) -> np.ndarray:
+    """Rates (dmu/dt, dS/dt) of the Hamiltonian flow, in `Grid.rfft` coefficients:
+    one call of a fresh `flow_kernel`."""
+    out = np.empty((2, grid.n // 2 + 1), dtype=complex)
+    return flow_kernel(grid, potential, hbar)(coefficients, out)
+
+
+def descent_kernel(grid: Grid, potential, hbar: float):
+    """Rates of the steepest descent of the total energy, buffered like `flow_kernel`.
+
+    Returns rates(coefficients, out) for the (1, n/2+1) `Grid.rfft`
+    coefficients of mu: minus the divergence form of the total-energy
+    generator `energy_coefficients` gives (`potential` holds the
+    coefficients of V), written into `out` and returned.  The inverse
+    transform behind the Fisher generator also gives the mu that carries
+    the flux, so a call transforms 3 + 1 rows inverse and 1 + 1 forward.
+    """
+    into, outof, mask = _flow_symbols(grid)
+    h = grid.n // 2 + 1
+    spectral = np.empty((3, h), dtype=complex)
+    samples = np.empty((3, grid.n))
+    generator = np.empty(h, dtype=complex)
+    flux = np.empty(grid.n)
+    mu, mu_x, lap_mu = samples
+    slope_symbol, density_symbols, divergence_symbol = into[0], into[1:], outof[0]
+    slope_hat = spectral[0]
+    quantum = 0.125 * hbar ** 2
+
+    def rates(coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(density_symbols, coefficients[0], out=spectral)
+        grid.irfft(spectral, out=samples)
+        grid.rfft(_fisher_terms(mu, mu_x, lap_mu), out=generator)
+        np.multiply(generator, mask, out=generator)
+        np.multiply(generator, quantum, out=generator)
+        np.add(generator, potential, out=generator)
+        np.multiply(slope_symbol, generator, out=slope_hat)
+        grid.irfft(slope_hat, out=flux)
+        np.multiply(flux, mu, out=flux)
+        grid.rfft(flux, out=out[0])
+        out *= divergence_symbol
+        np.negative(out, out=out)
+        return out
     return rates
 
 

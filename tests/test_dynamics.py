@@ -12,11 +12,13 @@ import pytest
 from madflow import (
     Grid,
     NodeError,
+    NonFiniteError,
     PhysicsConstants,
     PotentialField,
     StabilityError,
     WaveField,
 )
+from madflow import dynamics
 from madflow.dynamics import (
     TrajectoryRecord,
     dlss_evolve,
@@ -34,7 +36,8 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
-from madflow.wgeom import TangentBundlePoint, hamiltonian, lagrangian
+from madflow.wgeom import (TangentBundlePoint, energy_coefficients, flow_coefficients,
+                           hamiltonian, lagrangian)
 
 TAU = 2 * np.pi
 
@@ -249,6 +252,90 @@ def test_rk4_step_makes_a_fixed_number_of_fft_calls(fft_calls, solver, per_step)
         return len(fft_calls) - before
 
     assert calls(20) - calls(10) == 10 * per_step
+
+
+def test_buffered_rk4_equals_a_plain_allocating_rk4():
+    # the solvers advance in place through kernel-owned buffers; the
+    # textbook loop below allocates every stage and calls the allocating
+    # right-hand sides (for DLSS the generator, then the flow's density row
+    # from a transform of both rows).  Every snapshot and the ledger must
+    # agree bit for bit, so a stage buffer overwritten before the final
+    # combination, or a kernel that keeps state between calls, fails here.
+    g = Grid(64)
+    mask = g.dealias_mask[: g.n // 2 + 1]
+    V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
+    c = PhysicsConstants(0.8)
+    v_hat = g.rfft(V.values)
+    mu0 = cosine_bump_density(g, np.pi, 0.3)
+    steps = 20
+
+    def plain(y, rhs, dt, settle):
+        samples = [settle(y, g.irfft(y))]
+        for _ in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            samples.append(settle(y, g.irfft(y)))
+        return samples
+
+    ledger = [0.0]
+
+    def regauge(y, x):
+        removed = g.integrate(x[1] * x[0])
+        x[1] -= removed
+        y[1, 0] -= removed * g.n
+        ledger.append(ledger[-1] + removed)
+        return x
+
+    start = TangentBundlePoint(mu0, 0.3 * np.sin(g.points))
+    dt = 1e-3
+    expected = plain(g.rfft(np.stack((mu0.values, start.fiber_potential))) * mask,
+                     lambda y: flow_coefficients(g, y, v_hat, c.hbar), dt, regauge)
+    rec = madelung_evolve(start, V, c, dt, steps * dt)
+    assert len(rec.states) == steps + 1
+    for state, x in zip(rec.states, expected):
+        assert np.array_equal(state.base.values, x[0])
+        assert np.array_equal(state.fiber_potential, x[1])
+    assert np.array_equal(rec.gauge_constant, ledger[1:])
+    assert not np.array_equal(rec.states[-1].base.values, rec.states[0].base.values)
+
+    def descent(y):
+        generator = energy_coefficients(g, y[0], v_hat, c.hbar)
+        return -flow_coefficients(g, np.stack((y[0], generator)))[:1]
+
+    dt = 1e-5
+    expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda y, x: x)
+    rec = dlss_evolve(mu0, V, c, dt, steps * dt)
+    assert len(rec.states) == steps + 1
+    for state, x in zip(rec.states, expected):
+        assert np.array_equal(state.values, x[0])
+    assert not np.array_equal(rec.states[-1].values, rec.states[0].values)
+
+
+def test_madelung_stops_at_a_non_finite_phase(monkeypatch):
+    # the per-step re-gauging is the one scan of the phase between
+    # snapshots: a right-hand side that turns row 1 non-finite in the third
+    # step must stop the run at that step, before the NaN reaches the ledger
+    calls = []
+
+    def poisoned_kernel(grid, potential, hbar):
+        def rates(y, out):
+            calls.append(1)
+            out[...] = 0.0
+            if len(calls) > 8:
+                out[1] = np.nan
+            return out
+        return rates
+
+    monkeypatch.setattr(dynamics, "flow_kernel", poisoned_kernel)
+    g = Grid(64)
+    with pytest.raises(NonFiniteError, match=r"at t = 0\.003$"):
+        madelung_evolve(_at_rest(cosine_bump_density(g, np.pi, 0.3)),
+                        PotentialField.zero(g), PhysicsConstants(1.0), 1e-3, 0.01,
+                        snapshot_stride=5)
+    assert len(calls) == 12
 
 
 # -- gradient flows ----------------------------------------------------------
