@@ -181,7 +181,7 @@ def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.nd
 
 
 def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
-    """The rates of `flow_coefficients`, with the buffers built once.
+    """Rates of the Hamiltonian flow in `Grid.rfft` coefficients, buffers built once.
 
     dmu/dt = -d/dx(mu dS/dx)                             (divergence form)
     dS/dt  = -(|dS/dx|^2 / 2 + V + (hbar^2/8) fisher generator)
