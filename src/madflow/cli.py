@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 configuration error (nothing written), 3 a solver aborted the run.
-Floating-point warnings are silenced: the guards already turn a
-non-finite value into exit 2 or 3, with one line on standard error.
+The `madflow` command (`entry`) silences floating-point warnings: the
+guards already turn a non-finite value into exit 2 or 3, with one line
+on standard error.
 """
 
 from __future__ import annotations
@@ -95,12 +96,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(all="ignore"):
-            if args.command == "run":
-                return _cmd_run(args)
-            if args.command == "list":
-                return _cmd_list()
-            return _cmd_suite(args)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "list":
+            return _cmd_list()
+        return _cmd_suite(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -109,5 +109,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUN_ERROR
 
 
+def entry() -> int:
+    """The `madflow` command: `main` with numpy's floating-point warnings
+    silenced, so an error leaves one line on standard error."""
+    with np.errstate(all="ignore"):
+        return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

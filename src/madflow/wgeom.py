@@ -180,6 +180,20 @@ def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.nd
     return mu_x
 
 
+def _generator(grid: Grid, mask: np.ndarray, terms: np.ndarray, out: np.ndarray,
+               quantum: float | None = None, potential=0.0) -> np.ndarray:
+    """The dealiased Fisher generator, from the `_fisher_terms` samples, in
+    `Grid.rfft` coefficients, written into `out` and returned; with `quantum`
+    set, potential + quantum * it, the total-energy generator (`potential` in
+    coefficients too)."""
+    grid.rfft(terms, out=out)
+    out *= mask
+    if quantum is not None:
+        out *= quantum
+        out += potential
+    return out
+
+
 def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     """Rates of the Hamiltonian flow in `Grid.rfft` coefficients, buffers built once.
 
@@ -255,10 +269,7 @@ def descent_kernel(grid: Grid, potential, hbar: float):
     def rates(coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(density_symbols, coefficients[0], out=spectral)
         grid.irfft(spectral, out=samples)
-        grid.rfft(_fisher_terms(mu, mu_x, lap_mu), out=generator)
-        np.multiply(generator, mask, out=generator)
-        np.multiply(generator, quantum, out=generator)
-        np.add(generator, potential, out=generator)
+        _generator(grid, mask, _fisher_terms(mu, mu_x, lap_mu), generator, quantum, potential)
         np.multiply(slope_symbol, generator, out=slope_hat)
         grid.irfft(slope_hat, out=flux)
         np.multiply(flux, mu, out=flux)
@@ -280,7 +291,8 @@ def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
 def fisher_coefficients(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
     """The dealiased Fisher generator of mu, in `Grid.rfft` coefficients of both."""
     into, _, mask = _flow_symbols(grid)
-    return grid.rfft(_fisher_terms(*grid.irfft(into[1:] * coefficients))) * mask
+    out = np.empty(grid.n // 2 + 1, dtype=complex)
+    return _generator(grid, mask, _fisher_terms(*grid.irfft(into[1:] * coefficients)), out)
 
 
 def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
@@ -295,7 +307,10 @@ def energy_coefficients(grid: Grid, coefficients: np.ndarray, potential,
                         hbar: float) -> np.ndarray:
     """V + (hbar^2/8) * fisher generator, the generator of the total-energy
     gradient, in `Grid.rfft` coefficients (of mu and V in, of it out)."""
-    return potential + 0.125 * hbar ** 2 * fisher_coefficients(grid, coefficients)
+    into, _, mask = _flow_symbols(grid)
+    out = np.empty(grid.n // 2 + 1, dtype=complex)
+    terms = _fisher_terms(*grid.irfft(into[1:] * coefficients))
+    return _generator(grid, mask, terms, out, 0.125 * hbar ** 2, potential)
 
 
 GRADIENT_KINDS = ("potential", "entropy", "fisher", "total")
