@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Sequence
 
@@ -78,14 +79,16 @@ def _check_keys(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
-def _as_name(value: Any, what: str, known: Collection[str]) -> str:
+def _as_name(value: Any, path: str, grid: Grid | None = None, *,
+             known: Collection[str]) -> str:
     """`value` as a string naming one of `known` (ConfigError otherwise)."""
     if not isinstance(value, str) or value not in known:
-        raise ConfigError(f"unknown {what} {value!r}; known: {sorted(known)}")
+        raise ConfigError(f"unknown {path} {value!r}; known: {sorted(known)}")
     return value
 
 
-def _as_float(value: Any, path: str, positive: bool = False) -> float:
+def _as_float(value: Any, path: str, grid: Grid | None = None,
+              positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # JSON reads 1e400 and Infinity as inf
@@ -96,21 +99,66 @@ def _as_float(value: Any, path: str, positive: bool = False) -> float:
     return out
 
 
-def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
+def _as_int(value: Any, path: str, grid: Grid | None = None,
+            minimum: int | None = None, mode: bool = False) -> int:
+    """An integer; with `mode`, a Fourier mode (or mode count) the grid
+    resolves: |value| < n/2."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value!r}")
+    if mode and not 2 * abs(value) < grid.n:
+        raise ConfigError(f"{path} must lie below n/2 = {grid.n // 2} in size, "
+                          f"got {value!r}")
     return value
 
 
-def _as_mode(value: Any, path: str, grid: Grid, minimum: int | None = None) -> int:
-    """An integer Fourier mode (or mode count) the grid resolves: |mode| < n/2."""
-    mode = _as_int(value, path, minimum)
-    if not 2 * abs(mode) < grid.n:
-        raise ConfigError(f"{path} must lie below n/2 = {grid.n // 2} in size, "
-                          f"got {mode!r}")
-    return mode
+def _as_step(value: Any, path: str, grid: Grid | None = None) -> float | None:
+    """A positive dt, or None: the runner refines its own."""
+    return None if value is None else _as_float(value, path, positive=True)
+
+
+#: the default of a parameter that the config must give
+REQUIRED = object()
+
+
+def _parameters(mapping: Any, table: Mapping, path: str, grid: Grid | None) -> dict:
+    """The keyword arguments that the parameter `mapping` at `path` gives.
+
+    `table` maps each parameter name to (parse, default): `parse(value,
+    dotted path, grid)` checks and converts a given value, and a default
+    is a constant, a function of the grid, or REQUIRED.
+    """
+    mapping = _require_mapping(mapping, path)
+    _check_keys(mapping, table, path)
+    args = {}
+    for name, (parse, default) in table.items():
+        where = f"{path}.{name}"
+        if name in mapping:
+            args[name] = parse(mapping[name], where, grid)
+        elif default is REQUIRED:
+            raise ConfigError(f"{where} is required")
+        else:
+            args[name] = default(grid) if callable(default) else default
+    return args
+
+
+def _kind_section(data: Mapping, section: str, kinds: Collection[str],
+                  default: str | None = None) -> tuple[str, dict]:
+    """The kind and the raw parameters of the `section` of a config."""
+    mapping = _require_mapping(data.get(section, {}), section)
+    _check_keys(mapping, ("kind", "parameters"), section)
+    kind = _as_name(mapping.get("kind", default), f"{section}.kind", known=kinds)
+    return kind, _require_mapping(mapping.get("parameters", {}), f"{section}.parameters")
+
+
+_POSITIVE = partial(_as_float, positive=True)
+_GRID = {"n": (partial(_as_int, minimum=1), 256), "length": (_POSITIVE, TAU)}
+_CONSTANTS = {"hbar": (_as_float, 1.0)}
+_INTEGRATOR = {"solver": (partial(_as_name, known=SOLVER_KINDS), REQUIRED),
+               "dt": (_as_step, None),
+               "total_time": (_POSITIVE, REQUIRED),
+               "snapshot_stride": (partial(_as_int, minimum=1), 1)}
 
 
 @dataclass(frozen=True)
@@ -151,62 +199,34 @@ class ScenarioConfig:
         if not isinstance(name, str) or not name:
             raise ConfigError("config needs a non-empty string name")
 
-        grid_map = _require_mapping(data.get("grid", {}), "grid")
-        _check_keys(grid_map, ("n", "length"), "grid")
         try:
-            grid = Grid(_as_int(grid_map.get("n", 256), "grid.n", minimum=1),
-                        _as_float(grid_map.get("length", TAU), "grid.length",
-                                  positive=True))
+            grid = Grid(**_parameters(data.get("grid", {}), _GRID, "grid", None))
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
-
-        const_map = _require_mapping(data.get("constants", {}), "constants")
-        _check_keys(const_map, ("hbar",), "constants")
         try:
-            constants = PhysicsConstants(_as_float(const_map.get("hbar", 1.0),
-                                                   "constants.hbar"))
+            constants = PhysicsConstants(**_parameters(
+                data.get("constants", {}), _CONSTANTS, "constants", grid))
         except ValueError as exc:
             raise ConfigError(f"constants: {exc}") from exc
 
-        pot_map = _require_mapping(data.get("potential", {"kind": "none"}),
-                                   "potential")
-        _check_keys(pot_map, ("kind", "parameters"), "potential")
-        pot_kind = _as_name(pot_map.get("kind", "none"), "potential kind",
-                            POTENTIAL_KINDS)
-        pot_params = _require_mapping(pot_map.get("parameters", {}),
-                                      "potential.parameters")
-
+        pot_kind, pot_params = _kind_section(data, "potential", POTENTIAL_KINDS, "none")
         if "initial_state" not in data:
             raise ConfigError("config needs an initial_state section")
-        init_map = _require_mapping(data["initial_state"], "initial_state")
-        _check_keys(init_map, ("kind", "parameters"), "initial_state")
-        init_kind = _as_name(init_map.get("kind"), "initial state kind",
-                             INITIAL_KINDS)
-        init_params = _require_mapping(init_map.get("parameters", {}),
-                                       "initial_state.parameters")
+        init_kind, init_params = _kind_section(data, "initial_state", INITIAL_KINDS)
 
         if "integrator" not in data:
             raise ConfigError("config needs an integrator section")
-        integ = _require_mapping(data["integrator"], "integrator")
-        _check_keys(integ, ("solver", "dt", "total_time", "snapshot_stride"),
-                    "integrator")
-        solver = _as_name(integ.get("solver"), "solver", SOLVER_KINDS)
-        dt = integ.get("dt")
-        if dt is not None:
-            dt = _as_float(dt, "integrator.dt", positive=True)
-        elif solver == "static":
+        integ = _parameters(data["integrator"], _INTEGRATOR, "integrator", grid)
+        solver, dt = integ["solver"], integ["dt"]
+        total_time, stride = integ["total_time"], integ["snapshot_stride"]
+        if dt is None and solver == "static":
             dt = 1.0
-        elif solver == "displacement":
+        elif dt is None and solver == "displacement":
             raise ConfigError("the displacement runner needs an explicit dt")
-        total_time = _as_float(integ.get("total_time"), "integrator.total_time",
-                               positive=True) if "total_time" in integ else None
-        if total_time is None:
-            raise ConfigError("integrator.total_time is required")
-        stride = _as_int(integ.get("snapshot_stride", 1),
-                         "integrator.snapshot_stride", minimum=1)
-        if solver not in INITIAL_KINDS[init_kind]:
+        solvers = INITIAL_KINDS[init_kind][0]
+        if solver not in solvers:
             raise ConfigError(f"initial state kind {init_kind!r} does not fit the "
-                              f"{solver!r} solver; it fits {INITIAL_KINDS[init_kind]}")
+                              f"{solver!r} solver; it fits {solvers}")
         steps = None
         if dt is not None:
             try:
@@ -225,17 +245,15 @@ class ScenarioConfig:
         for i, entry in enumerate(entries):
             if isinstance(entry, str):
                 entry = {"name": entry}
-            entry = _require_mapping(entry, f"checks[{i}]")
-            _check_keys(entry, ("name", "tolerance"), f"checks[{i}]")
-            cname = _as_name(entry.get("name"), "check", CHECKS)
+            request = _parameters(entry, _CHECK, f"checks[{i}]", grid)
+            cname, tol = request["name"], request["tolerance"]
             if any(c.name == cname for c in checks):
                 raise ConfigError(f"check {cname!r} is listed twice")
             definition = CHECKS[cname]
             if solver not in definition.solvers:
                 raise ConfigError(f"check {cname!r} does not apply to the "
                                   f"{solver!r} solver")
-            tol = _as_float(entry.get("tolerance", definition.tolerance),
-                            f"checks[{i}].tolerance", positive=True)
+            tol = definition.tolerance if tol is None else tol
             checks.append(CheckRequest(cname, tol))
             if definition.uniform_snapshots and steps is not None:
                 gaps = np.diff(dynamics._snapshot_steps(steps, stride))
@@ -252,7 +270,8 @@ class ScenarioConfig:
         formats = out_map.get("formats", ("csv", "json"))
         if not isinstance(formats, (list, tuple)):
             raise ConfigError(f"output.formats must be a list, got {formats!r}")
-        formats = tuple(_as_name(f, "output format", ("csv", "json")) for f in formats)
+        formats = tuple(_as_name(f, f"output.formats[{i}]", known=("csv", "json"))
+                        for i, f in enumerate(formats))
 
         if solver == "displacement":
             transport.splines()  # import scipy's splines now, not inside the solve
@@ -342,125 +361,103 @@ def apply_overrides(mapping: Mapping, overrides: Sequence[str]) -> dict:
     return out
 
 
-# -- potential registry ------------------------------------------------------
+# -- kind registries ---------------------------------------------------------
 
 
-def _potential_none(grid: Grid, params: Mapping) -> PotentialField:
-    _check_keys(params, (), "potential.parameters")
-    return PotentialField.zero(grid)
-
-
-def _potential_cosine_well(grid: Grid, params: Mapping) -> PotentialField:
-    _check_keys(params, ("depth", "center"), "potential.parameters")
-    depth = _as_float(params.get("depth", 1.0), "potential.parameters.depth")
-    center = _as_float(params.get("center", 0.5 * grid.length),
-                       "potential.parameters.center")
-    values = depth * (1.0 - np.cos(TAU * (grid.points - center) / grid.length))
-    return PotentialField(grid, values)
-
-
-def _potential_custom_table(grid: Grid, params: Mapping) -> PotentialField:
-    _check_keys(params, ("values",), "potential.parameters")
-    raw = params.get("values")
-    if not isinstance(raw, (list, tuple)) or len(raw) != grid.n:
-        raise ConfigError(f"potential.parameters.values must list {grid.n} samples")
+def _as_table(value: Any, path: str, grid: Grid) -> np.ndarray:
+    """One finite number per grid point."""
+    if not isinstance(value, (list, tuple)) or len(value) != grid.n:
+        raise ConfigError(f"{path} must list {grid.n} samples")
     try:
-        values = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"potential table is not numeric: {exc}") from exc
+        values = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} is not numeric: {exc}") from exc
     if not np.all(np.isfinite(values)):
-        raise ConfigError("potential table contains non-finite entries")
-    return PotentialField(grid, values)
+        raise ConfigError(f"{path} contains non-finite entries")
+    return values
 
 
-POTENTIAL_KINDS: dict[str, Callable[[Grid, Mapping], PotentialField]] = {
-    "none": _potential_none,
-    "cosine_well": _potential_cosine_well,
-    "custom_table": _potential_custom_table,
+def _as_pair(value: Any, path: str, grid: Grid | None = None) -> tuple[float, ...]:
+    """The two centers of a Gaussian pair."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path} must list two centers")
+    return tuple(_as_float(c, f"{path}[{i}]") for i, c in enumerate(value))
+
+
+def _as_spec(value: Any, path: str, grid: Grid, *, kinds: Mapping,
+             default: str | None = None):
+    """What a `{"kind": ..., **parameters}` spec of one of `kinds` builds."""
+    params = _require_mapping(value, path)
+    kind = _as_name(params.pop("kind", default), f"{path}.kind", known=kinds)
+    builder, table = kinds[kind]
+    return builder(grid, **_parameters(params, table, path, grid))
+
+
+def _middle(grid: Grid) -> float:
+    return 0.5 * grid.length
+
+
+def _zero_phase(grid: Grid) -> np.ndarray:
+    return np.zeros(grid.n)
+
+
+_MODES = partial(_as_int, minimum=1, mode=True)
+_SEED = partial(_as_int, minimum=0)
+
+#: potential kind -> (builder, parameter table)
+POTENTIAL_KINDS: dict[str, tuple[Callable[..., PotentialField], dict]] = {
+    "none": (PotentialField.zero, {}),
+    "cosine_well": (statelib.cosine_well, {"depth": (_as_float, 1.0),
+                                           "center": (_as_float, _middle)}),
+    "custom_table": (PotentialField, {"values": (_as_table, REQUIRED)}),
 }
 
+#: the shape of a wrapped Gaussian, which `gaussian` centers once and
+#: `gaussian_pair` twice
+_PACKET = {"sigma": (_POSITIVE, 0.35),
+           "floor_weight": (_as_float, statelib.DEFAULT_GAUSSIAN_FLOOR),
+           "images": (partial(_as_int, minimum=1), 6)}
 
-# -- initial state registry --------------------------------------------------
-
-
-#: density spec kind -> builder; `_density_args` parses its keyword arguments
-DENSITY_BUILDERS: dict[str, Callable[..., DensityField]] = {
-    "uniform": statelib.uniform_density,
-    "gaussian": statelib.wrapped_gaussian_density,
-    "perturbed_uniform": statelib.perturbed_uniform_density,
-    "cosine_bump": statelib.cosine_bump_density,
+#: density spec kind -> (builder, parameter table)
+DENSITY_KINDS: dict[str, tuple[Callable[..., DensityField], dict]] = {
+    "uniform": (statelib.uniform_density, {}),
+    "gaussian": (statelib.wrapped_gaussian_density,
+                 {"center": (_as_float, _middle), **_PACKET}),
+    "perturbed_uniform": (statelib.perturbed_uniform_density,
+                          {"amplitude": (_as_float, 0.2), "mode": (_MODES, 1),
+                           "offset": (_as_float, 0.0)}),
+    "cosine_bump": (statelib.cosine_bump_density,
+                    {"center": (_as_float, _middle),
+                     "concentration": (_as_float, 1.0)}),
 }
-PHASE_SPEC_KINDS = ("zero", "sine")
 
-#: initial-state kind -> the solvers that accept it (checked in from_mapping)
-INITIAL_KINDS: dict[str, tuple[str, ...]] = {
-    "gaussian": _DYNAMIC,
-    "perturbed_uniform": _DYNAMIC,
-    "polar_pair": _DYNAMIC,
-    "plane_wave": ("schrodinger",),
-    "random_polar": ("schrodinger", "madelung", "static"),
-    "random_density": ("heat", "dlss", "static"),
-    "gaussian_pair": ("displacement",),
+#: phase spec kind -> (builder of the raw phase samples, parameter table)
+PHASE_KINDS: dict[str, tuple[Callable[..., np.ndarray], dict]] = {
+    "zero": (_zero_phase, {}),
+    "sine": (statelib.sine_phase, {"amplitude": (_as_float, 0.1),
+                                   "mode": (_MODES, 1),
+                                   "offset": (_as_float, 0.0)}),
+}
+
+#: initial-state kind -> (the solvers that accept it, parameter table)
+INITIAL_KINDS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "gaussian": (_DYNAMIC, DENSITY_KINDS["gaussian"][1]),
+    "perturbed_uniform": (_DYNAMIC, DENSITY_KINDS["perturbed_uniform"][1]),
+    "polar_pair": (_DYNAMIC, {
+        "density": (partial(_as_spec, kinds=DENSITY_KINDS), statelib.uniform_density),
+        "phase": (partial(_as_spec, kinds=PHASE_KINDS, default="zero"), _zero_phase),
+        "reference": (_as_float, 0.0)}),
+    "plane_wave": (("schrodinger",), {"mode": (partial(_as_int, mode=True), 1)}),
+    "random_polar": (("schrodinger", "madelung", "static"), {
+        "seed": (_SEED, 0), "modes": (_MODES, 4),
+        "density_amplitude": (_as_float, 0.5), "phase_amplitude": (_as_float, 0.3)}),
+    "random_density": (("heat", "dlss", "static"), {
+        "seed": (_SEED, 0), "modes": (_MODES, 3), "amplitude": (_as_float, 0.4)}),
+    "gaussian_pair": (("displacement",), {
+        "centers": (_as_pair, REQUIRED), **_PACKET, "sigma": (_POSITIVE, 0.1)}),
 }
 
 _INIT = "initial_state.parameters"
-
-
-def _density_args(grid: Grid, kind: Any, params: Mapping, path: str) -> dict:
-    """Keyword arguments of DENSITY_BUILDERS[kind], defaults filled in."""
-    if kind == "uniform":
-        _check_keys(params, (), path)
-        return {}
-    if kind == "gaussian":
-        _check_keys(params, ("center", "sigma", "floor_weight", "images"), path)
-        return {
-            "center": _as_float(params.get("center", 0.5 * grid.length),
-                                f"{path}.center"),
-            "sigma": _as_float(params.get("sigma", 0.35), f"{path}.sigma",
-                               positive=True),
-            "floor_weight": _as_float(params.get("floor_weight",
-                                                 statelib.DEFAULT_GAUSSIAN_FLOOR),
-                                      f"{path}.floor_weight"),
-            "images": _as_int(params.get("images", 6), f"{path}.images", minimum=1)}
-    if kind == "perturbed_uniform":
-        _check_keys(params, ("amplitude", "mode", "offset"), path)
-        return {
-            "amplitude": _as_float(params.get("amplitude", 0.2), f"{path}.amplitude"),
-            "mode": _as_mode(params.get("mode", 1), f"{path}.mode", grid, minimum=1),
-            "offset": _as_float(params.get("offset", 0.0), f"{path}.offset")}
-    if kind == "cosine_bump":
-        _check_keys(params, ("center", "concentration"), path)
-        return {
-            "center": _as_float(params.get("center", 0.5 * grid.length),
-                                f"{path}.center"),
-            "concentration": _as_float(params.get("concentration", 1.0),
-                                       f"{path}.concentration")}
-    raise ConfigError(f"unknown density kind {kind!r} in {path}; "
-                      f"known: {tuple(DENSITY_BUILDERS)}")
-
-
-def _density_from_spec(grid: Grid, spec: Mapping, path: str) -> DensityField:
-    params = _require_mapping(spec, path)
-    kind = params.pop("kind", None)
-    args = _density_args(grid, kind, params, path)  # ConfigError on unknown kinds
-    return DENSITY_BUILDERS[kind](grid, **args)
-
-
-def _phase_values_from_spec(grid: Grid, spec: Mapping, path: str) -> np.ndarray:
-    spec = _require_mapping(spec, path)
-    kind = spec.get("kind", "zero")
-    if kind == "zero":
-        _check_keys(spec, ("kind",), path)
-        return np.zeros(grid.n)
-    if kind == "sine":
-        _check_keys(spec, ("kind", "amplitude", "mode", "offset"), path)
-        return statelib.sine_phase(
-            grid,
-            _as_float(spec.get("amplitude", 0.1), f"{path}.amplitude"),
-            _as_mode(spec.get("mode", 1), f"{path}.mode", grid, minimum=1),
-            _as_float(spec.get("offset", 0.0), f"{path}.offset"))
-    raise ConfigError(f"unknown phase kind {kind!r} in {path}; "
-                      f"known: {PHASE_SPEC_KINDS}")
 
 
 def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
@@ -489,45 +486,40 @@ def _trials(config: ScenarioConfig, trial) -> dict:
     return {k: trial(k) for k in dynamics._snapshot_steps(steps, config.snapshot_stride)}
 
 
+def build_potential(config: ScenarioConfig) -> PotentialField:
+    """The potential of a validated config."""
+    grid = config.grid
+    builder, table = POTENTIAL_KINDS[config.potential_kind]
+    return builder(grid, **_parameters(config.potential_parameters, table,
+                                       "potential.parameters", grid))
+
+
 def build_initial(config: ScenarioConfig) -> dict:
     """The initial data of a validated config, as its solver takes it."""
     grid, constants, solver = config.grid, config.constants, config.solver
     kind, params = config.initial_kind, dict(config.initial_parameters)
+    if kind == "gaussian" and solver == "schrodinger":
+        # the bare packet, whose free evolution has a closed form
+        params.setdefault("floor_weight", 0.0)
+    args = _parameters(params, INITIAL_KINDS[kind][1], _INIT, grid)
     if kind in ("gaussian", "perturbed_uniform"):
-        if kind == "gaussian" and solver == "schrodinger":
-            # the bare packet, whose free evolution has a closed form
-            params.setdefault("floor_weight", 0.0)
-        args = _density_args(grid, kind, params, _INIT)
         if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
             start = {"wave": statelib.free_gaussian_wave(
                 grid, args["center"], args["sigma"], constants, 0.0, args["images"])}
         else:
-            start = _solver_start(solver, DENSITY_BUILDERS[kind](grid, **args),
-                                  np.zeros(grid.n), 0.0, constants)
+            start = _solver_start(solver, DENSITY_KINDS[kind][0](grid, **args),
+                                  _zero_phase(grid), 0.0, constants)
         if kind == "gaussian":
             start.update(center=args["center"], sigma=args["sigma"])
         return start
     if kind == "polar_pair":
-        _check_keys(params, ("density", "phase", "reference"), _INIT)
-        mu = _density_from_spec(grid, params.get("density", {"kind": "uniform"}),
-                                f"{_INIT}.density")
-        phase_values = _phase_values_from_spec(
-            grid, params.get("phase", {"kind": "zero"}), f"{_INIT}.phase")
-        reference = _as_float(params.get("reference", 0.0), f"{_INIT}.reference")
-        return _solver_start(solver, mu, phase_values, reference, constants)
+        return _solver_start(solver, args["density"], args["phase"],
+                             args["reference"], constants)
     if kind == "plane_wave":
-        _check_keys(params, ("mode",), _INIT)
-        mode = _as_mode(params.get("mode", 1), f"{_INIT}.mode", grid)
-        return {"wave": statelib.plane_wave(grid, mode), "mode": mode}
+        return {"wave": statelib.plane_wave(grid, args["mode"]), "mode": args["mode"]}
     if kind == "random_polar":
-        _check_keys(params, ("seed", "modes", "density_amplitude",
-                             "phase_amplitude"), _INIT)
-        seed = _as_int(params.get("seed", 0), f"{_INIT}.seed", minimum=0)
-        modes = _as_mode(params.get("modes", 4), f"{_INIT}.modes", grid, minimum=1)
-        d_amp = _as_float(params.get("density_amplitude", 0.5),
-                          f"{_INIT}.density_amplitude")
-        p_amp = _as_float(params.get("phase_amplitude", 0.3),
-                          f"{_INIT}.phase_amplitude")
+        seed, modes = args["seed"], args["modes"]
+        d_amp, p_amp = args["density_amplitude"], args["phase_amplitude"]
         if solver == "static":
             def wave_trial(trial: int) -> WaveField:
                 rng = np.random.default_rng(seed + trial)
@@ -541,27 +533,15 @@ def build_initial(config: ScenarioConfig) -> dict:
         s = statelib.random_zero_mean(grid, rng, modes, p_amp)
         return _solver_start(solver, mu, s, 0.0, constants)
     if kind == "random_density":
-        _check_keys(params, ("seed", "modes", "amplitude"), _INIT)
-        seed = _as_int(params.get("seed", 0), f"{_INIT}.seed", minimum=0)
-        modes = _as_mode(params.get("modes", 3), f"{_INIT}.modes", grid, minimum=1)
-        amplitude = _as_float(params.get("amplitude", 0.4), f"{_INIT}.amplitude")
-
         def density_trial(trial: int) -> DensityField:
-            rng = np.random.default_rng(seed + trial)
-            return statelib.random_density(grid, rng, modes, amplitude)
+            rng = np.random.default_rng(args["seed"] + trial)
+            return statelib.random_density(grid, rng, args["modes"], args["amplitude"])
         if solver == "static":
             return {"trials": _trials(config, density_trial)}
         return {"density": density_trial(0)}
     # gaussian_pair
-    _check_keys(params, ("centers", "sigma", "floor_weight", "images"), _INIT)
-    centers = params.pop("centers", None)
-    if not isinstance(centers, (list, tuple)) or len(centers) != 2:
-        raise ConfigError(f"{_INIT}.centers must list two centers")
-    args = _density_args(grid, "gaussian", {"sigma": 0.1, **params}, _INIT)
-    pair = tuple(
-        statelib.wrapped_gaussian_density(
-            grid, **{**args, "center": _as_float(c, f"{_INIT}.centers[{i}]")})
-        for i, c in enumerate(centers))
+    centers = args.pop("centers")
+    pair = tuple(statelib.wrapped_gaussian_density(grid, c, **args) for c in centers)
     # the path, sampled at t = k dt / total_time; CutError or NodeError
     # here means the grid does not resolve it
     geodesic = transport.displacement_geodesic(*pair)
@@ -661,8 +641,7 @@ def execute_config(config: ScenarioConfig) -> RunContext:
     """Build the scenario objects, run the solver, compose the columns."""
     grid, constants = config.grid, config.constants
     try:  # range checks: ValueError; unresolved: NodeError, CutError; too big: MemoryError
-        potential = POTENTIAL_KINDS[config.potential_kind](grid,
-                                                           config.potential_parameters)
+        potential = build_potential(config)
         initial = build_initial(config)
     except (ValueError, NodeError, CutError, MemoryError) as exc:
         raise ConfigError(f"cannot build the scenario: {exc}") from exc
@@ -1031,6 +1010,11 @@ CHECKS: dict[str, CheckDefinition] = {
 }
 
 
+#: a check entry; without a tolerance it takes its definition's
+_CHECK = {"name": (partial(_as_name, known=CHECKS), REQUIRED),
+          "tolerance": (_POSITIVE, None)}
+
+
 def evaluate_checks(ctx: RunContext) -> list[CheckResult]:
     results = []
     for request in ctx.config.checks:
@@ -1161,10 +1145,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
 _PI = math.pi
 
 
-def _builtin_mappings() -> dict[str, dict]:
+def _builtins() -> dict[str, tuple[str, dict]]:
+    """name -> (description, config without its schema and name), built afresh."""
     return {
-        "uniform_stationary": {
-            "schema": 1, "name": "uniform_stationary",
+        "uniform_stationary": (
+            "uniform density with zero phase stays fixed under the hydrodynamic flow", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1174,9 +1159,9 @@ def _builtin_mappings() -> dict[str, dict]:
                            "total_time": 0.05, "snapshot_stride": 10},
             "checks": [{"name": "stationarity", "tolerance": 1e-10},
                        {"name": "mass_conservation", "tolerance": 1e-10}],
-        },
-        "plane_wave_eigenstate": {
-            "schema": 1, "name": "plane_wave_eigenstate",
+        }),
+        "plane_wave_eigenstate": (
+            "single-mode wave accumulates the exact eigenvalue phase", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1186,9 +1171,9 @@ def _builtin_mappings() -> dict[str, dict]:
             "checks": [{"name": "eigenstate_phase", "tolerance": 1e-10},
                        {"name": "mass_conservation", "tolerance": 1e-10},
                        {"name": "energy_conservation", "tolerance": 1e-10}],
-        },
-        "free_gaussian": {
-            "schema": 1, "name": "free_gaussian",
+        }),
+        "free_gaussian": (
+            "free wave packet spreads with the closed-form width law", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1198,9 +1183,9 @@ def _builtin_mappings() -> dict[str, dict]:
                            "total_time": 0.3, "snapshot_stride": 50},
             "checks": [{"name": "free_packet_density", "tolerance": 1e-6},
                        {"name": "mass_conservation", "tolerance": 1e-10}],
-        },
-        "thm21_equivalence": {
-            "schema": 1, "name": "thm21_equivalence",
+        }),
+        "thm21_equivalence": (
+            "hydrodynamic and wave evolutions of a trapped packet stay in lockstep", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "cosine_well",
@@ -1216,9 +1201,9 @@ def _builtin_mappings() -> dict[str, dict]:
                        {"name": "energy_conservation", "tolerance": 1e-4},
                        {"name": "phase_correction_ledger", "tolerance": 1e-4},
                        {"name": "mass_conservation", "tolerance": 1e-8}],
-        },
-        "newton_residual": {
-            "schema": 1, "name": "newton_residual",
+        }),
+        "newton_residual": (
+            "covariant acceleration balances the metric energy gradient along the flow", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "cosine_well",
@@ -1231,9 +1216,9 @@ def _builtin_mappings() -> dict[str, dict]:
                            "total_time": 0.15, "snapshot_stride": 30},
             "checks": [{"name": "newton_residual", "tolerance": 1e-3},
                        {"name": "mass_conservation", "tolerance": 1e-8}],
-        },
-        "thm44_hamiltonian": {
-            "schema": 1, "name": "thm44_hamiltonian",
+        }),
+        "thm44_hamiltonian": (
+            "wave energy equals the lifted energy on random nowhere-vanishing states", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1241,9 +1226,9 @@ def _builtin_mappings() -> dict[str, dict]:
             "integrator": {"solver": "static", "dt": 1.0,
                            "total_time": 99.0, "snapshot_stride": 1},
             "checks": [{"name": "hamiltonian_pullback", "tolerance": 1e-8}],
-        },
-        "submersion_pullback": {
-            "schema": 1, "name": "submersion_pullback",
+        }),
+        "submersion_pullback": (
+            "wave symplectic form pulls back to the scaled bundle form", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1252,9 +1237,9 @@ def _builtin_mappings() -> dict[str, dict]:
             "integrator": {"solver": "static", "dt": 1.0,
                            "total_time": 19.0, "snapshot_stride": 1},
             "checks": [{"name": "symplectic_pullback", "tolerance": 1e-4}],
-        },
-        "heat_entropy_dissipation": {
-            "schema": 1, "name": "heat_entropy_dissipation",
+        }),
+        "heat_entropy_dissipation": (
+            "entropy decays at the information production rate along heat flow", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1264,9 +1249,9 @@ def _builtin_mappings() -> dict[str, dict]:
                            "total_time": 0.2, "snapshot_stride": 5},
             "checks": [{"name": "entropy_dissipation", "tolerance": 1e-4},
                        {"name": "mass_conservation", "tolerance": 1e-10}],
-        },
-        "dlss_descent": {
-            "schema": 1, "name": "dlss_descent",
+        }),
+        "dlss_descent": (
+            "fourth-order diffusion descends the scaled information functional", {
             "grid": {"n": 64, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1276,9 +1261,9 @@ def _builtin_mappings() -> dict[str, dict]:
                            "total_time": 0.01, "snapshot_stride": 25},
             "checks": [{"name": "descent_monotone", "tolerance": 1e-10},
                        {"name": "mass_conservation", "tolerance": 1e-8}],
-        },
-        "benamou_brenier_action": {
-            "schema": 1, "name": "benamou_brenier_action",
+        }),
+        "benamou_brenier_action": (
+            "geodesic kinetic action matches the squared transport distance", {
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
@@ -1291,34 +1276,23 @@ def _builtin_mappings() -> dict[str, dict]:
                        {"name": "bb_path_optimality", "tolerance": 1e-12},
                        {"name": "constant_speed", "tolerance": 1e-4},
                        {"name": "mass_conservation", "tolerance": 1e-8}],
-        },
+        }),
     }
 
 
-SCENARIO_DESCRIPTIONS = {
-    "uniform_stationary": "uniform density with zero phase stays fixed under the hydrodynamic flow",
-    "plane_wave_eigenstate": "single-mode wave accumulates the exact eigenvalue phase",
-    "free_gaussian": "free wave packet spreads with the closed-form width law",
-    "thm21_equivalence": "hydrodynamic and wave evolutions of a trapped packet stay in lockstep",
-    "newton_residual": "covariant acceleration balances the metric energy gradient along the flow",
-    "thm44_hamiltonian": "wave energy equals the lifted energy on random nowhere-vanishing states",
-    "submersion_pullback": "wave symplectic form pulls back to the scaled bundle form",
-    "heat_entropy_dissipation": "entropy decays at the information production rate along heat flow",
-    "dlss_descent": "fourth-order diffusion descends the scaled information functional",
-    "benamou_brenier_action": "geodesic kinetic action matches the squared transport distance",
-}
+SCENARIO_DESCRIPTIONS = {name: text for name, (text, _) in _builtins().items()}
 
 
 def builtin_names() -> list[str]:
-    return list(_builtin_mappings())
+    return list(SCENARIO_DESCRIPTIONS)
 
 
 def builtin_mapping(name: str) -> dict:
-    mappings = _builtin_mappings()
-    if name not in mappings:
+    """A fresh copy of the config of builtin `name`."""
+    if name not in SCENARIO_DESCRIPTIONS:
         raise ConfigError(f"unknown scenario {name!r}; "
-                          f"known: {', '.join(mappings)}")
-    return mappings[name]
+                          f"known: {', '.join(SCENARIO_DESCRIPTIONS)}")
+    return {"schema": SCHEMA_VERSION, "name": name, **_builtins()[name][1]}
 
 
 def builtin_config(name: str) -> ScenarioConfig:
@@ -1348,7 +1322,7 @@ def run_suite(out_root: str | Path | None = None, jobs: int = 1,
     root = _require_directory_path(Path(out_root))
     chosen = list(names) if names is not None else builtin_names()
     for name in chosen:
-        if name not in _builtin_mappings():
+        if name not in SCENARIO_DESCRIPTIONS:
             raise ConfigError(f"unknown scenario {name!r}")
     results: dict[str, tuple[bool, list[str]]] = {}
     workers = min(jobs, len(chosen))

@@ -1,14 +1,21 @@
-"""Builders for densities, phases and waves used by scenarios and tests."""
+"""Builders for potentials, densities, phases and waves used by scenarios and tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import DensityField, PhysicsConstants, WaveField, normalize_density
-from .grid import Grid
+from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
+                     normalize_density)
+from .grid import TAU, Grid
 
 # Uniform admixture keeping wrapped Gaussians above the admissibility floor.
 DEFAULT_GAUSSIAN_FLOOR = 1e-8
+
+
+def cosine_well(grid: Grid, depth: float, center: float) -> PotentialField:
+    """depth (1 - cos(2 pi (x - center)/L)), lowest at `center`."""
+    values = depth * (1.0 - np.cos(TAU * (grid.points - center) / grid.length))
+    return PotentialField(grid, values)
 
 
 def uniform_density(grid: Grid) -> DensityField:

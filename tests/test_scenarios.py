@@ -554,9 +554,9 @@ def test_cli_non_finite_field_exits_without_a_traceback(tmp_path, override, code
 
 
 def test_cli_memory_error_while_building_exits_two(tmp_path, capsys, monkeypatch):
-    def too_large(grid, parameters):
+    def too_large(grid):
         raise MemoryError("Unable to allocate 8.00 TiB")
-    monkeypatch.setitem(scenarios.POTENTIAL_KINDS, "none", too_large)
+    monkeypatch.setitem(scenarios.POTENTIAL_KINDS, "none", (too_large, {}))
     out_dir = tmp_path / "never"
     assert main(["run", "--scenario", "heat_entropy_dissipation",
                  "--out", str(out_dir)]) == 2
