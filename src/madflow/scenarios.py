@@ -487,11 +487,13 @@ def _trials(config: ScenarioConfig, trial) -> dict:
 
 
 def build_potential(config: ScenarioConfig) -> PotentialField:
-    """The potential of a validated config."""
+    """The potential of a validated config, projected onto the 2/3 band:
+    the Strang, Madelung and DLSS solvers and every column see this one V."""
     grid = config.grid
     builder, table = POTENTIAL_KINDS[config.potential_kind]
-    return builder(grid, **_parameters(config.potential_parameters, table,
-                                       "potential.parameters", grid))
+    built = builder(grid, **_parameters(config.potential_parameters, table,
+                                        "potential.parameters", grid))
+    return PotentialField(grid, grid.dealias(built.values))
 
 
 def build_initial(config: ScenarioConfig) -> dict:
