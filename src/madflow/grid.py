@@ -9,6 +9,7 @@ exact for band-limited data, spectrally accurate for smooth data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,11 @@ class Grid:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n!r}")
         if not (np.isfinite(self.length) and self.length > 0.0):
             raise ValueError(f"grid length must be positive and finite, got {self.length!r}")
+        # the Laplacian and the energies scale with the top wavenumber squared
+        k_max = math.pi * self.n / self.length
+        if not sys.float_info.min <= k_max * k_max <= sys.float_info.max:
+            raise ValueError(f"grid length {self.length!r} leaves (pi n / length)^2 "
+                             "outside the finite, normal doubles")
 
     @property
     def spacing(self) -> float:
