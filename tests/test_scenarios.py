@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,78 @@ def test_initial_kind_solver_table(kind, solver):
         return
     initial = build_initial(ScenarioConfig.from_mapping(m))
     assert _START_KEY[solver] in initial
+
+
+#: the registries of kinds, each kind mapped to (builder or solvers, table)
+_KIND_REGISTRIES = {"potential": scenarios.POTENTIAL_KINDS,
+                    "density": scenarios.DENSITY_KINDS,
+                    "phase": scenarios.PHASE_KINDS,
+                    "initial_state": INITIAL_KINDS}
+#: a valid value of each required parameter
+_REQUIRED_VALUES = {"values": [0.0] * 64, "centers": [2.5, 3.5]}
+
+
+def _kind_mapping(registry, kind, params):
+    """A 64-point config that builds `kind` of `registry` from `params`,
+    and the dotted path of those parameters."""
+    m = _heat_mapping(solver="madelung", dt=1e-3, total_time=2e-3, snapshot_stride=1)
+    m["checks"] = []
+    if registry == "potential":
+        m["potential"] = {"kind": kind, "parameters": params}
+        return m, "potential.parameters"
+    if registry in ("density", "phase"):
+        m["initial_state"] = {"kind": "polar_pair",
+                              "parameters": {registry: {"kind": kind, **params}}}
+        return m, f"initial_state.parameters.{registry}"
+    m["integrator"]["solver"] = INITIAL_KINDS[kind][0][0]
+    if kind == "gaussian_pair":  # the displacement runner
+        m["integrator"].update(dt=0.5, total_time=1.0)
+    m["initial_state"] = {"kind": kind, "parameters": params}
+    return m, "initial_state.parameters"
+
+
+@pytest.mark.parametrize("registry, kind, name", [
+    (registry, kind, name) for registry, kinds in _KIND_REGISTRIES.items()
+    for kind, (_, table) in kinds.items() for name in table])
+def test_every_table_parameter_names_its_path_when_bad_or_missing(registry, kind, name):
+    table = _KIND_REGISTRIES[registry][kind][1]
+    required = {key: _REQUIRED_VALUES[key] for key, (_, default) in table.items()
+                if default is scenarios.REQUIRED}
+
+    def build(params):
+        mapping, path = _kind_mapping(registry, kind, params)
+        config = ScenarioConfig.from_mapping(mapping)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}.{name}")):
+            scenarios.build_potential(config)
+            build_initial(config)
+    build({**required, name: "x"})
+    if name in required:
+        build({key: value for key, value in required.items() if key != name})
+
+
+def _readme_kind_tables() -> dict:
+    """{header: {kind: parameter names}} of the kind tables in README.md;
+    a parameter is a backticked name outside the brackets of a default."""
+    tables, rows = {}, None
+    for line in (Path(SRC).parent / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if not line.startswith("|"):
+            rows = None
+        elif cells[0].endswith(" kind"):
+            rows = tables.setdefault(cells[0], {})
+        elif rows is not None and cells[0].startswith("`"):
+            names = re.findall(r"`(\w+)`", re.sub(r"\[[^\]]*\]", "", cells[1]))
+            rows[cells[0].strip("`")] = set(names)
+    return tables
+
+
+def test_readme_kind_tables_list_each_tables_parameters():
+    tables = _readme_kind_tables()
+    assert set(tables) == {f"{registry.replace('_', '-')} kind"
+                           for registry in _KIND_REGISTRIES}
+    for registry, kinds in _KIND_REGISTRIES.items():
+        documented = tables[f"{registry.replace('_', '-')} kind"]
+        assert documented == {kind: set(table) for kind, (_, table) in kinds.items()}
 
 
 def test_gaussian_wave_honours_images():
@@ -639,6 +712,9 @@ def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
                  id="dlss_descent-grid.length=1e300-integrator.dt=null"),
     pytest.param("dlss_descent", ("grid.length=1e-100", "integrator.dt=null"),
                  id="dlss_descent-grid.length=1e-100-integrator.dt=null"),
+    # a grid whose top wavenumber squared is not a finite, normal double
+    ("heat_entropy_dissipation", "grid.length=1e-300"),
+    ("thm21_equivalence", "grid.length=1e-300"),
     # kinds and names must be strings naming a known entry
     ("heat_entropy_dissipation", 'initial_state.kind=["polar_pair"]'),
     ("heat_entropy_dissipation", "potential.kind={}"),
