@@ -712,6 +712,11 @@ def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
                  id="dlss_descent-grid.length=1e300-integrator.dt=null"),
     pytest.param("dlss_descent", ("grid.length=1e-100", "integrator.dt=null"),
                  id="dlss_descent-grid.length=1e-100-integrator.dt=null"),
+    # a potential table entry too large for a double
+    pytest.param("thm21_equivalence",
+                 'potential={"kind":"custom_table","parameters":{"values":[%s]}}'
+                 % ",".join(["1" + "0" * 400] + ["0"] * 255),
+                 id="thm21_equivalence-custom_table-values=10**400"),
     # a grid whose top wavenumber squared is not a finite, normal double
     ("heat_entropy_dissipation", "grid.length=1e-300"),
     ("thm21_equivalence", "grid.length=1e-300"),
