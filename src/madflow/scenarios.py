@@ -457,8 +457,6 @@ INITIAL_KINDS: dict[str, tuple[tuple[str, ...], dict]] = {
         "centers": (_as_pair, REQUIRED), **_PACKET, "sigma": (_POSITIVE, 0.1)}),
 }
 
-_INIT = "initial_state.parameters"
-
 
 def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
                   reference: float, constants: PhysicsConstants) -> dict:
@@ -503,7 +501,7 @@ def build_initial(config: ScenarioConfig) -> dict:
     if kind == "gaussian" and solver == "schrodinger":
         # the bare packet, whose free evolution has a closed form
         params.setdefault("floor_weight", 0.0)
-    args = _parameters(params, INITIAL_KINDS[kind][1], _INIT, grid)
+    args = _parameters(params, INITIAL_KINDS[kind][1], "initial_state.parameters", grid)
     if kind in ("gaussian", "perturbed_uniform"):
         if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
             start = {"wave": statelib.free_gaussian_wave(
