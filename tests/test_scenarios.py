@@ -234,7 +234,7 @@ def _readme_kind_tables() -> dict:
     """{header: {kind: parameter names}} of the kind tables in README.md;
     a parameter is a backticked name outside the brackets of a default."""
     tables, rows = {}, None
-    for line in (Path(SRC).parent / "README.md").read_text().splitlines():
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         if not line.startswith("|"):
             rows = None
@@ -247,12 +247,10 @@ def _readme_kind_tables() -> dict:
 
 
 def test_readme_kind_tables_list_each_tables_parameters():
-    tables = _readme_kind_tables()
-    assert set(tables) == {f"{registry.replace('_', '-')} kind"
-                           for registry in _KIND_REGISTRIES}
-    for registry, kinds in _KIND_REGISTRIES.items():
-        documented = tables[f"{registry.replace('_', '-')} kind"]
-        assert documented == {kind: set(table) for kind, (_, table) in kinds.items()}
+    declared = {f"{registry.replace('_', '-')} kind":
+                {kind: set(table) for kind, (_, table) in kinds.items()}
+                for registry, kinds in _KIND_REGISTRIES.items()}
+    assert _readme_kind_tables() == declared
 
 
 def test_gaussian_wave_honours_images():
