@@ -21,8 +21,8 @@ from .madelung import (complex_symplectic_form, madelung_section,
                        submersion_pullback_defect, wave_hamiltonian)
 from .scenarios import (ScenarioConfig, builtin_config, builtin_names,
                         run_builtin, run_scenario, run_suite)
-from .transport import (QuantileTable, displacement_interpolation,
-                        path_action, quantile_table, w2_distance)
+from .transport import (displacement_interpolation, path_action,
+                        quantile_table, w2_distance)
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
                     covariant_acceleration, fisher_generator, hamiltonian,
                     hamiltonian_vector_field, lagrangian, pushforward_density,

@@ -18,8 +18,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Sequence
 
@@ -31,7 +31,7 @@ from .dynamics import TrajectoryRecord
 from .errors import (AliasError, ConfigError, CutError, NodeError,
                      StabilityError, WindingError)
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
-                     density_floor, functionals, normalize_density, unwrapped_phase)
+                     functionals, normalize_density)
 from .grid import TAU, Grid
 from .madelung import (madelung_section, madelung_transform, polar_wave,
                        submersion_pullback_defect, wave_hamiltonian)
@@ -564,7 +564,22 @@ class RunContext:
     dt: float = 0.0
     record: TrajectoryRecord | None = None
     columns: dict | None = None
-    cache: dict = field(default_factory=dict)
+
+    @cached_property
+    def wave_oracle(self) -> TrajectoryRecord:
+        """The wave solver's run from the start, at the run's dt and stride."""
+        cfg = self.config
+        oracle = dynamics.schrodinger_evolve(self.initial["wave"], self.potential,
+                                             self.constants, self.dt, cfg.total_time,
+                                             cfg.snapshot_stride)
+        if not np.allclose(oracle.times, self.record.times, rtol=0.0, atol=1e-12):
+            raise ConfigError("wave oracle snapshots fell out of step")
+        return oracle
+
+    @cached_property
+    def w2_squared(self) -> float:
+        """The squared transport distance between the displacement endpoints."""
+        return transport.w2_distance(*self.initial["pair"]) ** 2
 
 
 def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
@@ -790,40 +805,26 @@ def _check_free_packet_density(ctx: RunContext) -> np.ndarray:
     return out
 
 
-def _wave_oracle(ctx: RunContext) -> TrajectoryRecord:
-    oracle = ctx.cache.get("wave_oracle")
-    if oracle is None:
-        oracle = dynamics.schrodinger_evolve(ctx.initial["wave"], ctx.potential,
-                                             ctx.constants, ctx.dt, ctx.config.total_time,
-                                             ctx.config.snapshot_stride)
-        if not np.allclose(oracle.times, ctx.record.times, rtol=0.0, atol=1e-12):
-            raise ConfigError("wave oracle snapshots fell out of step")
-        ctx.cache["wave_oracle"] = oracle
-    return oracle
-
-
 def _check_schrodinger_density_match(ctx: RunContext) -> np.ndarray:
     g = ctx.grid
-    oracle = _wave_oracle(ctx)
     out = np.zeros(len(ctx.record.times))
-    for i, (polar, wave) in enumerate(zip(ctx.record.states, oracle.states)):
+    for i, (polar, wave) in enumerate(zip(ctx.record.states, ctx.wave_oracle.states)):
         diff = polar.base.values - np.abs(wave.values) ** 2
         out[i] = np.sqrt(g.integrate(diff * diff))
     return out
 
 
 def _check_velocity_potential_match(ctx: RunContext) -> np.ndarray:
-    g, hbar = ctx.grid, ctx.constants.hbar
-    oracle = _wave_oracle(ctx)
-    floor = density_floor(g)
+    """The gap between the fiber and the gauge-fixed Madelung phase of the
+    wave; nan where the wave has a node."""
+    g = ctx.grid
     out = np.full(len(ctx.record.times), np.nan)
-    for i, (polar, wave) in enumerate(zip(ctx.record.states, oracle.states)):
-        wave_density = np.abs(wave.values) ** 2
-        if wave_density.min() < floor:
+    for i, (polar, wave) in enumerate(zip(ctx.record.states, ctx.wave_oracle.states)):
+        try:
+            potential = madelung_transform(wave, ctx.constants).tangent.potential
+        except NodeError:
             continue
-        s_wave = hbar * unwrapped_phase(wave)
-        s_wave = s_wave - g.integrate(s_wave * wave_density)
-        diff = s_wave - polar.fiber_potential
+        diff = potential - polar.fiber_potential
         out[i] = np.sqrt(g.integrate(diff * diff))
     return out
 
@@ -900,19 +901,10 @@ def _check_symplectic_pullback(ctx: RunContext) -> np.ndarray:
     return out
 
 
-def _geodesic_w2_squared(ctx: RunContext) -> float:
-    w2sq = ctx.cache.get("w2_squared")
-    if w2sq is None:
-        mu, nu = ctx.initial["pair"]
-        w2sq = transport.w2_distance(mu, nu) ** 2
-        ctx.cache["w2_squared"] = w2sq
-    return w2sq
-
-
 def _check_bb_action_match(ctx: RunContext) -> np.ndarray:
     h = _uniform_snapshot_step(ctx)
     action = transport.path_action(ctx.record.states, h)
-    w2sq = _geodesic_w2_squared(ctx)
+    w2sq = ctx.w2_squared
     value = abs(action - w2sq) / max(w2sq, _TINY)
     return np.full(len(ctx.record.times), value)
 
@@ -926,7 +918,7 @@ def _check_bb_path_optimality(ctx: RunContext) -> np.ndarray:
     """Worst violation of action >= W2^2 - slack over perturbed paths."""
     h = _uniform_snapshot_step(ctx)
     g = ctx.grid
-    w2sq = _geodesic_w2_squared(ctx)
+    w2sq = ctx.w2_squared
     base = ctx.record.states
     last = len(base) - 1
     x = TAU * g.points / g.length
@@ -946,7 +938,7 @@ def _check_constant_speed(ctx: RunContext) -> np.ndarray:
     sts = ctx.record.states
     times = ctx.record.times
     total_time = times[-1]
-    total = np.sqrt(_geodesic_w2_squared(ctx))
+    total = np.sqrt(ctx.w2_squared)
     out = np.zeros(len(sts))
     for i in range(1, len(sts)):
         reached = transport.w2_distance(sts[i], sts[0])

@@ -11,7 +11,6 @@ resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -90,33 +89,10 @@ def _cumulative_from_cut(density: DensityField, cut_index: int):
     return x, cdf, fine
 
 
-@dataclass(frozen=True)
-class QuantileTable:
-    """Uniform midpoint probability ladder with matching positions.
-
-    Positions are measured from the cut point (coordinates on [0, L)).
-    """
-
-    probabilities: np.ndarray
-    positions: np.ndarray
-    cut_index: int
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        q = np.asarray(self.positions, dtype=float)
-        if p.shape != q.shape or p.ndim != 1:
-            raise ValueError("probabilities and positions must be matching vectors")
-        if np.any(np.diff(q) < 0.0):
-            raise ValueError("quantile positions must be non-decreasing")
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "positions", q)
-
-
 def quantile_table(density: DensityField, ladder: int = DEFAULT_LADDER,
-                   cut_index: int | None = None) -> QuantileTable:
-    """Quantiles at midpoint probabilities (i + 1/2)/ladder."""
+                   cut_index: int | None = None) -> np.ndarray:
+    """Quantiles at the midpoint probabilities (i + 1/2)/ladder, measured
+    from the cut point (coordinates on [0, L))."""
     if ladder < 2:
         raise ValueError(f"ladder size must be >= 2, got {ladder!r}")
     if cut_index is None:
@@ -125,8 +101,7 @@ def quantile_table(density: DensityField, ladder: int = DEFAULT_LADDER,
     x, cdf, _ = _cumulative_from_cut(density, cut_index)
     p = (np.arange(ladder) + 0.5) / ladder
     _, PchipInterpolator = splines()
-    positions = PchipInterpolator(cdf, x)(p)
-    return QuantileTable(p, positions, cut_index)
+    return PchipInterpolator(cdf, x)(p)
 
 
 def w2_distance(mu: DensityField, nu: DensityField,
@@ -137,9 +112,7 @@ def w2_distance(mu: DensityField, nu: DensityField,
     """
     _require_shared_grid(mu, nu)
     cut = joint_cut_index(mu, nu)
-    table_mu = quantile_table(mu, ladder, cut)
-    table_nu = quantile_table(nu, ladder, cut)
-    diff = table_mu.positions - table_nu.positions
+    diff = quantile_table(mu, ladder, cut) - quantile_table(nu, ladder, cut)
     return float(np.sqrt(np.mean(diff * diff)))
 
 

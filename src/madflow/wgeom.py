@@ -237,14 +237,6 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     return rates
 
 
-def flow_coefficients(grid: Grid, coefficients: np.ndarray, potential=0.0,
-                      hbar: float = 0.0) -> np.ndarray:
-    """Rates (dmu/dt, dS/dt) of the Hamiltonian flow, in `Grid.rfft` coefficients:
-    one call of a fresh `flow_kernel`."""
-    out = np.empty((2, grid.n // 2 + 1), dtype=complex)
-    return flow_kernel(grid, potential, hbar)(coefficients, out)
-
-
 def descent_kernel(grid: Grid, potential, hbar: float):
     """Rates of the steepest descent of the total energy, buffered like `flow_kernel`.
 
@@ -282,10 +274,11 @@ def descent_kernel(grid: Grid, potential, hbar: float):
 
 def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
                      potential_values=0.0, hbar: float = 0.0) -> np.ndarray:
-    """`flow_coefficients` on samples, rows (dmu/dt, dS/dt).  With no potential
-    and hbar = 0, row 0 is a tangent vector's divergence form."""
+    """One call of a fresh `flow_kernel` on samples, rows (dmu/dt, dS/dt).  With
+    no potential and hbar = 0, row 0 is a tangent vector's divergence form."""
     coef = grid.rfft(np.stack((mu, fiber, np.broadcast_to(potential_values, np.shape(mu)))))
-    return grid.irfft(flow_coefficients(grid, coef[:2], coef[2], hbar))
+    out = np.empty((2, grid.n // 2 + 1), dtype=complex)
+    return grid.irfft(flow_kernel(grid, coef[2], hbar)(coef[:2], out))
 
 
 def fisher_coefficients(grid: Grid, coefficients: np.ndarray) -> np.ndarray:

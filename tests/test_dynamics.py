@@ -36,7 +36,7 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
-from madflow.wgeom import (TangentBundlePoint, energy_coefficients, flow_coefficients,
+from madflow.wgeom import (TangentBundlePoint, energy_coefficients, flow_kernel,
                            hamiltonian, lagrangian)
 
 TAU = 2 * np.pi
@@ -256,9 +256,9 @@ def test_rk4_step_makes_a_fixed_number_of_fft_calls(fft_calls, solver, per_step)
 
 def test_buffered_rk4_equals_a_plain_allocating_rk4():
     # the solvers advance in place through kernel-owned buffers; the
-    # textbook loop below allocates every stage and calls the allocating
-    # right-hand sides (for DLSS the generator, then the flow's density row
-    # from a transform of both rows).  Every snapshot and the ledger must
+    # textbook loop below allocates every stage and builds a fresh kernel
+    # for every right-hand side, writing into a fresh buffer (for DLSS the
+    # generator, then the flow's density row from a transform of both rows).  Every snapshot and the ledger must
     # agree bit for bit, so a stage buffer overwritten before the final
     # combination, or a kernel that keeps state between calls, fails here.
     g = Grid(64)
@@ -292,7 +292,8 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     start = TangentBundlePoint(mu0, 0.3 * np.sin(g.points))
     dt = 1e-3
     expected = plain(g.rfft(np.stack((mu0.values, start.fiber_potential))) * mask,
-                     lambda y: flow_coefficients(g, y, v_hat, c.hbar), dt, regauge)
+                     lambda y: flow_kernel(g, v_hat, c.hbar)(y, np.empty_like(y)), dt,
+                     regauge)
     rec = madelung_evolve(start, V, c, dt, steps * dt)
     assert len(rec.states) == steps + 1
     for state, x in zip(rec.states, expected):
@@ -303,7 +304,8 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
 
     def descent(y):
         generator = energy_coefficients(g, y[0], v_hat, c.hbar)
-        return -flow_coefficients(g, np.stack((y[0], generator)))[:1]
+        both = np.stack((y[0], generator))
+        return -flow_kernel(g)(both, np.empty_like(both))[:1]
 
     dt = 1e-5
     expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda y, x: x)

@@ -49,14 +49,14 @@ assert "scipy.interpolate" in sys.modules
 def test_transport_exports_import_first_and_load_splines_on_use():
     _run("""
 import sys
-from madflow import Grid, QuantileTable, w2_distance
+from madflow import Grid, quantile_table, w2_distance
 from madflow.states import wrapped_gaussian_density
 assert "scipy.interpolate" not in sys.modules
 g = Grid(256)
 mu, nu = (wrapped_gaussian_density(g, c, 0.3) for c in (3.0, 3.5))
 assert abs(w2_distance(mu, nu) - 0.5) < 1e-6
 assert "scipy.interpolate" in sys.modules
-assert QuantileTable.__module__ == "madflow.transport"
+assert quantile_table.__module__ == "madflow.transport"
 """)
 
 

@@ -86,10 +86,10 @@ def test_cut_gate_rejects_spread_mass():
 def test_quantile_table_structure():
     g = Grid(256)
     mu = wrapped_gaussian_density(g, np.pi, 0.4)
-    table = quantile_table(mu, ladder=512)
-    assert np.allclose(table.probabilities, (np.arange(512) + 0.5) / 512)
-    assert np.all(np.diff(table.positions) >= 0)
-    assert table.positions[0] >= 0.0 and table.positions[-1] <= g.length
+    positions = quantile_table(mu, ladder=512)
+    assert positions.shape == (512,)
+    assert np.all(np.diff(positions) >= 0)
+    assert positions[0] >= 0.0 and positions[-1] <= g.length
     with pytest.raises(ValueError):
         quantile_table(mu, ladder=1)
 
@@ -97,8 +97,8 @@ def test_quantile_table_structure():
 def test_quantile_table_median_of_symmetric_bump():
     g = Grid(256)
     mu = wrapped_gaussian_density(g, np.pi, 0.3)
-    table = quantile_table(mu, ladder=4096)
-    median = np.interp(0.5, table.probabilities, table.positions)
+    positions = quantile_table(mu, ladder=4096)
+    median = np.interp(0.5, (np.arange(4096) + 0.5) / 4096, positions)
     offset = g.points[int(np.argmin(mu.values))]
     absolute = (median + offset) % g.length
     assert abs(absolute - np.pi) < 1e-8
