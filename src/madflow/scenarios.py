@@ -227,14 +227,11 @@ class ScenarioConfig:
         if solver not in solvers:
             raise ConfigError(f"initial state kind {init_kind!r} does not fit the "
                               f"{solver!r} solver; it fits {solvers}")
-        steps = None
-        if dt is not None:
-            try:
-                steps = dynamics._step_count(dt, total_time)
-            except ValueError as exc:
-                raise ConfigError(f"integrator: {exc}") from exc
-        else:
-            _default_dt(solver, grid, constants.hbar, total_time)  # ConfigError before the solve
+        try:  # with dt omitted, the step count of the first rung of the ladder
+            steps = dynamics._step_count(
+                dt or _default_dt(solver, grid, constants.hbar, total_time), total_time)
+        except ValueError as exc:
+            raise ConfigError(f"integrator: {exc}") from exc
         if solver == "heat" and pot_kind != "none":
             raise ConfigError("the heat flow takes no potential; use kind 'none'")
 
@@ -253,14 +250,21 @@ class ScenarioConfig:
             if solver not in definition.solvers:
                 raise ConfigError(f"check {cname!r} does not apply to the "
                                   f"{solver!r} solver")
+            if init_kind not in definition.kinds:
+                raise ConfigError(f"check {cname!r} does not apply to an initial "
+                                  f"state of kind {init_kind!r}; it reads {definition.kinds}")
+            if cname == "free_packet_density" and init_params.get("floor_weight", 0) != 0:
+                raise ConfigError("check 'free_packet_density' describes the bare "
+                                  "packet only; set floor_weight to 0")
             tol = definition.tolerance if tol is None else tol
             checks.append(CheckRequest(cname, tol))
-            if definition.uniform_snapshots and steps is not None:
-                gaps = np.diff(dynamics._snapshot_steps(steps, stride))
-                if np.any(gaps != gaps[0]):
-                    raise ConfigError(
-                        f"check {cname!r} needs uniformly spaced snapshots; "
-                        f"snapshot_stride {stride} does not divide the {steps} steps")
+            # a stride that divides the first rung's count divides the 2^k
+            # times as many steps of every later rung of the dt ladder
+            if definition.uniform_snapshots and (steps % stride or steps < 2 * stride):
+                raise ConfigError(
+                    f"check {cname!r} needs three or more uniformly spaced snapshots; "
+                    f"snapshot_stride {stride} does not divide the {steps} steps "
+                    "into two or more equal parts")
 
         out_map = _require_mapping(data.get("output", {}), "output")
         _check_keys(out_map, ("directory", "formats"), "output")
@@ -504,14 +508,12 @@ def build_initial(config: ScenarioConfig) -> dict:
     args = _parameters(params, INITIAL_KINDS[kind][1], "initial_state.parameters", grid)
     if kind in ("gaussian", "perturbed_uniform"):
         if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
-            start = {"wave": statelib.free_gaussian_wave(
-                grid, args["center"], args["sigma"], constants, 0.0, args["images"])}
-        else:
-            start = _solver_start(solver, DENSITY_KINDS[kind][0](grid, **args),
-                                  _zero_phase(grid), 0.0, constants)
-        if kind == "gaussian":
-            start.update(center=args["center"], sigma=args["sigma"])
-        return start
+            # the packet at time t, the free_packet_density oracle
+            packet = partial(statelib.free_gaussian_wave, grid, args["center"],
+                             args["sigma"], constants, images=args["images"])
+            return {"wave": packet(0.0), "packet": packet}
+        return _solver_start(solver, DENSITY_KINDS[kind][0](grid, **args),
+                             _zero_phase(grid), 0.0, constants)
     if kind == "polar_pair":
         return _solver_start(solver, args["density"], args["phase"],
                              args["reference"], constants)
@@ -541,6 +543,9 @@ def build_initial(config: ScenarioConfig) -> dict:
         return {"density": density_trial(0)}
     # gaussian_pair
     centers = args.pop("centers")
+    if math.remainder(centers[1] - centers[0], grid.length) == 0.0:
+        raise ValueError("the two centers coincide on the circle: there is no "
+                         "transport to measure")
     pair = tuple(statelib.wrapped_gaussian_density(grid, c, **args) for c in centers)
     # the path, sampled at t = k dt / total_time; CutError or NodeError
     # here means the grid does not resolve it
@@ -731,9 +736,11 @@ class CheckDefinition:
     solvers: tuple[str, ...]
     fn: Callable[[RunContext], np.ndarray]
     summary: str
-    #: the check differences in time, so validation rejects a stride
-    #: that does not divide the step count (when dt gives the count)
+    #: the check differences in time, so validation rejects a stride that
+    #: leaves fewer than three snapshots or spaces them unevenly
     uniform_snapshots: bool = False
+    #: the initial-state kinds whose start the check reads
+    kinds: tuple[str, ...] = tuple(INITIAL_KINDS)
 
 
 @dataclass(frozen=True)
@@ -746,11 +753,8 @@ class CheckResult:
 
 
 def _uniform_snapshot_step(ctx: RunContext) -> float:
-    gaps = np.diff(ctx.record.times)
-    if len(gaps) == 0 or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ConfigError("this check needs uniformly spaced snapshots; "
-                          "pick a stride that divides the step count")
-    return float(gaps[0])
+    """The snapshot spacing, uniform by validation."""
+    return float(ctx.record.times[1] - ctx.record.times[0])
 
 
 def _state_arrays(state) -> tuple[np.ndarray, ...]:
@@ -795,11 +799,9 @@ def _check_eigenstate_phase(ctx: RunContext) -> np.ndarray:
 
 def _check_free_packet_density(ctx: RunContext) -> np.ndarray:
     g = ctx.grid
-    center, sigma = ctx.initial["center"], ctx.initial["sigma"]
     out = np.zeros(len(ctx.record.times))
     for i, (t, state) in enumerate(zip(ctx.record.times, ctx.record.states)):
-        oracle = statelib.free_gaussian_wave(g, center, sigma, ctx.constants,
-                                             float(t))
+        oracle = ctx.initial["packet"](float(t))
         diff = np.abs(state.values) ** 2 - np.abs(oracle.values) ** 2
         out[i] = np.sqrt(g.integrate(diff * diff))
     return out
@@ -887,8 +889,6 @@ def _check_symplectic_pullback(ctx: RunContext) -> np.ndarray:
     g = ctx.grid
     out = np.zeros(len(ctx.record.states))
     for i, state in enumerate(ctx.record.states):
-        if not isinstance(state, DensityField):
-            raise ConfigError("symplectic_pullback needs density trial states")
         constants = PhysicsConstants(_PULLBACK_HBAR_CYCLE[i % 3])
         rng = np.random.default_rng(_PULLBACK_SEED_BASE + i)
         point = TangentBundlePoint(state, statelib.random_zero_mean(g, rng, 3, 0.4))
@@ -958,10 +958,10 @@ CHECKS: dict[str, CheckDefinition] = {
         "relative energy drift stays small"),
     "eigenstate_phase": CheckDefinition(
         1e-10, ("schrodinger",), _check_eigenstate_phase,
-        "single mode accumulates the exact phase"),
+        "single mode accumulates the exact phase", kinds=("plane_wave",)),
     "free_packet_density": CheckDefinition(
         1e-6, ("schrodinger",), _check_free_packet_density,
-        "density tracks the closed-form spreading packet"),
+        "density tracks the closed-form spreading packet", kinds=("gaussian",)),
     "schrodinger_density_match": CheckDefinition(
         1e-3, ("madelung",), _check_schrodinger_density_match,
         "hydrodynamic density tracks the wave solver"),
@@ -984,10 +984,11 @@ CHECKS: dict[str, CheckDefinition] = {
         "gauge ledger equals the running action integral"),
     "hamiltonian_pullback": CheckDefinition(
         1e-8, ("static",), _check_hamiltonian_pullback,
-        "wave energy equals the lifted hydrodynamic energy"),
+        "wave energy equals the lifted hydrodynamic energy", kinds=("random_polar",)),
     "symplectic_pullback": CheckDefinition(
         1e-4, ("static",), _check_symplectic_pullback,
-        "wave symplectic form pulls back to the scaled bundle form"),
+        "wave symplectic form pulls back to the scaled bundle form",
+        kinds=("random_density",)),
     "bb_action_match": CheckDefinition(
         1e-3, ("displacement",), _check_bb_action_match,
         "kinetic action of the geodesic equals the squared distance",
@@ -1134,9 +1135,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
 # -- builtin scenarios -------------------------------------------------------
 
 
-_PI = math.pi
-
-
 def _builtins() -> dict[str, tuple[str, dict]]:
     """name -> (description, config without its schema and name), built afresh."""
     return {
@@ -1170,7 +1168,7 @@ def _builtins() -> dict[str, tuple[str, dict]]:
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
             "initial_state": {"kind": "gaussian", "parameters": {
-                "center": _PI, "sigma": 0.35, "floor_weight": 0.0}},
+                "center": math.pi, "sigma": 0.35, "floor_weight": 0.0}},
             "integrator": {"solver": "schrodinger", "dt": 1e-3,
                            "total_time": 0.3, "snapshot_stride": 50},
             "checks": [{"name": "free_packet_density", "tolerance": 1e-6},
@@ -1181,9 +1179,9 @@ def _builtins() -> dict[str, tuple[str, dict]]:
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "cosine_well",
-                          "parameters": {"depth": 1.0, "center": _PI}},
+                          "parameters": {"depth": 1.0, "center": math.pi}},
             "initial_state": {"kind": "polar_pair", "parameters": {
-                "density": {"kind": "cosine_bump", "center": _PI,
+                "density": {"kind": "cosine_bump", "center": math.pi,
                             "concentration": 2.0},
                 "phase": {"kind": "zero"}}},
             "integrator": {"solver": "madelung", "dt": 1e-4,
@@ -1199,9 +1197,9 @@ def _builtins() -> dict[str, tuple[str, dict]]:
             "grid": {"n": 256, "length": TAU},
             "constants": {"hbar": 1.0},
             "potential": {"kind": "cosine_well",
-                          "parameters": {"depth": 1.0, "center": _PI}},
+                          "parameters": {"depth": 1.0, "center": math.pi}},
             "initial_state": {"kind": "polar_pair", "parameters": {
-                "density": {"kind": "cosine_bump", "center": _PI,
+                "density": {"kind": "cosine_bump", "center": math.pi,
                             "concentration": 2.0},
                 "phase": {"kind": "zero"}}},
             "integrator": {"solver": "madelung", "dt": 1e-4,
@@ -1260,7 +1258,7 @@ def _builtins() -> dict[str, tuple[str, dict]]:
             "constants": {"hbar": 1.0},
             "potential": {"kind": "none"},
             "initial_state": {"kind": "gaussian_pair", "parameters": {
-                "centers": [_PI - 0.25, _PI + 0.25], "sigma": 0.1,
+                "centers": [math.pi - 0.25, math.pi + 0.25], "sigma": 0.1,
                 "floor_weight": 1e-8}},
             "integrator": {"solver": "displacement", "dt": 1.0 / 63.0,
                            "total_time": 1.0, "snapshot_stride": 1},

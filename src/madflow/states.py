@@ -22,13 +22,26 @@ def uniform_density(grid: Grid) -> DensityField:
     return DensityField(grid, np.full(grid.n, 1.0 / grid.length))
 
 
-def _wrapped_gaussian_samples(x: np.ndarray, length: float, center: float,
-                              sigma: float, images: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-    for m in range(-images, images + 1):
-        out += norm * np.exp(-0.5 * ((x - center + m * length) / sigma) ** 2)
-    return out
+#: a Gaussian exp(-x^2 / (2 w^2)) and its spectrum exp(-w^2 k^2 / 2) fall
+#: below double rounding (machine epsilon) of their peaks past this many widths
+GAUSSIAN_REACH = float(np.sqrt(-2.0 * np.log(np.finfo(float).eps)))
+
+
+def _require_resolved(grid: Grid, center: float, sigma: float, images: int,
+                      width: float) -> None:
+    """ValueError unless the sum of exp(-(x - center + m L)^2 / (2 width^2))
+    over |m| <= images is periodic and band-limited in double precision: its
+    first omitted image on the grid and its spectrum at the top wavenumber
+    lie below machine epsilon of the peak.  The message names `sigma`."""
+    gap = (images + 1) * grid.length - np.abs(grid.points - center).max()
+    if gap < GAUSSIAN_REACH * width:
+        raise ValueError(f"a Gaussian of sigma {sigma:g} is not resolved by "
+                         f"{images} images: the first omitted image lies above "
+                         "double rounding")
+    if np.pi * grid.n / grid.length * width < GAUSSIAN_REACH:
+        raise ValueError(f"a Gaussian of sigma {sigma:g} is not resolved on "
+                         f"{grid.n} points: its spectrum at the top wavenumber "
+                         "lies above double rounding")
 
 
 def wrapped_gaussian_density(grid: Grid, center: float, sigma: float,
@@ -44,7 +57,11 @@ def wrapped_gaussian_density(grid: Grid, center: float, sigma: float,
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not (0.0 <= floor_weight < 1.0):
         raise ValueError(f"floor weight must lie in [0, 1), got {floor_weight!r}")
-    bump = _wrapped_gaussian_samples(grid.points, grid.length, center, sigma, images)
+    _require_resolved(grid, center, sigma, images, sigma)
+    x, bump = grid.points, np.zeros(grid.n)
+    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    for m in range(-images, images + 1):
+        bump += norm * np.exp(-0.5 * ((x - center + m * grid.length) / sigma) ** 2)
     bump = bump / grid.integrate(bump)
     mixed = (1.0 - floor_weight) * bump + floor_weight / grid.length
     return normalize_density(grid, mixed)
@@ -87,6 +104,7 @@ def free_gaussian_wave(grid: Grid, center: float, sigma0: float,
     square root of the bare wrapped Gaussian; the density variance grows as
     sigma0^2 + (hbar t / (2 sigma0))^2 while the tails stay negligible.
     """
+    _require_resolved(grid, center, sigma0, images, np.sqrt(2.0) * sigma0)
     alpha = 1.0 + 0.5j * constants.hbar * time / sigma0 ** 2
     x = grid.points
     values = np.zeros(grid.n, dtype=complex)

@@ -281,19 +281,15 @@ def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
     return grid.irfft(flow_kernel(grid, coef[2], hbar)(coef[:2], out))
 
 
-def fisher_coefficients(grid: Grid, coefficients: np.ndarray) -> np.ndarray:
-    """The dealiased Fisher generator of mu, in `Grid.rfft` coefficients of both."""
-    into, _, mask = _flow_symbols(grid)
-    out = np.empty(grid.n // 2 + 1, dtype=complex)
-    return _generator(grid, mask, _fisher_terms(*grid.irfft(into[1:] * coefficients)), out)
-
-
 def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
     """(d mu / mu)^2 - 2 (lap mu)/mu, the generator of the Fisher gradient:
     |d log mu|^2 - 2 (lap mu)/mu without the logarithm, finite on the
     non-positive stages an explicit step can produce; dealiased, unchecked.
     hbar^2/8 times it is the quantum correction."""
-    return grid.irfft(fisher_coefficients(grid, grid.rfft(density_values)))
+    into, _, mask = _flow_symbols(grid)
+    out = np.empty(grid.n // 2 + 1, dtype=complex)
+    terms = _fisher_terms(*grid.irfft(into[1:] * grid.rfft(density_values)))
+    return grid.irfft(_generator(grid, mask, terms, out))
 
 
 def energy_coefficients(grid: Grid, coefficients: np.ndarray, potential,

@@ -258,9 +258,10 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     # the solvers advance in place through kernel-owned buffers; the
     # textbook loop below allocates every stage and builds a fresh kernel
     # for every right-hand side, writing into a fresh buffer (for DLSS the
-    # generator, then the flow's density row from a transform of both rows).  Every snapshot and the ledger must
-    # agree bit for bit, so a stage buffer overwritten before the final
-    # combination, or a kernel that keeps state between calls, fails here.
+    # generator, then the flow's density row from a transform of both
+    # rows).  Every snapshot and the ledger must agree bit for bit, so a
+    # stage buffer overwritten before the final combination, or a kernel
+    # that keeps state between calls, fails here.
     g = Grid(64)
     mask = g.dealias_mask[: g.n // 2 + 1]
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))

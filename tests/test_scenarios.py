@@ -254,18 +254,20 @@ def test_readme_kind_tables_list_each_tables_parameters():
 
 
 def test_gaussian_wave_honours_images():
-    # sigma = 2 on a 2 pi circle: the images beyond the nearest one matter
-    waves = []
-    for images in (1, 6):
+    # sigma = 2 on a 2 pi circle: with one image on each side the first
+    # omitted one lies above double rounding, with three it does not
+    def start(images):
         m = _heat_mapping(solver="schrodinger", total_time=1e-3)
         m["initial_state"] = {"kind": "gaussian", "parameters": {
             "sigma": 2.0, "floor_weight": 1e-8, "images": images}}
-        ctx = run_scenario(ScenarioConfig.from_mapping(m), write=False).context
-        mu = wrapped_gaussian_density(ctx.grid, np.pi, 2.0, 1e-8, images)
-        wave = ctx.initial["wave"].values
-        assert np.max(np.abs(np.abs(wave) ** 2 - mu.values)) < 1e-12
-        waves.append(wave)
-    assert np.max(np.abs(waves[0] - waves[1])) > 1e-7
+        return run_scenario(ScenarioConfig.from_mapping(m), write=False).context
+
+    with pytest.raises(ConfigError, match="not resolved by 1 images"):
+        start(1)
+    ctx = start(3)
+    mu = wrapped_gaussian_density(ctx.grid, np.pi, 2.0, 1e-8, 3)
+    wave = ctx.initial["wave"].values
+    assert np.max(np.abs(np.abs(wave) ** 2 - mu.values)) < 1e-12
 
 
 def test_displacement_needs_explicit_dt():
@@ -300,10 +302,12 @@ def test_stride_breaking_uniform_snapshots_fails_validation(monkeypatch, capsys,
 def test_stride_is_free_without_a_time_differencing_check_or_a_step_count():
     ScenarioConfig.from_mapping(apply_overrides(
         builtin_mapping("thm21_equivalence"), ["integrator.snapshot_stride=7"]))
-    # with dt omitted the step count is unknown until the run, which checks it
-    ScenarioConfig.from_mapping(apply_overrides(
-        builtin_mapping("newton_residual"),
-        ["integrator.snapshot_stride=7", "integrator.dt=null"]))
+    # with dt omitted the step count is the first rung's (1500 for
+    # newton_residual), which a time-differencing check's stride must divide
+    with pytest.raises(ConfigError, match="does not divide the 1500 steps"):
+        ScenarioConfig.from_mapping(apply_overrides(
+            builtin_mapping("newton_residual"),
+            ["integrator.snapshot_stride=7", "integrator.dt=null"]))
 
 
 def test_check_tolerance_defaults_from_registry():
@@ -467,11 +471,13 @@ def test_dt_refinement_when_dt_omitted(tmp_path):
 
 def test_dt_refinement_halves_until_the_final_row_settles():
     # a packet in a deep well keeps its final row moving at the 1e-3
-    # target; three halvings bring the change below REFINEMENT_TOL
+    # target; three halvings bring the change below REFINEMENT_TOL (the
+    # closed-form free packet does not describe this start, so its check goes)
     m = apply_overrides(builtin_mapping("free_gaussian"), [
         "potential.kind=cosine_well", "potential.parameters.depth=50.0",
         "initial_state.parameters.floor_weight=1e-8", "integrator.dt=null",
-        "integrator.total_time=0.1", "integrator.snapshot_stride=1"])
+        "integrator.total_time=0.1", "integrator.snapshot_stride=1",
+        'checks=["mass_conservation"]'])
     outcome = run_scenario(ScenarioConfig.from_mapping(m), write=False)
     assert outcome.summary["dt_used"] == 1.25e-4
 
@@ -663,16 +669,71 @@ def test_cli_memory_error_while_building_exits_two(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("override", [
-    "grid.n=16",   # the pair's interpolants dip below zero
-    "grid.n=128",  # the pair is resolved, a sample along the path is not
+    "grid.n=16",   # the pair's interpolants would dip below zero
+    "grid.n=128",  # the pair's spectra reach the top wavenumber
 ])
 def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
-    # sigma = 0.1 packets: the path is sampled and tested before the solve
+    # sigma = 0.1 packets: the pair is built and tested before the solve
     out_dir = tmp_path / "bb_out"
     assert main(["run", "--scenario", "benamou_brenier_action",
                  "--override", override, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "not resolved" in err
+    assert not out_dir.exists()
+
+
+def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
+    # each builtin with each check alone: validation accepts exactly the
+    # pairs whose solver and initial kind the check declares (nothing solves)
+    for scenario in builtin_names():
+        base = builtin_mapping(scenario)
+        solver, kind = base["integrator"]["solver"], base["initial_state"]["kind"]
+        for name, definition in scenarios.CHECKS.items():
+            mapping = apply_overrides(base, [f'checks=["{name}"]'])
+            try:
+                ScenarioConfig.from_mapping(mapping)
+                accepted = True
+            except ConfigError:
+                accepted = False
+            admitted = solver in definition.solvers and kind in definition.kinds
+            assert accepted == admitted, (scenario, name)
+
+
+@pytest.mark.parametrize("scenario, overrides, message", [
+    # a check that reads what the initial state does not provide
+    ("free_gaussian", ['checks=["eigenstate_phase"]'], "kind 'gaussian'"),
+    ("plane_wave_eigenstate", ['checks=["free_packet_density"]'], "kind 'plane_wave'"),
+    ("thm44_hamiltonian", ['checks=["symplectic_pullback"]'], "kind 'random_polar'"),
+    ("submersion_pullback", ['checks=["hamiltonian_pullback"]'], "kind 'random_density'"),
+    # the closed-form packet is the bare one
+    ("free_gaussian", ["initial_state.parameters.floor_weight=1e-3"], "bare packet"),
+    # Gaussians that double precision does not resolve on the grid
+    ("free_gaussian", ["initial_state.parameters.sigma=1e-9"], "top wavenumber"),
+    ("free_gaussian", ["initial_state.parameters.sigma=2.0",
+                       "initial_state.parameters.images=1"], "first omitted image"),
+    # a transport of zero length
+    ("benamou_brenier_action", ["initial_state.parameters.centers=[1.0,1.0]"],
+     "coincide on the circle"),
+    ("benamou_brenier_action", ["initial_state.parameters.centers=[1.0,7.283185307179586]"],
+     "coincide on the circle"),
+    # with dt omitted, the first rung's 1500 steps; one snapshot past the start
+    ("newton_residual", ["integrator.snapshot_stride=7", "integrator.dt=null"],
+     "does not divide the 1500 steps"),
+    ("benamou_brenier_action", ["integrator.snapshot_stride=63"], "three or more"),
+])
+def test_cli_unservable_start_exits_two_before_the_solve(monkeypatch, capsys, tmp_path,
+                                                         scenario, overrides, message):
+    def no_solve(ctx, dt):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr("madflow.scenarios._run_solver", no_solve)
+    out_dir = tmp_path / "never"
+    argv = ["run", "--scenario", scenario, "--out", str(out_dir)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert message in err
     assert not out_dir.exists()
 
 

@@ -67,7 +67,7 @@ def _brute_force_w2(mu: DensityField, nu: DensityField, cells: int = 65536) -> f
 
 
 def test_joint_cut_index():
-    g = Grid(32)
+    g = Grid(64)
     mu = wrapped_gaussian_density(g, 1.0, 0.5)
     nu = wrapped_gaussian_density(g, 1.5, 0.5)
     cut = joint_cut_index(mu, nu)
@@ -117,7 +117,8 @@ def test_w2_translate_oracle():
 
 
 def test_w2_matches_brute_force_coupling():
-    g = Grid(32)
+    # 64 points: a width-0.4 packet is not resolved on 32
+    g = Grid(64)
     cases = [
         (wrapped_gaussian_density(g, 2.6, 0.4), wrapped_gaussian_density(g, 3.7, 0.4)),
         (wrapped_gaussian_density(g, 3.0, 0.4), wrapped_gaussian_density(g, 3.4, 0.45)),
