@@ -15,12 +15,13 @@ generator that `wgeom.wasserstein_gradient("total")` returns.  Each kernel
 is built once per run and owns its transform buffers; as `rhs(y, out)` it
 writes the rates of the coefficients `y` into `out`.  Both run through one
 RK4 step, guard and snapshot loop, which owns the stage buffers, steps
-`rfft` coefficients in place and returns to samples once per step.  The
-solvers only integrate: a
-TrajectoryRecord holds the snapshot times and states and, on the Madelung
-solver, the gauge ledger; mass, energies, entropy and Fisher information
-are functions of a state, derived from it by the caller.  Products are
-dealiased with the 2/3 rule.
+`rfft` coefficients in place and returns to samples once per step.  Every
+solver, and the scenario runner's pseudo-time runners, read the snapshot
+schedule from `_snapshot_steps`; a record's times are those steps times
+dt.  The solvers only integrate: a TrajectoryRecord holds the snapshot
+times and states and, on the Madelung solver, the gauge ledger; mass,
+energies, entropy and Fisher information are functions of a state,
+derived from it by the caller.  Products are dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def _step_count(dt: float, total_time: float) -> int:
     return steps
 
 
-def _snapshot_steps(steps: int, stride: int) -> list[int]:
+def _snapshot_steps(dt: float, total_time: float, stride: int) -> list[int]:
+    """The snapshot steps of a run: every `stride`-th step and the last."""
+    steps = _step_count(dt, total_time)
     if stride < 1:
         raise ValueError(f"snapshot stride must be >= 1, got {stride!r}")
     marks = list(range(0, steps + 1, stride))
@@ -86,28 +89,31 @@ def _snapshot_steps(steps: int, stride: int) -> list[int]:
     return marks
 
 
-def _rk4_run(grid, y, rhs, dt: float, steps: int, marks: list[int], floor: float,
-             settle, record) -> None:
-    """Classical RK4 on `y`, the `Grid.rfft` coefficients of a stacked state.
+def _rk4_run(grid, samples, rhs, dt: float, marks: list[int], settle, record) -> None:
+    """Classical RK4 on y, the dealiased `Grid.rfft` coefficients of
+    `samples`, a stacked state, up to the last snapshot step of `marks`.
 
     `rhs(y, out)` writes the rates of the coefficients `y` into `out`; it
     must not keep either array.  The loop owns the rates k1 .. k4, the
     stage and the samples, and advances `y` in place; every stage and the
     combination round exactly as y + (c dt) k and y + (dt/6)(k1 + 2 k2 +
     2 k3 + k4) do.  After each step one inverse transform gives the
-    samples `x`, whose row 0, the density, must stay at or above `floor`
-    (NodeError); then `settle(step, y, x)` applies the solver's own guard
+    samples `x`, whose row 0, the density, must stay at or above the
+    density floor (NodeError); then `settle(step, y, x)` applies the solver's own guard
     or re-gauging to both in place, and `record(step, x)` runs at every
     mark.  Step 0 is settled and recorded too.  `settle` and `record` must
     copy what they keep: `x` is overwritten by the next step.
     """
+    y = grid.rfft(samples)
+    y *= grid.dealias_mask[: grid.n // 2 + 1]
+    floor = density_floor(grid)
     mark_set = set(marks)
     x = grid.irfft(y)
     settle(0, y, x)
     record(0, x)
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     half, sixth = 0.5 * dt, dt / 6.0
-    for step in range(1, steps + 1):
+    for step in range(1, marks[-1] + 1):
         rhs(y, k1)
         np.multiply(k1, half, out=stage)
         stage += y
@@ -145,27 +151,20 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
     """Strang split-step: half potential phase, full kinetic phase, half potential."""
     g = initial.grid
     hbar = constants.hbar
-    steps = _step_count(dt, total_time)
-    marks = _snapshot_steps(steps, snapshot_stride)
+    marks = _snapshot_steps(dt, total_time, snapshot_stride)
     half_potential = np.exp(-0.5j * dt * potential.values / hbar)
     kinetic = np.exp(0.5j * hbar * dt * g.laplacian_symbol)
 
     psi = initial.values.astype(complex).copy()
-    times, states = [], []
-
-    def record(step_index: int) -> None:
-        times.append(step_index * dt)
-        states.append(WaveField(g, psi))
-
+    states = [WaveField(g, psi)]
     mark_set = set(marks)
-    record(0)
-    for step in range(1, steps + 1):
+    for step in range(1, marks[-1] + 1):
         psi = half_potential * psi
         psi = g.apply_symbol(psi, kinetic)
         psi = half_potential * psi
         if step in mark_set:
-            record(step)
-    return TrajectoryRecord(np.array(times), tuple(states))
+            states.append(WaveField(g, psi))
+    return TrajectoryRecord(np.array(marks) * dt, tuple(states))
 
 
 # -- hydrodynamic solver -----------------------------------------------------
@@ -187,18 +186,13 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     when the density reaches its floor and StabilityError on energy blow-up.
     """
     g = point.grid
-    steps = _step_count(dt, total_time)
-    marks = _snapshot_steps(steps, snapshot_stride)
+    marks = _snapshot_steps(dt, total_time, snapshot_stride)
     v_vals = potential.values
     # hamiltonian + this weight gives kinetic + quantum + |V| energy, in
     # which no cancellation can hide a blow-up
     guard_weight = np.abs(v_vals) - v_vals
     rhs = flow_kernel(g, g.rfft(v_vals), constants.hbar)
-    # Work on dealiased copies so every retained mode is evolved consistently.
-    y = g.rfft(np.stack((point.base.values, point.fiber_potential)))
-    y *= g.dealias_mask[: g.n // 2 + 1]
-
-    times, states, ledgers = [], [], []
+    states, ledgers = [], []
     ledger = 0.0
     reference_energy = None
 
@@ -223,12 +217,12 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
                 f"energy grew to {guard:.3e} at t = {step_index * dt:.4g} "
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
-        times.append(step_index * dt)
         states.append(state)
         ledgers.append(ledger)
 
-    _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
-    return TrajectoryRecord(np.array(times), tuple(states), np.array(ledgers))
+    _rk4_run(g, np.stack((point.base.values, point.fiber_potential)), rhs, dt, marks,
+             settle, record)
+    return TrajectoryRecord(np.array(marks) * dt, tuple(states), np.array(ledgers))
 
 
 # -- gradient flows ----------------------------------------------------------
@@ -238,13 +232,10 @@ def heat_evolve(mu0: DensityField, dt: float, total_time: float,
                 snapshot_stride: int = 1) -> TrajectoryRecord:
     """Heat flow by the exact spectral semigroup, sampled every stride steps."""
     g = mu0.grid
-    steps = _step_count(dt, total_time)
-    marks = _snapshot_steps(steps, snapshot_stride)
-
-    times = [step * dt for step in marks]
+    times = np.array(_snapshot_steps(dt, total_time, snapshot_stride)) * dt
     states = [DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t)))
               for t in times]
-    return TrajectoryRecord(np.array(times), tuple(states))
+    return TrajectoryRecord(times, tuple(states))
 
 
 def dlss_evolve(mu0: DensityField, potential: PotentialField,
@@ -258,13 +249,10 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     tolerance raises StabilityError (step size violation).
     """
     g = mu0.grid
-    steps = _step_count(dt, total_time)
-    marks = _snapshot_steps(steps, snapshot_stride)
+    marks = _snapshot_steps(dt, total_time, snapshot_stride)
     rhs = descent_kernel(g, g.rfft(potential.values), constants.hbar)
-    y = g.rfft(mu0.values[None, :]) * g.dealias_mask[: g.n // 2 + 1]
     energy = np.inf
-
-    times, states = [], []
+    states = []
 
     def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
         nonlocal energy
@@ -277,8 +265,7 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
         energy = new_energy
 
     def record(step_index: int, x: np.ndarray) -> None:
-        times.append(step_index * dt)
         states.append(DensityField(g, x[0]))
 
-    _rk4_run(g, y, rhs, dt, steps, marks, density_floor(g), settle, record)
-    return TrajectoryRecord(np.array(times), tuple(states))
+    _rk4_run(g, mu0.values[None, :], rhs, dt, marks, settle, record)
+    return TrajectoryRecord(np.array(marks) * dt, tuple(states))

@@ -479,13 +479,13 @@ def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
     return {"wave": madelung_section(point, reference, constants), "point": point}
 
 
-def _trials(config: ScenarioConfig, trial) -> dict:
-    """The states of the pseudo-time (static and displacement) runners.
+def _trials(config: ScenarioConfig, trial) -> TrajectoryRecord:
+    """The record of the pseudo-time (static and displacement) runners.
 
-    `trial(k)` for every snapshot step k, built before the solve.
+    `trial(k)` at every snapshot step k, built before the solve.
     """
-    steps = dynamics._step_count(config.dt, config.total_time)
-    return {k: trial(k) for k in dynamics._snapshot_steps(steps, config.snapshot_stride)}
+    marks = dynamics._snapshot_steps(config.dt, config.total_time, config.snapshot_stride)
+    return TrajectoryRecord(np.array(marks) * config.dt, tuple(trial(k) for k in marks))
 
 
 def build_potential(config: ScenarioConfig) -> PotentialField:
@@ -574,12 +574,9 @@ class RunContext:
     def wave_oracle(self) -> TrajectoryRecord:
         """The wave solver's run from the start, at the run's dt and stride."""
         cfg = self.config
-        oracle = dynamics.schrodinger_evolve(self.initial["wave"], self.potential,
-                                             self.constants, self.dt, cfg.total_time,
-                                             cfg.snapshot_stride)
-        if not np.allclose(oracle.times, self.record.times, rtol=0.0, atol=1e-12):
-            raise ConfigError("wave oracle snapshots fell out of step")
-        return oracle
+        return dynamics.schrodinger_evolve(self.initial["wave"], self.potential,
+                                           self.constants, self.dt, cfg.total_time,
+                                           cfg.snapshot_stride)
 
     @cached_property
     def w2_squared(self) -> float:
@@ -601,10 +598,7 @@ def _run_solver(ctx: RunContext, dt: float) -> TrajectoryRecord:
     if cfg.solver == "dlss":
         return dynamics.dlss_evolve(ctx.initial["density"], ctx.potential,
                                     ctx.constants, dt, total, stride)
-    # static and displacement: the prebuilt trial state at each snapshot step
-    trials = ctx.initial["trials"]
-    return TrajectoryRecord(np.asarray(list(trials), dtype=float) * dt,
-                            tuple(trials.values()))
+    return ctx.initial["trials"]  # static and displacement: built before the solve
 
 
 def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> float:
@@ -626,14 +620,6 @@ def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> floa
     return dt
 
 
-def _final_row(ctx: RunContext, rec: TrajectoryRecord) -> dict:
-    """The last observable row of `rec`: its physics row and ledger."""
-    row = _physics_row(ctx, rec.states[-1])
-    if rec.gauge_constant is not None:
-        row["gauge_constant"] = float(rec.gauge_constant[-1])
-    return row
-
-
 def _resolve_record(ctx: RunContext) -> None:
     """Run the solver; when dt is omitted, halve it until the final row settles."""
     cfg = ctx.config
@@ -642,10 +628,10 @@ def _resolve_record(ctx: RunContext) -> None:
         ctx.record = _run_solver(ctx, ctx.dt)
         return
     dt = _default_dt(cfg.solver, cfg.grid, cfg.constants.hbar, cfg.total_time)
-    previous = _final_row(ctx, _run_solver(ctx, dt))
+    previous = _row(ctx, _run_solver(ctx, dt), -1)
     for _ in range(MAX_REFINEMENTS):
         finer = _run_solver(ctx, 0.5 * dt)
-        row = _final_row(ctx, finer)
+        row = _row(ctx, finer, -1)
         gaps = [abs(previous[key] - row[key]) for key in previous.keys() & row.keys()]
         if max((g for g in gaps if np.isfinite(g)), default=0.0) < REFINEMENT_TOL:
             ctx.dt = 0.5 * dt
@@ -709,20 +695,21 @@ def _physics_row(ctx: RunContext, state) -> dict:
     return row
 
 
-def _compose_columns(ctx: RunContext) -> dict:
-    """The eight physics columns, with nan where a quantity is undefined.
+def _row(ctx: RunContext, rec: TrajectoryRecord, i: int) -> dict:
+    """Row i of `rec`: its time, its gauge ledger entry (0.0 on a record
+    without a ledger) and the physics row of its state."""
+    ledger = 0.0 if rec.gauge_constant is None else float(rec.gauge_constant[i])
+    return {"time": float(rec.times[i]), "gauge_constant": ledger,
+            **_physics_row(ctx, rec.states[i])}
 
-    The gauge ledger comes from the record (a record without one keeps a
-    zero ledger); every other column is derived from the stored state by
-    `_physics_row`.
-    """
-    rec = ctx.record
-    rows = len(rec.times)
+
+def _compose_columns(ctx: RunContext) -> dict:
+    """The eight columns of `_row` over the record, nan where a quantity is
+    undefined."""
+    rows = len(ctx.record.times)
     cols = {name: np.full(rows, np.nan) for name in OBSERVABLE_COLUMNS}
-    ledger = np.zeros(rows) if rec.gauge_constant is None else rec.gauge_constant.copy()
-    cols.update(time=rec.times.copy(), gauge_constant=ledger)
-    for i, state in enumerate(rec.states):
-        for name, value in _physics_row(ctx, state).items():
+    for i in range(rows):
+        for name, value in _row(ctx, ctx.record, i).items():
             cols[name][i] = value
     return cols
 
