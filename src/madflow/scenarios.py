@@ -221,8 +221,6 @@ class ScenarioConfig:
         total_time, stride = integ["total_time"], integ["snapshot_stride"]
         if dt is None and solver == "static":
             dt = 1.0
-        elif dt is None and solver == "displacement":
-            raise ConfigError("the displacement runner needs an explicit dt")
         solvers = INITIAL_KINDS[init_kind][0]
         if solver not in solvers:
             raise ConfigError(f"initial state kind {init_kind!r} does not fit the "
@@ -250,9 +248,11 @@ class ScenarioConfig:
             if solver not in definition.solvers:
                 raise ConfigError(f"check {cname!r} does not apply to the "
                                   f"{solver!r} solver")
-            if init_kind not in definition.kinds:
-                raise ConfigError(f"check {cname!r} does not apply to an initial "
-                                  f"state of kind {init_kind!r}; it reads {definition.kinds}")
+            for what, kind, served in (("an initial state", init_kind, definition.kinds),
+                                       ("a potential", pot_kind, definition.potentials)):
+                if kind not in served:
+                    raise ConfigError(f"check {cname!r} does not apply to {what} of "
+                                      f"kind {kind!r}; it reads {served}")
             if cname == "free_packet_density" and init_params.get("floor_weight", 0) != 0:
                 raise ConfigError("check 'free_packet_density' describes the bare "
                                   "packet only; set floor_weight to 0")
@@ -508,10 +508,13 @@ def build_initial(config: ScenarioConfig) -> dict:
     args = _parameters(params, INITIAL_KINDS[kind][1], "initial_state.parameters", grid)
     if kind in ("gaussian", "perturbed_uniform"):
         if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
-            # the packet at time t, the free_packet_density oracle
+            # the packet at time t, the free_packet_density oracle; its
+            # images must hold it at the final time, when it is widest
             packet = partial(statelib.free_gaussian_wave, grid, args["center"],
                              args["sigma"], constants, images=args["images"])
-            return {"wave": packet(0.0), "packet": packet}
+            wave = packet(0.0)
+            packet(config.total_time)
+            return {"wave": wave, "packet": packet}
         return _solver_start(solver, DENSITY_KINDS[kind][0](grid, **args),
                              _zero_phase(grid), 0.0, constants)
     if kind == "polar_pair":
@@ -704,8 +707,7 @@ def _row(ctx: RunContext, rec: TrajectoryRecord, i: int) -> dict:
 
 
 def _compose_columns(ctx: RunContext) -> dict:
-    """The eight columns of `_row` over the record, nan where a quantity is
-    undefined."""
+    """The eight columns of `_row` over the record; nan where undefined."""
     rows = len(ctx.record.times)
     cols = {name: np.full(rows, np.nan) for name in OBSERVABLE_COLUMNS}
     for i in range(rows):
@@ -726,8 +728,9 @@ class CheckDefinition:
     #: the check differences in time, so validation rejects a stride that
     #: leaves fewer than three snapshots or spaces them unevenly
     uniform_snapshots: bool = False
-    #: the initial-state kinds whose start the check reads
+    #: the initial-state and potential kinds whose run the check reads
     kinds: tuple[str, ...] = tuple(INITIAL_KINDS)
+    potentials: tuple[str, ...] = tuple(POTENTIAL_KINDS)
 
 
 @dataclass(frozen=True)
@@ -945,10 +948,12 @@ CHECKS: dict[str, CheckDefinition] = {
         "relative energy drift stays small"),
     "eigenstate_phase": CheckDefinition(
         1e-10, ("schrodinger",), _check_eigenstate_phase,
-        "single mode accumulates the exact phase", kinds=("plane_wave",)),
+        "single mode accumulates the exact phase", kinds=("plane_wave",),
+        potentials=("none",)),
     "free_packet_density": CheckDefinition(
         1e-6, ("schrodinger",), _check_free_packet_density,
-        "density tracks the closed-form spreading packet", kinds=("gaussian",)),
+        "density tracks the closed-form spreading packet", kinds=("gaussian",),
+        potentials=("none",)),
     "schrodinger_density_match": CheckDefinition(
         1e-3, ("madelung",), _check_schrodinger_density_match,
         "hydrodynamic density tracks the wave solver"),

@@ -28,13 +28,15 @@ GAUSSIAN_REACH = float(np.sqrt(-2.0 * np.log(np.finfo(float).eps)))
 
 
 def _require_resolved(grid: Grid, center: float, sigma: float, images: int,
-                      width: float) -> None:
-    """ValueError unless the sum of exp(-(x - center + m L)^2 / (2 width^2))
-    over |m| <= images is periodic and band-limited in double precision: its
-    first omitted image on the grid and its spectrum at the top wavenumber
-    lie below machine epsilon of the peak.  The message names `sigma`."""
+                      spread: float, width: float) -> None:
+    """ValueError unless a sum over |m| <= images of Gaussians with modulus
+    exp(-(x - center + m L)^2 / (2 spread^2)) and spectral modulus
+    exp(-width^2 k^2 / 2) is periodic and band-limited in double precision:
+    its first omitted image on the grid and its spectrum at the top
+    wavenumber lie below machine epsilon of the peak.  The message names
+    `sigma`."""
     gap = (images + 1) * grid.length - np.abs(grid.points - center).max()
-    if gap < GAUSSIAN_REACH * width:
+    if gap < GAUSSIAN_REACH * spread:
         raise ValueError(f"a Gaussian of sigma {sigma:g} is not resolved by "
                          f"{images} images: the first omitted image lies above "
                          "double rounding")
@@ -57,7 +59,7 @@ def wrapped_gaussian_density(grid: Grid, center: float, sigma: float,
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not (0.0 <= floor_weight < 1.0):
         raise ValueError(f"floor weight must lie in [0, 1), got {floor_weight!r}")
-    _require_resolved(grid, center, sigma, images, sigma)
+    _require_resolved(grid, center, sigma, images, sigma, sigma)
     x, bump = grid.points, np.zeros(grid.n)
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     for m in range(-images, images + 1):
@@ -102,10 +104,13 @@ def free_gaussian_wave(grid: Grid, center: float, sigma0: float,
     Line solution with complex width alpha(t) = 1 + i hbar t / (2 sigma0^2),
     summed over periodic images and normalized.  At time 0 this is the real
     square root of the bare wrapped Gaussian; the density variance grows as
-    sigma0^2 + (hbar t / (2 sigma0))^2 while the tails stay negligible.
+    sigma0^2 + (hbar t / (2 sigma0))^2.  Each image's modulus is a Gaussian
+    of width sqrt(2) sigma0 |alpha(t)|, which the images must hold at time
+    t, while its spectrum's modulus keeps the width of time 0.
     """
-    _require_resolved(grid, center, sigma0, images, np.sqrt(2.0) * sigma0)
     alpha = 1.0 + 0.5j * constants.hbar * time / sigma0 ** 2
+    _require_resolved(grid, center, sigma0, images,
+                      np.sqrt(2.0) * sigma0 * abs(alpha), np.sqrt(2.0) * sigma0)
     x = grid.points
     values = np.zeros(grid.n, dtype=complex)
     prefactor = (2.0 * np.pi * sigma0 ** 2) ** -0.25 / np.sqrt(alpha)

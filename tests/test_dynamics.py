@@ -18,7 +18,7 @@ from madflow import (
     StabilityError,
     WaveField,
 )
-from madflow import dynamics
+from madflow import dynamics, scenarios
 from madflow.dynamics import (
     TrajectoryRecord,
     dlss_evolve,
@@ -80,6 +80,27 @@ def test_step_count_and_stride_semantics():
     rec = heat_evolve(mu, 0.1, 1.0, snapshot_stride=3)
     # marks at 0, 3, 6, 9 strides plus the forced final step
     assert np.allclose(rec.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+
+
+@pytest.mark.parametrize("stride, marks", [
+    (4, [0, 4, 8, 12, 16, 20]),         # divides the 20 steps
+    (3, [0, 3, 6, 9, 12, 15, 18, 20]),  # does not: the last step is added
+])
+def test_every_run_samples_the_one_snapshot_schedule(stride, marks):
+    g, c = Grid(16), PhysicsConstants(1.0)
+    mu, V, dt, T = uniform_density(g), PotentialField.zero(g), 1e-3, 0.02
+    config = scenarios.ScenarioConfig.from_mapping({
+        "name": "static", "initial_state": {"kind": "random_density"},
+        "integrator": {"solver": "static", "dt": dt, "total_time": T,
+                       "snapshot_stride": stride}})
+    records = [schrodinger_evolve(plane_wave(g, 1), V, c, dt, T, stride),
+               madelung_evolve(_at_rest(mu), V, c, dt, T, stride),
+               heat_evolve(mu, dt, T, stride),
+               dlss_evolve(mu, V, c, dt, T, stride),
+               scenarios._trials(config, lambda k: mu)]
+    assert dynamics._snapshot_steps(dt, T, stride) == marks
+    for rec in records:
+        assert np.array_equal(rec.times, np.array(marks) * dt)
 
 
 # -- wave solver -------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,23 @@ def test_gaussian_wave_honours_images():
     mu = wrapped_gaussian_density(ctx.grid, np.pi, 2.0, 1e-8, 3)
     wave = ctx.initial["wave"].values
     assert np.max(np.abs(np.abs(wave) ** 2 - mu.values)) < 1e-12
+
+
+def test_free_packet_images_need_only_hold_the_packet_at_the_final_time():
+    # at t = 20 the packet's spread width is 40.4: past what 6 images hold
+    # (4.8), within what 60 hold
+    m = apply_overrides(builtin_mapping("free_gaussian"), [
+        "integrator.total_time=20", "integrator.dt=0.01",
+        "initial_state.parameters.images=60"])
+    assert run_scenario(ScenarioConfig.from_mapping(m), write=False).passed
+
+
+def test_wave_oracle_samples_the_madelung_schedule_bit_for_bit():
+    # stride 7 does not divide the 2500 steps: both runs append the last one
+    ctx = execute_config(ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("thm21_equivalence"), ["integrator.snapshot_stride=7"])))
+    assert ctx.record.times[-1] == 0.25 and len(ctx.record.times) == 2500 // 7 + 2
+    assert ctx.wave_oracle.times.tobytes() == ctx.record.times.tobytes()
 
 
 def test_displacement_needs_explicit_dt():
@@ -683,20 +701,24 @@ def test_cli_unresolved_transport_density_exits_two(tmp_path, capsys, override):
 
 
 def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
-    # each builtin with each check alone: validation accepts exactly the
-    # pairs whose solver and initial kind the check declares (nothing solves)
-    for scenario in builtin_names():
+    # each builtin with each check alone, free or in a well: validation
+    # accepts exactly the runs whose solver, initial kind and potential kind
+    # the check declares, save a potential on the heat flow (nothing solves)
+    for scenario, potential in product(builtin_names(), ("none", "cosine_well")):
         base = builtin_mapping(scenario)
         solver, kind = base["integrator"]["solver"], base["initial_state"]["kind"]
         for name, definition in scenarios.CHECKS.items():
-            mapping = apply_overrides(base, [f'checks=["{name}"]'])
+            mapping = apply_overrides(base, [f'checks=["{name}"]',
+                                             f'potential={{"kind":"{potential}"}}'])
             try:
                 ScenarioConfig.from_mapping(mapping)
                 accepted = True
             except ConfigError:
                 accepted = False
-            admitted = solver in definition.solvers and kind in definition.kinds
-            assert accepted == admitted, (scenario, name)
+            admitted = (solver in definition.solvers and kind in definition.kinds
+                        and potential in definition.potentials
+                        and (solver != "heat" or potential == "none"))
+            assert accepted == admitted, (scenario, potential, name)
 
 
 @pytest.mark.parametrize("scenario, overrides, message", [
@@ -720,6 +742,13 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     ("newton_residual", ["integrator.snapshot_stride=7", "integrator.dt=null"],
      "does not divide the 1500 steps"),
     ("benamou_brenier_action", ["integrator.snapshot_stride=63"], "three or more"),
+    # the free-evolution oracles describe a run without a potential
+    ("plane_wave_eigenstate", ["potential.kind=cosine_well"],
+     "a potential of kind 'cosine_well'"),
+    ("free_gaussian", ["potential.kind=cosine_well"], "a potential of kind 'cosine_well'"),
+    # by t = 20 the free packet has spread past its 6 images
+    ("free_gaussian", ["integrator.total_time=20", "integrator.dt=0.01"],
+     "first omitted image"),
 ])
 def test_cli_unservable_start_exits_two_before_the_solve(monkeypatch, capsys, tmp_path,
                                                          scenario, overrides, message):
