@@ -229,9 +229,6 @@ class Grid:
             out += columns[:, order]
         return out
 
-    def sample(self, values, points) -> np.ndarray:
-        return self.sample_all(self.check_values(values)[None, :], points)[0]
-
     # -- refinement ---------------------------------------------------------
 
     def refined(self, factor: int) -> "Grid":

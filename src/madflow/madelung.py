@@ -102,14 +102,14 @@ def submersion_pullback_defect(point: TangentBundlePoint,
                                a: StandardVectorFieldSpec,
                                b: StandardVectorFieldSpec,
                                constants: PhysicsConstants,
-                               step: float = 1e-4,
-                               reference: float = 0.0) -> float:
+                               step: float = 1e-4) -> float:
     """|omega_wave(section_* V_a, section_* V_b) - (1/hbar) omega(V_a, V_b)|.
 
     Each standard vector field is realized as a curve through the bundle
     point (base pushed along psi, fiber tilted by phi), mapped to the wave
-    side through the pinned section, and differentiated centrally with the
-    given step.  The defect vanishes as step^2 for resolved states.
+    side through the section pinned at phase 0, and differentiated
+    centrally with the given step.  The defect vanishes as step^2 for
+    resolved states.
     """
     g = point.grid
     mu = point.base
@@ -117,7 +117,7 @@ def submersion_pullback_defect(point: TangentBundlePoint,
 
     def section_values(spec: StandardVectorFieldSpec, t: float) -> np.ndarray:
         moved = TangentBundlePoint(pushforward_density(mu, spec.psi, t), fiber + t * spec.phi)
-        return madelung_section(moved, reference, constants).values
+        return madelung_section(moved, 0.0, constants).values
 
     tangents = []
     for spec in (a, b):

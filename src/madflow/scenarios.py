@@ -253,7 +253,9 @@ class ScenarioConfig:
                 if kind not in served:
                     raise ConfigError(f"check {cname!r} does not apply to {what} of "
                                       f"kind {kind!r}; it reads {served}")
-            if cname == "free_packet_density" and init_params.get("floor_weight", 0) != 0:
+            if cname == "free_packet_density" and _as_float(
+                    init_params.get("floor_weight", 0),
+                    "initial_state.parameters.floor_weight") != 0:
                 raise ConfigError("check 'free_packet_density' describes the bare "
                                   "packet only; set floor_weight to 0")
             tol = definition.tolerance if tol is None else tol
@@ -508,12 +510,13 @@ def build_initial(config: ScenarioConfig) -> dict:
     args = _parameters(params, INITIAL_KINDS[kind][1], "initial_state.parameters", grid)
     if kind in ("gaussian", "perturbed_uniform"):
         if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
-            # the packet at time t, the free_packet_density oracle; its
-            # images must hold it at the final time, when it is widest
+            # the packet at time t, the free_packet_density oracle; if that check
+            # reads it, its images must hold it at the final time, when widest
             packet = partial(statelib.free_gaussian_wave, grid, args["center"],
                              args["sigma"], constants, images=args["images"])
             wave = packet(0.0)
-            packet(config.total_time)
+            if any(c.name == "free_packet_density" for c in config.checks):
+                packet(config.total_time)
             return {"wave": wave, "packet": packet}
         return _solver_start(solver, DENSITY_KINDS[kind][0](grid, **args),
                              _zero_phase(grid), 0.0, constants)
@@ -1072,7 +1075,6 @@ def _summary_payload(ctx: RunContext, results: Sequence[CheckResult],
 
 @dataclass
 class ScenarioOutcome:
-    config: ScenarioConfig
     context: RunContext
     checks: list[CheckResult]
     passed: bool
@@ -1084,15 +1086,13 @@ class ScenarioOutcome:
         return [c.name for c in self.checks if not c.passed]
 
 
-def resolve_output_dir(config: ScenarioConfig, out_dir: str | Path | None,
-                       environ: Mapping | None = None) -> Path:
+def resolve_output_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
     """Precedence: explicit argument, config, env root, ./runs."""
     if out_dir is not None:
         return Path(out_dir)
     if config.output_directory is not None:
         return Path(config.output_directory)
-    environ = os.environ if environ is None else environ
-    root = environ.get(OUTPUT_ROOT_ENV, DEFAULT_OUTPUT_ROOT)
+    root = os.environ.get(OUTPUT_ROOT_ENV, DEFAULT_OUTPUT_ROOT)
     return Path(root) / config.name
 
 
@@ -1121,7 +1121,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
         if "json" in config.output_formats:
             _write_snapshots(target / "snapshots.json", ctx)
         (target / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return ScenarioOutcome(config, ctx, results, passed, summary, target)
+    return ScenarioOutcome(ctx, results, passed, summary, target)
 
 
 # -- builtin scenarios -------------------------------------------------------

@@ -20,7 +20,7 @@ from .fields import DensityField, normalize_density
 from .grid import Grid
 from .wgeom import solve_velocity_potential, tangent_inner
 
-DEFAULT_LADDER = 4096
+LADDER = 4096
 CUT_MASS_TOL = 1e-8
 _REFINE = 16
 
@@ -89,36 +89,25 @@ def _cumulative_from_cut(density: DensityField, cut_index: int):
     return x, cdf, fine
 
 
-def quantile_table(density: DensityField, ladder: int = DEFAULT_LADDER,
-                   cut_index: int | None = None) -> np.ndarray:
-    """Quantiles at the midpoint probabilities (i + 1/2)/ladder, measured
+def quantile_table(density: DensityField, cut_index: int) -> np.ndarray:
+    """Quantiles at the midpoint probabilities (i + 1/2)/LADDER, measured
     from the cut point (coordinates on [0, L))."""
-    if ladder < 2:
-        raise ValueError(f"ladder size must be >= 2, got {ladder!r}")
-    if cut_index is None:
-        cut_index = int(np.argmin(density.values))
     _check_cut_mass(density, cut_index)
     x, cdf, _ = _cumulative_from_cut(density, cut_index)
-    p = (np.arange(ladder) + 0.5) / ladder
+    p = (np.arange(LADDER) + 0.5) / LADDER
     _, PchipInterpolator = splines()
     return PchipInterpolator(cdf, x)(p)
 
 
-def w2_distance(mu: DensityField, nu: DensityField,
-                ladder: int = DEFAULT_LADDER) -> float:
+def w2_distance(mu: DensityField, nu: DensityField) -> float:
     """Quadratic transport distance via the quantile ladder.
 
     W2^2 = int_0^1 |q_mu(p) - q_nu(p)|^2 dp, midpoint rule on the ladder.
     """
     _require_shared_grid(mu, nu)
     cut = joint_cut_index(mu, nu)
-    diff = quantile_table(mu, ladder, cut) - quantile_table(nu, ladder, cut)
+    diff = quantile_table(mu, cut) - quantile_table(nu, cut)
     return float(np.sqrt(np.mean(diff * diff)))
-
-
-def _check_parameter(t: float) -> None:
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
 
 
 def displacement_geodesic(mu: DensityField, nu: DensityField):
@@ -147,7 +136,8 @@ def displacement_geodesic(mu: DensityField, nu: DensityField):
     base_rel = np.mod(g.points - g.points[cut], g.length)
 
     def at(t: float) -> DensityField:
-        _check_parameter(t)
+        if not (0.0 <= t <= 1.0):
+            raise ValueError(f"interpolation parameter must lie in [0, 1], got {t!r}")
         warped = (1.0 - t) * fine_points + t * transport
         values = mu_fine / ((1.0 - t) + t * slope)
         # monotone resample back to the base grid (periodic extension)
@@ -169,7 +159,6 @@ def displacement_interpolation(mu: DensityField, nu: DensityField,
     resampled back to the base grid.  Several samples of one geodesic
     should share one `displacement_geodesic`.
     """
-    _check_parameter(t)
     return displacement_geodesic(mu, nu)(t)
 
 

@@ -66,23 +66,10 @@ class TangentVector:
     def norm(self) -> float:
         return float(np.sqrt(max(tangent_inner(self, self), 0.0)))
 
-    def _require_same_base(self, other: "TangentVector") -> None:
+    def __add__(self, other: "TangentVector") -> "TangentVector":
         if not _same_base(self.base, other.base):
             raise BaseMismatchError("tangent vectors live over different base densities")
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        self._require_same_base(other)
         return TangentVector(self.base, self.potential + other.potential)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        self._require_same_base(other)
-        return TangentVector(self.base, self.potential - other.potential)
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.potential)
-
-    def __rmul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(self.base, float(scalar) * self.potential)
 
 
 def tangent_inner(a: TangentVector, b: TangentVector) -> float:

@@ -172,7 +172,7 @@ def test_dealias_makes_quadratic_products_exact():
     h = np.sin(11 * x)
     prod = g.dealias(f) * g.dealias(h)
     exact = (np.cos(10 * fine.points) + 0.3 * np.sin(4 * fine.points)) * np.sin(11 * fine.points)
-    resampled = g.sample(prod, fine.points)
+    resampled = g.sample_all(prod[None], fine.points)[0]
     # only the dealiased band of the true product can be represented
     keep = (np.abs(fine.mode_numbers) <= 2 / 3 * 32 + 1e-9).astype(float)
     band = fine.apply_symbol(exact, keep)
@@ -183,14 +183,14 @@ def test_sample_reproduces_grid_values():
     g = Grid(32, 2.5)
     rng = np.random.default_rng(3)
     f = rng.normal(size=32)
-    assert np.max(np.abs(g.sample(f, g.points) - f)) < 1e-12
+    assert np.max(np.abs(g.sample_all(f[None], g.points)[0] - f)) < 1e-12
 
 
 def test_sample_matches_closed_form_off_grid():
     g = Grid(64)
     f = np.cos(5 * g.points) + 2.0
     pts = np.array([0.123, 1.0, 2.913, 5.5, TAU + 0.123])
-    vals = g.sample(f, pts)
+    vals = g.sample_all(f[None], pts)[0]
     assert np.max(np.abs(vals - (np.cos(5 * pts) + 2.0))) < 1e-12
     # periodicity: shifted by one period gives the same values
     assert abs(vals[0] - vals[-1]) < 1e-12
@@ -231,7 +231,7 @@ def test_upsample_is_trig_interpolation():
     f = np.real(np.fft.ifft(np.concatenate([rng.normal(size=10), np.zeros(g.n - 19), rng.normal(size=9)])))
     up = g.upsample(f, 8)
     assert up.shape == (256,)
-    assert np.max(np.abs(up - g.sample(f, fine.points))) < 1e-12
+    assert np.max(np.abs(up - g.sample_all(f[None], fine.points)[0])) < 1e-12
     assert np.max(np.abs(up[::8] - f)) < 1e-13
     assert np.max(np.abs(g.upsample(f, 1) - f)) == 0.0
 

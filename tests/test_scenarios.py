@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from itertools import product
@@ -40,6 +41,7 @@ from madflow.wgeom import hamiltonian, lagrangian, wasserstein_gradient
 
 TAU = 2 * np.pi
 SRC = str(Path(madflow.__file__).resolve().parents[1])
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _heat_mapping(**integrator):
@@ -61,13 +63,28 @@ def _heat_mapping(**integrator):
 # -- config validation -------------------------------------------------------
 
 
-def test_config_round_trip():
-    cfg = ScenarioConfig.from_mapping(_heat_mapping())
-    assert cfg.name == "heat_demo"
-    assert cfg.grid.n == 64
-    assert cfg.dt == 1e-3
-    again = ScenarioConfig.from_mapping(cfg.resolved_mapping())
-    assert again == cfg
+@pytest.mark.parametrize("name", ["heat_demo", *builtin_names()])
+def test_config_round_trip(name):
+    cfg = ScenarioConfig.from_mapping(
+        _heat_mapping() if name == "heat_demo" else builtin_mapping(name))
+    assert cfg.name == name
+    if name == "heat_demo":
+        assert (cfg.grid.n, cfg.dt) == (64, 1e-3)
+    assert ScenarioConfig.from_mapping(cfg.resolved_mapping()) == cfg
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_bench_workload_configs_validate_and_echo_their_references(seed):
+    # bench/verify.py gates every seed-0 pass on the config echo stored in
+    # bench/reference/<workload>/<label>/summary.json; run_path writes no bytecode
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    for workload in workloads["WORKLOADS"]:
+        for label, mapping in workloads["generate"](workload, seed, scenarios):
+            echo = ScenarioConfig.from_mapping(mapping).resolved_mapping()
+            if seed == 0:
+                stored = BENCH / "reference" / workload / label / "summary.json"
+                assert json.loads(json.dumps(echo)) == \
+                    json.loads(stored.read_text())["config"], label
 
 
 def test_config_rejects_unknown_keys_everywhere():
@@ -271,12 +288,16 @@ def test_gaussian_wave_honours_images():
     assert np.max(np.abs(np.abs(wave) ** 2 - mu.values)) < 1e-12
 
 
-def test_free_packet_images_need_only_hold_the_packet_at_the_final_time():
+@pytest.mark.parametrize("override", [
+    "initial_state.parameters.images=60",
+    # no check reads the oracle, so its images need not hold it
+    'checks=["mass_conservation"]',
+])
+def test_free_packet_images_need_only_hold_the_packet_at_the_final_time(override):
     # at t = 20 the packet's spread width is 40.4: past what 6 images hold
     # (4.8), within what 60 hold
     m = apply_overrides(builtin_mapping("free_gaussian"), [
-        "integrator.total_time=20", "integrator.dt=0.01",
-        "initial_state.parameters.images=60"])
+        "integrator.total_time=20", "integrator.dt=0.01", override])
     assert run_scenario(ScenarioConfig.from_mapping(m), write=False).passed
 
 
@@ -467,7 +488,8 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
     assert resolve_output_dir(cfg_dir, None) == tmp_path / "from_config"
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
     assert resolve_output_dir(cfg, None) == tmp_path / "root" / "heat_demo"
-    assert resolve_output_dir(cfg, None, environ={}) == Path("runs") / "heat_demo"
+    monkeypatch.delenv(OUTPUT_ROOT_ENV)
+    assert resolve_output_dir(cfg, None) == Path("runs") / "heat_demo"
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -746,6 +768,8 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     ("plane_wave_eigenstate", ["potential.kind=cosine_well"],
      "a potential of kind 'cosine_well'"),
     ("free_gaussian", ["potential.kind=cosine_well"], "a potential of kind 'cosine_well'"),
+    # a floor weight that is not a number, before the bare-packet rule reads it
+    ("free_gaussian", ['initial_state.parameters.floor_weight="0"'], "must be a number"),
     # by t = 20 the free packet has spread past its 6 images
     ("free_gaussian", ["integrator.total_time=20", "integrator.dt=0.01"],
      "first omitted image"),
