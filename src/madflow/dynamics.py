@@ -148,7 +148,12 @@ def _rk4_run(grid, samples, rhs, dt: float, marks: list[int], settle, record) ->
 def schrodinger_evolve(initial: WaveField, potential: PotentialField,
                        constants: PhysicsConstants, dt: float, total_time: float,
                        snapshot_stride: int = 1) -> TrajectoryRecord:
-    """Strang split-step: half potential phase, full kinetic phase, half potential."""
+    """Strang split-step: half potential phase, full kinetic phase, half potential.
+
+    Each step is unitary, but its rounding drifts the norm; a snapshot
+    whose norm squared has left 1 by more than `fields.NORM_TOL` raises
+    StabilityError.
+    """
     g = initial.grid
     hbar = constants.hbar
     marks = _snapshot_steps(dt, total_time, snapshot_stride)
@@ -163,7 +168,11 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
         psi = g.apply_symbol(psi, kinetic)
         psi = half_potential * psi
         if step in mark_set:
-            states.append(WaveField(g, psi))
+            try:
+                states.append(WaveField(g, psi))
+            except ValueError as exc:  # the norm drifted past NORM_TOL, or overflowed
+                raise StabilityError(f"the wave left the unit sphere at step {step}, "
+                                     f"t = {step * dt:.6g}: {exc}") from exc
     return TrajectoryRecord(np.array(marks) * dt, tuple(states))
 
 

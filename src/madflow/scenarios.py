@@ -56,6 +56,13 @@ DT_TARGETS = {"schrodinger": 1e-3, "madelung": 1e-4, "heat": 1e-3}
 REFINEMENT_TOL = 1e-6
 MAX_REFINEMENTS = 8
 
+#: the largest record a run may keep, in bytes of its float samples; a
+#: longer one is refused before its solve (ConfigError)
+MAX_RECORD_BYTES = 2 ** 30
+#: the most periodic images a wrapped Gaussian may sum, ample for a packet
+#: spread over a thousand grid lengths
+MAX_IMAGES = 10 ** 4
+
 _TINY = 1e-300
 
 
@@ -100,13 +107,16 @@ def _as_float(value: Any, path: str, grid: Grid | None = None,
 
 
 def _as_int(value: Any, path: str, grid: Grid | None = None,
-            minimum: int | None = None, mode: bool = False) -> int:
+            minimum: int | None = None, maximum: int | None = None,
+            mode: bool = False) -> int:
     """An integer; with `mode`, a Fourier mode (or mode count) the grid
     resolves: |value| < n/2."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path} must be <= {maximum}, got {value!r}")
     if mode and not 2 * abs(value) < grid.n:
         raise ConfigError(f"{path} must lie below n/2 = {grid.n // 2} in size, "
                           f"got {value!r}")
@@ -230,6 +240,7 @@ class ScenarioConfig:
                 dt or _default_dt(solver, grid, constants.hbar, total_time), total_time)
         except ValueError as exc:
             raise ConfigError(f"integrator: {exc}") from exc
+        _require_record_budget(solver, init_kind, grid.n, steps, stride)
         if solver == "heat" and pot_kind != "none":
             raise ConfigError("the heat flow takes no potential; use kind 'none'")
 
@@ -422,7 +433,7 @@ POTENTIAL_KINDS: dict[str, tuple[Callable[..., PotentialField], dict]] = {
 #: `gaussian_pair` twice
 _PACKET = {"sigma": (_POSITIVE, 0.35),
            "floor_weight": (_as_float, statelib.DEFAULT_GAUSSIAN_FLOOR),
-           "images": (partial(_as_int, minimum=1), 6)}
+           "images": (partial(_as_int, minimum=1, maximum=MAX_IMAGES), 6)}
 
 #: density spec kind -> (builder, parameter table)
 DENSITY_KINDS: dict[str, tuple[Callable[..., DensityField], dict]] = {
@@ -626,6 +637,22 @@ def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> floa
     return dt
 
 
+def _require_record_budget(solver: str, initial_kind: str, n: int, steps: int,
+                           stride: int) -> None:
+    """ConfigError unless the snapshots of `steps` steps at `stride` fit in
+    MAX_RECORD_BYTES: a density state holds n floats, a wave or a polar
+    state 2n."""
+    rows = -(-steps // stride) + 1  # every stride-th step, and the last
+    density = solver in ("heat", "dlss", "displacement") or initial_kind == "random_density"
+    floats = n if density else 2 * n
+    size = 8 * rows * floats
+    if size > MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"the record would hold {rows} snapshots of {floats} floats, "
+            f"{size / 2 ** 20:.0f} MiB, above the {MAX_RECORD_BYTES / 2 ** 20:.0f} MiB "
+            "limit; raise integrator.snapshot_stride")
+
+
 def _resolve_record(ctx: RunContext) -> None:
     """Run the solver; when dt is omitted, halve it until the final row settles."""
     cfg = ctx.config
@@ -636,6 +663,9 @@ def _resolve_record(ctx: RunContext) -> None:
     dt = _default_dt(cfg.solver, cfg.grid, cfg.constants.hbar, cfg.total_time)
     previous = _row(ctx, _run_solver(ctx, dt), -1)
     for _ in range(MAX_REFINEMENTS):
+        _require_record_budget(cfg.solver, cfg.initial_kind, cfg.grid.n,
+                               dynamics._step_count(0.5 * dt, cfg.total_time),
+                               cfg.snapshot_stride)
         finer = _run_solver(ctx, 0.5 * dt)
         row = _row(ctx, finer, -1)
         gaps = [abs(previous[key] - row[key]) for key in previous.keys() & row.keys()]
@@ -1027,13 +1057,14 @@ def _fmt(value: float) -> str:
 
 def _write_observables(path: Path, ctx: RunContext,
                        results: Sequence[CheckResult]) -> None:
+    """`observables.csv`, written row by row."""
     header = list(OBSERVABLE_COLUMNS) + [f"res_{r.name}" for r in results]
     table = [ctx.columns[name] for name in OBSERVABLE_COLUMNS]
     table += [r.residuals for r in results]
-    lines = [",".join(header)]
-    for row in zip(*table):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for row in zip(*table):
+            out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _state_payload(state) -> dict:
@@ -1047,13 +1078,20 @@ def _state_payload(state) -> dict:
 
 
 def _write_snapshots(path: Path, ctx: RunContext) -> None:
-    payload = {
-        "scenario": ctx.config.name,
-        "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
-        "times": ctx.record.times.tolist(),
-        "states": [_state_payload(s) for s in ctx.record.states],
-    }
-    path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    """`snapshots.json`, written state by state: the bytes of one compact
+    `json.dumps` of {scenario, grid, times, states} and a newline, with
+    one state's lists and text in memory at a time."""
+    dumps = partial(json.dumps, separators=(",", ":"))
+    head = dumps({"scenario": ctx.config.name,
+                  "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
+                  "times": ctx.record.times.tolist()})
+    with path.open("w") as out:
+        out.write(head[:-1] + ',"states":[')
+        for i, state in enumerate(ctx.record.states):
+            if i:
+                out.write(",")
+            out.write(dumps(_state_payload(state)))
+        out.write("]}\n")
 
 
 def _summary_payload(ctx: RunContext, results: Sequence[CheckResult],

@@ -6,6 +6,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 import madflow
 from madflow import scenarios
 from madflow.cli import main
-from madflow.dynamics import madelung_evolve
+from madflow.dynamics import heat_evolve, madelung_evolve
 from madflow.errors import ConfigError
 from madflow.fields import DensityField, WaveField, functionals
 from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
@@ -469,6 +470,50 @@ def test_summary_residuals_recomputable_from_csv(tmp_path):
         assert (entry["residual"] <= entry["tolerance"]) == entry["passed"]
 
 
+@pytest.mark.parametrize("scenario, kind", [
+    ("free_gaussian", "wave"),
+    ("thm21_equivalence", "polar"),
+    ("heat_entropy_dissipation", "density"),
+])
+def test_streamed_artifacts_equal_one_dump_of_the_whole_record(tmp_path, scenario, kind):
+    outcome = run_builtin(scenario, out_dir=tmp_path)
+    ctx, results = outcome.context, outcome.checks
+    payload = {"scenario": scenario,
+               "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
+               "times": ctx.record.times.tolist(),
+               "states": [scenarios._state_payload(s) for s in ctx.record.states]}
+    assert payload["states"][0]["kind"] == kind
+    assert ((tmp_path / "snapshots.json").read_text()
+            == json.dumps(payload, separators=(",", ":")) + "\n")
+    table = [ctx.columns[name] for name in OBSERVABLE_COLUMNS]
+    table += [r.residuals for r in results]
+    lines = [",".join(list(OBSERVABLE_COLUMNS) + [f"res_{r.name}" for r in results])]
+    lines += [",".join("%.17g" % v for v in row) for row in zip(*table)]
+    assert (tmp_path / "observables.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_snapshot_writer_holds_one_state_at_a_time(tmp_path):
+    # 200 density states at n = 1024: about 4 MB of JSON, which the writer
+    # must not hold at once (one whole-record dump peaked near 15 MB)
+    config = ScenarioConfig.from_mapping({**_heat_mapping(),
+                                          "grid": {"n": 1024, "length": TAU}})
+    grid = config.grid
+    record = heat_evolve(DensityField(grid, (1.0 + 0.3 * np.cos(grid.points)) / TAU),
+                         1e-3, 0.199)
+    ctx = scenarios.RunContext(config=config, grid=grid, constants=config.constants,
+                               potential=None, initial={}, record=record)
+    path = tmp_path / "snapshots.json"
+    tracemalloc.start()
+    try:
+        scenarios._write_snapshots(path, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(record.states) == 200 and path.stat().st_size > 3 * 2 ** 20
+    assert peak < 2 ** 20, peak
+    assert len(json.loads(path.read_text())["states"]) == 200
+
+
 def test_failing_check_is_recorded_not_raised(tmp_path):
     m = _heat_mapping()
     m["checks"] = [{"name": "stationarity", "tolerance": 1e-10}]
@@ -665,6 +710,56 @@ def test_cli_solver_abort_exits_three(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_long_strang_run_off_the_unit_sphere_exits_three(tmp_path, capsys):
+    # 40,000 steps: the norm drifts past NORM_TOL, which is not loosened
+    out_dir = tmp_path / "never"
+    argv = ["run", "--scenario", "thm21_equivalence", "--out", str(out_dir)]
+    for item in ["integrator.solver=schrodinger", "integrator.dt=6.25e-6",
+                 "integrator.snapshot_stride=400", 'checks=["mass_conservation"]']:
+        argv += ["--override", item]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: the wave left the unit sphere at step ")
+    assert err.count("\n") == 1 and "expected 1 within 1e-12" in err, err
+    assert not out_dir.exists()
+
+
+def test_record_budget_counts_the_floats_of_each_state_kind():
+    limit = scenarios.MAX_RECORD_BYTES
+    for solver, kind, floats in [("heat", "perturbed_uniform", 1024),
+                                 ("static", "random_density", 1024),
+                                 ("displacement", "gaussian_pair", 1024),
+                                 ("madelung", "polar_pair", 2048),
+                                 ("schrodinger", "gaussian", 2048),
+                                 ("static", "random_polar", 2048)]:
+        rows = limit // (8 * floats)  # the most snapshots that fit
+        scenarios._require_record_budget(solver, kind, 1024, rows - 1, 1)
+        scenarios._require_record_budget(solver, kind, 1024, 3 * (rows - 1), 3)
+        with pytest.raises(ConfigError, match=f"{rows + 1} snapshots of {floats} floats"):
+            scenarios._require_record_budget(solver, kind, 1024, rows, 1)
+        with pytest.raises(ConfigError, match="raise integrator.snapshot_stride"):
+            scenarios._require_record_budget(solver, kind, 1024, 3 * (rows - 1) + 1, 3)
+
+
+def test_record_budget_is_checked_before_each_finer_rung(monkeypatch, tmp_path):
+    # with dt omitted the heat ladder starts at 200 steps, 41 snapshots of
+    # 256 floats (83,968 bytes); its second rung would keep 81
+    monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 100_000)
+    solves = []
+    run_solver = scenarios._run_solver
+
+    def counted(ctx, dt):
+        solves.append(dt)
+        return run_solver(ctx, dt)
+    monkeypatch.setattr(scenarios, "_run_solver", counted)
+    config = ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("heat_entropy_dissipation"), ["integrator.dt=null"]))
+    with pytest.raises(ConfigError, match="81 snapshots of 256 floats"):
+        run_scenario(config, tmp_path / "never")
+    assert solves == [1e-3]
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
     out_dir = tmp_path / "dlss_out"
     assert main(["run", "--scenario", "dlss_descent",
@@ -773,6 +868,12 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     # by t = 20 the free packet has spread past its 6 images
     ("free_gaussian", ["integrator.total_time=20", "integrator.dt=0.01"],
      "first omitted image"),
+    # 40,001 snapshots of 4096 floats, 1.3 GB of samples
+    ("heat_entropy_dissipation", ["grid.n=4096", "integrator.dt=1e-6"],
+     "40001 snapshots of 4096 floats, 1250 MiB"),
+    # a billion images would be summed one by one
+    ("free_gaussian", ["initial_state.parameters.images=1000000000",
+                       'checks=["mass_conservation"]'], "images must be <= 10000"),
 ])
 def test_cli_unservable_start_exits_two_before_the_solve(monkeypatch, capsys, tmp_path,
                                                          scenario, overrides, message):
