@@ -72,7 +72,10 @@ class TrajectoryRecord:
 def _step_count(dt: float, total_time: float) -> int:
     if not (dt > 0.0 and total_time > 0.0):
         raise ValueError(f"need positive dt and total time, got {dt!r}, {total_time!r}")
-    steps = int(round(total_time / dt))
+    ratio = total_time / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"total time {total_time!r} over dt {dt!r} is not a finite step count")
+    steps = int(round(ratio))
     if steps < 1 or abs(steps * dt - total_time) > 1e-9 * max(1.0, total_time):
         raise ValueError(f"total time {total_time!r} is not a multiple of dt {dt!r}")
     return steps

@@ -6,9 +6,9 @@ tangent vector is the density velocity the wave induces; polar_wave maps
 a point back, and madelung_section is the right inverse pinning the phase
 value at the reference point.  The module also carries the wave-side
 energy and symplectic form, the phase correction that adds the running
-action integral to a trajectory of mean-zero points, and the finite
-difference pullback defect used to verify that the transform intertwines
-the two symplectic structures.
+action integral to a trajectory of mean-zero points, and the pullback
+defect, taken through the section's exact differential, that verifies the
+transform intertwines the two symplectic structures.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .errors import GaugeError
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      unwrapped_phase)
 from .grid import Grid
-from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, lagrangian,
-                    pushforward_density, symplectic_form)
+from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
+                    lagrangian, symplectic_form)
 
 # Largest base-weighted fiber mean that `phase_correction` accepts as zero.
 GAUGE_TOL = 1e-10
@@ -101,29 +101,20 @@ def phase_correction(points: Sequence[TangentBundlePoint], potential: PotentialF
 def submersion_pullback_defect(point: TangentBundlePoint,
                                a: StandardVectorFieldSpec,
                                b: StandardVectorFieldSpec,
-                               constants: PhysicsConstants,
-                               step: float = 1e-4) -> float:
+                               constants: PhysicsConstants) -> float:
     """|omega_wave(section_* V_a, section_* V_b) - (1/hbar) omega(V_a, V_b)|.
 
-    Each standard vector field is realized as a curve through the bundle
-    point (base pushed along psi, fiber tilted by phi), mapped to the wave
-    side through the section pinned at phase 0, and differentiated
-    centrally with the given step.  The defect vanishes as step^2 for
-    resolved states.
+    The differential of the section pinned at phase 0 sends the standard
+    vector field (psi, phi) to
+    wave * (mu_dot / (2 mu) + i (phi - phi(0)) / hbar), with
+    mu_dot = -d/dx(mu dpsi/dx) the density rate of the flow along psi.
+    The defect is zero up to rounding.
     """
-    g = point.grid
-    mu = point.base
-    fiber = point.fiber_potential
-
-    def section_values(spec: StandardVectorFieldSpec, t: float) -> np.ndarray:
-        moved = TangentBundlePoint(pushforward_density(mu, spec.psi, t), fiber + t * spec.phi)
-        return madelung_section(moved, 0.0, constants).values
-
-    tangents = []
-    for spec in (a, b):
-        forward = section_values(spec, step)
-        backward = section_values(spec, -step)
-        tangents.append((forward - backward) / (2.0 * step))
-    wave_side = complex_symplectic_form(g, tangents[0], tangents[1])
+    wave = madelung_section(point, 0.0, constants).values
+    tangents = [wave * (TangentVector(point.base, spec.psi).divergence_form
+                        / (2.0 * point.base.values)
+                        + 1j * (spec.phi - spec.phi[0]) / constants.hbar)
+                for spec in (a, b)]
+    wave_side = complex_symplectic_form(point.grid, tangents[0], tangents[1])
     bundle_side = symplectic_form(point, a, b) / constants.hbar
     return abs(wave_side - bundle_side)

@@ -919,8 +919,7 @@ def _check_symplectic_pullback(ctx: RunContext) -> np.ndarray:
                                          statelib.random_zero_mean(g, rng, 3, 0.4))
         spec_b = StandardVectorFieldSpec(g, statelib.random_zero_mean(g, rng, 3, 0.4),
                                          statelib.random_zero_mean(g, rng, 3, 0.4))
-        out[i] = submersion_pullback_defect(point, spec_a, spec_b, constants,
-                                            step=1e-4)
+        out[i] = submersion_pullback_defect(point, spec_a, spec_b, constants)
     return out
 
 

@@ -193,12 +193,11 @@ def test_06_section_pulls_back_the_symplectic_form():
             random_zero_mean(GRID, rng, modes=3, amplitude=0.3),
             random_zero_mean(GRID, rng, modes=3, amplitude=0.3))
             for _ in range(2)]
-        defect = submersion_pullback_defect(point, pair[0], pair[1],
-                                            constants, step=1e-4)
+        defect = submersion_pullback_defect(point, pair[0], pair[1], constants)
         worst = max(worst, defect)
-    ok = worst <= 1e-4
+    ok = worst <= 1e-13
     assert _report(6, "symplectic pullback",
-                   ok, f"defect {worst:.3e} over 20 pairs (tol 1e-4)")
+                   ok, f"defect {worst:.3e} over 20 pairs (tol 1e-13)")
 
 
 def test_07_metric_gradients_are_directional_derivatives():

@@ -27,6 +27,8 @@ from madflow.wgeom import (
     TangentBundlePoint,
     fisher_generator,
     hamiltonian,
+    pushforward_density,
+    symplectic_form,
 )
 
 TAU = 2 * np.pi
@@ -189,15 +191,28 @@ def _pullback_trial(g, trial):
 def test_submersion_pullback_defect_small():
     g = Grid(256)
     for trial in range(3):
-        assert submersion_pullback_defect(*_pullback_trial(g, trial)) < 1e-6
+        assert submersion_pullback_defect(*_pullback_trial(g, trial)) < 1e-13
 
 
-def test_submersion_pullback_defect_is_second_order_in_step():
-    # central differences: halving the step quarters the defect
+def test_pushforward_section_curve_pulls_back_to_second_order_in_step():
+    # the wave curve section(pushforward(mu, psi, t), S + t phi) has the
+    # section's differential as its velocity: central differences of it
+    # reproduce the pullback with an error that quarters as the step halves
     g = Grid(256)
     steps = (8e-4, 4e-4, 2e-4, 1e-4)
+
+    def curve(point, spec, c, t):
+        moved = TangentBundlePoint(pushforward_density(point.base, spec.psi, t),
+                                   point.fiber_potential + t * spec.phi)
+        return madelung_section(moved, 0.0, c).values
+
+    def defect(point, a, b, c, h):
+        va, vb = [(curve(point, spec, c, h) - curve(point, spec, c, -h)) / (2.0 * h)
+                  for spec in (a, b)]
+        return abs(complex_symplectic_form(g, va, vb) - symplectic_form(point, a, b) / c.hbar)
+
     for trial in range(3):
         args = _pullback_trial(g, trial)
-        defects = [submersion_pullback_defect(*args, step=h) for h in steps]
+        defects = [defect(*args, h) for h in steps]
         ratios = np.array(defects[:-1]) / np.array(defects[1:])
         assert np.all((ratios >= 3.9) & (ratios <= 4.1)), ratios

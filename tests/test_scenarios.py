@@ -672,6 +672,16 @@ def test_cli_run_config_with_override(tmp_path, capsys):
     assert summary["config"]["integrator"]["total_time"] == 0.01
 
 
+def test_cli_symplectic_pullback_on_a_short_circle_passes(tmp_path, capsys):
+    # the check differentiates the section exactly, so a circle on which a
+    # finite transport step would fold the density still passes
+    code = main(["run", "--scenario", "submersion_pullback",
+                 "--override", "grid.length=0.1", "--out", str(tmp_path / "run")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS  symplectic_pullback" in out
+
+
 def test_cli_config_errors_leave_no_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "never"
     assert main(["run", "--scenario", "uniform_stationary",
@@ -935,6 +945,9 @@ def test_cli_unservable_start_exits_two_before_the_solve(monkeypatch, capsys, tm
     pytest.param("dlss_descent", ("grid.length=1e300", "integrator.dt=null"),
                  id="dlss_descent-grid.length=1e300-integrator.dt=null"),
     ("thm21_equivalence", "grid.length=1e-300"),
+    # a step count too large for a double
+    pytest.param("thm21_equivalence", ("integrator.total_time=1e308", "integrator.dt=1e-10"),
+                 id="thm21_equivalence-total_time=1e308-dt=1e-10"),
     # kinds and names must be strings naming a known entry
     ("heat_entropy_dissipation", 'initial_state.kind=["polar_pair"]'),
     ("heat_entropy_dissipation", "potential.kind={}"),
