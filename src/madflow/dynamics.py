@@ -101,10 +101,10 @@ def _rk4_run(grid, samples, rhs, dt: float, marks: list[int], settle, record) ->
     stage and the samples, and advances `y` in place; every stage and the
     combination round exactly as y + (c dt) k and y + (dt/6)(k1 + 2 k2 +
     2 k3 + k4) do.  After each step one inverse transform gives the
-    samples `x`, whose row 0, the density, must stay at or above its floor
-    (NodeError); then `settle(step, y, x)` applies the solver's own guard
-    or re-gauging to both in place, and `record(step, x)` runs at every
-    mark.  Step 0 is settled and recorded too.  `settle` and `record` must
+    samples `x`, whose row 0, the density, must stay finite (NonFiniteError)
+    and at or above its floor (NodeError); then `settle(step, y, x)` applies
+    the solver's own guard or re-gauging to both in place, and `record(step,
+    x)` runs at every mark.  Step 0 is settled and recorded too.  `settle` and `record` must
     copy what they keep: `x` is overwritten by the next step.
     """
     y = grid.rfft(samples)
@@ -136,6 +136,9 @@ def _rk4_run(grid, samples, rhs, dt: float, marks: list[int], settle, record) ->
         y += k1
         grid.irfft(y, out=x)
         low = float(x[0].min())
+        if not np.isfinite(low):
+            raise NonFiniteError(
+                f"density reached a non-finite value at step {step}, t = {step * dt:.4g}")
         if not low >= floor:
             raise NodeError(
                 f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"

@@ -202,7 +202,7 @@ class ScenarioConfig:
         _check_keys(data, ("schema", "name", "grid", "constants", "potential",
                            "initial_state", "integrator", "checks", "output"), "")
         schema = data.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
+        if type(schema) is not int or schema != SCHEMA_VERSION:  # true == 1.0 == 1
             raise ConfigError(f"unsupported schema {schema!r}; this build reads "
                               f"schema {SCHEMA_VERSION}")
         name = data.get("name")
@@ -807,51 +807,41 @@ def _check_energy_conservation(ctx: RunContext) -> np.ndarray:
     return np.abs(energy - energy[0]) / max(abs(energy[0]), _TINY)
 
 
+def _l2_gaps(grid: Grid, gaps) -> np.ndarray:
+    """sqrt(int |d|^2) for the gap d of each snapshot; nan where d is None."""
+    return np.array([np.nan if d is None else np.sqrt(grid.integrate(np.abs(d) ** 2))
+                     for d in gaps])
+
+
 def _check_eigenstate_phase(ctx: RunContext) -> np.ndarray:
-    mode = ctx.initial["mode"]
-    g, hbar = ctx.grid, ctx.constants.hbar
-    k = TAU * mode / g.length
+    k = TAU * ctx.initial["mode"] / ctx.grid.length
+    rotation = -0.5j * ctx.constants.hbar * k * k
     psi0 = ctx.record.states[0].values
-    out = np.zeros(len(ctx.record.times))
-    for i, (t, state) in enumerate(zip(ctx.record.times, ctx.record.states)):
-        expected = np.exp(-0.5j * hbar * k * k * t) * psi0
-        diff = state.values - expected
-        out[i] = np.sqrt(g.integrate(np.abs(diff) ** 2))
-    return out
+    return _l2_gaps(ctx.grid, (state.values - np.exp(rotation * t) * psi0
+                               for t, state in zip(ctx.record.times, ctx.record.states)))
 
 
 def _check_free_packet_density(ctx: RunContext) -> np.ndarray:
-    g = ctx.grid
-    out = np.zeros(len(ctx.record.times))
-    for i, (t, state) in enumerate(zip(ctx.record.times, ctx.record.states)):
-        oracle = ctx.initial["packet"](float(t))
-        diff = np.abs(state.values) ** 2 - np.abs(oracle.values) ** 2
-        out[i] = np.sqrt(g.integrate(diff * diff))
-    return out
+    packet = ctx.initial["packet"]
+    return _l2_gaps(ctx.grid, (np.abs(state.values) ** 2 - np.abs(packet(float(t)).values) ** 2
+                               for t, state in zip(ctx.record.times, ctx.record.states)))
 
 
 def _check_schrodinger_density_match(ctx: RunContext) -> np.ndarray:
-    g = ctx.grid
-    out = np.zeros(len(ctx.record.times))
-    for i, (polar, wave) in enumerate(zip(ctx.record.states, ctx.wave_oracle.states)):
-        diff = polar.base.values - np.abs(wave.values) ** 2
-        out[i] = np.sqrt(g.integrate(diff * diff))
-    return out
+    return _l2_gaps(ctx.grid, (polar.base.values - np.abs(wave.values) ** 2 for polar, wave
+                               in zip(ctx.record.states, ctx.wave_oracle.states)))
 
 
 def _check_velocity_potential_match(ctx: RunContext) -> np.ndarray:
     """The gap between the fiber and the gauge-fixed Madelung phase of the
     wave; nan where the wave has a node."""
-    g = ctx.grid
-    out = np.full(len(ctx.record.times), np.nan)
-    for i, (polar, wave) in enumerate(zip(ctx.record.states, ctx.wave_oracle.states)):
+    def gap(polar: TangentBundlePoint, wave: WaveField) -> np.ndarray | None:
         try:
             potential = madelung_transform(wave, ctx.constants).tangent.potential
         except NodeError:
-            continue
-        diff = potential - polar.fiber_potential
-        out[i] = np.sqrt(g.integrate(diff * diff))
-    return out
+            return None
+        return potential - polar.fiber_potential
+    return _l2_gaps(ctx.grid, map(gap, ctx.record.states, ctx.wave_oracle.states))
 
 
 def _check_newton_residual(ctx: RunContext) -> np.ndarray:
@@ -1165,13 +1155,23 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
 
 
 def _builtins() -> dict[str, tuple[str, dict]]:
-    """name -> (description, config without its schema and name), built afresh."""
+    """name -> (description, config without its schema and name), built afresh.
+
+    A builtin states only what differs from the defaults of its sections,
+    but always its grid."""
+    trapped_packet = {
+        "grid": {"n": 256, "length": TAU},
+        "potential": {"kind": "cosine_well",
+                      "parameters": {"depth": 1.0, "center": math.pi}},
+        "initial_state": {"kind": "polar_pair", "parameters": {
+            "density": {"kind": "cosine_bump", "center": math.pi,
+                        "concentration": 2.0},
+            "phase": {"kind": "zero"}}},
+    }
     return {
         "uniform_stationary": (
             "uniform density with zero phase stays fixed under the hydrodynamic flow", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "polar_pair", "parameters": {
                 "density": {"kind": "uniform"}, "phase": {"kind": "zero"}}},
             "integrator": {"solver": "madelung", "dt": 5e-4,
@@ -1182,8 +1182,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "plane_wave_eigenstate": (
             "single-mode wave accumulates the exact eigenvalue phase", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "plane_wave", "parameters": {"mode": 3}},
             "integrator": {"solver": "schrodinger", "dt": 1e-3,
                            "total_time": 1.0, "snapshot_stride": 100},
@@ -1194,8 +1192,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "free_gaussian": (
             "free wave packet spreads with the closed-form width law", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "gaussian", "parameters": {
                 "center": math.pi, "sigma": 0.35, "floor_weight": 0.0}},
             "integrator": {"solver": "schrodinger", "dt": 1e-3,
@@ -1205,14 +1201,7 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         }),
         "thm21_equivalence": (
             "hydrodynamic and wave evolutions of a trapped packet stay in lockstep", {
-            "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "cosine_well",
-                          "parameters": {"depth": 1.0, "center": math.pi}},
-            "initial_state": {"kind": "polar_pair", "parameters": {
-                "density": {"kind": "cosine_bump", "center": math.pi,
-                            "concentration": 2.0},
-                "phase": {"kind": "zero"}}},
+            **trapped_packet,
             "integrator": {"solver": "madelung", "dt": 1e-4,
                            "total_time": 0.25, "snapshot_stride": 25},
             "checks": [{"name": "schrodinger_density_match", "tolerance": 1e-3},
@@ -1223,14 +1212,7 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         }),
         "newton_residual": (
             "covariant acceleration balances the metric energy gradient along the flow", {
-            "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "cosine_well",
-                          "parameters": {"depth": 1.0, "center": math.pi}},
-            "initial_state": {"kind": "polar_pair", "parameters": {
-                "density": {"kind": "cosine_bump", "center": math.pi,
-                            "concentration": 2.0},
-                "phase": {"kind": "zero"}}},
+            **trapped_packet,
             "integrator": {"solver": "madelung", "dt": 1e-4,
                            "total_time": 0.15, "snapshot_stride": 30},
             "checks": [{"name": "newton_residual", "tolerance": 1e-3},
@@ -1239,8 +1221,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "thm44_hamiltonian": (
             "wave energy equals the lifted energy on random nowhere-vanishing states", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "random_polar", "parameters": {"seed": 11}},
             "integrator": {"solver": "static", "dt": 1.0,
                            "total_time": 99.0, "snapshot_stride": 1},
@@ -1249,8 +1229,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "submersion_pullback": (
             "wave symplectic form pulls back to the scaled bundle form", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "random_density", "parameters": {
                 "seed": 7, "modes": 3, "amplitude": 0.4}},
             "integrator": {"solver": "static", "dt": 1.0,
@@ -1260,8 +1238,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "heat_entropy_dissipation": (
             "entropy decays at the information production rate along heat flow", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "perturbed_uniform", "parameters": {
                 "amplitude": 0.3, "mode": 1}},
             "integrator": {"solver": "heat", "dt": 1e-3,
@@ -1272,8 +1248,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "dlss_descent": (
             "fourth-order diffusion descends the scaled information functional", {
             "grid": {"n": 64, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "perturbed_uniform", "parameters": {
                 "amplitude": 0.2, "mode": 2}},
             "integrator": {"solver": "dlss", "dt": 2e-5,
@@ -1284,8 +1258,6 @@ def _builtins() -> dict[str, tuple[str, dict]]:
         "benamou_brenier_action": (
             "geodesic kinetic action matches the squared transport distance", {
             "grid": {"n": 256, "length": TAU},
-            "constants": {"hbar": 1.0},
-            "potential": {"kind": "none"},
             "initial_state": {"kind": "gaussian_pair", "parameters": {
                 "centers": [math.pi - 0.25, math.pi + 0.25], "sigma": 0.1,
                 "floor_weight": 1e-8}},
@@ -1328,8 +1300,8 @@ def _suite_worker(name: str, root: str) -> tuple[str, bool, list[str]]:
     return name, outcome.passed, outcome.failed_checks
 
 
-def run_suite(out_root: str | Path | None = None, jobs: int = 1,
-              names: Sequence[str] | None = None) -> dict[str, tuple[bool, list[str]]]:
+def run_suite(out_root: str | Path | None = None,
+              jobs: int = 1) -> dict[str, tuple[bool, list[str]]]:
     """Run every builtin scenario into out_root/<name>; returns per-name verdicts.
 
     `jobs` > 1 runs them in min(jobs, scenario count) worker processes.
@@ -1339,22 +1311,19 @@ def run_suite(out_root: str | Path | None = None, jobs: int = 1,
     if out_root is None:
         out_root = Path(os.environ.get(OUTPUT_ROOT_ENV, DEFAULT_OUTPUT_ROOT))
     root = _require_directory_path(Path(out_root))
-    chosen = list(names) if names is not None else builtin_names()
-    for name in chosen:
-        if name not in SCENARIO_DESCRIPTIONS:
-            raise ConfigError(f"unknown scenario {name!r}")
+    names = builtin_names()
     results: dict[str, tuple[bool, list[str]]] = {}
-    workers = min(jobs, len(chosen))
+    workers = min(jobs, len(names))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_suite_worker, name, str(root))
-                       for name in chosen]
+                       for name in names]
             for future in futures:
                 name, passed, failed = future.result()
                 results[name] = (passed, failed)
     else:
-        for name in chosen:
+        for name in names:
             _, passed, failed = _suite_worker(name, str(root))
             results[name] = (passed, failed)
     return results

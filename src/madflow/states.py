@@ -7,6 +7,8 @@ import numpy as np
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      normalize_density)
 from .grid import TAU, Grid
+from .madelung import polar_wave
+from .wgeom import TangentBundlePoint
 
 # Uniform admixture keeping wrapped Gaussians above the admissibility floor.
 DEFAULT_GAUSSIAN_FLOOR = 1e-8
@@ -145,6 +147,6 @@ def random_wave(grid: Grid, rng: np.random.Generator,
                 density_amplitude: float = 0.5,
                 phase_amplitude: float = 0.3) -> WaveField:
     """Nowhere-vanishing unit wave with random smooth density and phase."""
-    mu = random_density(grid, rng, modes, density_amplitude)
-    phase = random_zero_mean(grid, rng, modes, phase_amplitude)
-    return WaveField.normalized(grid, np.sqrt(mu.values) * np.exp(1j * phase / constants.hbar))
+    point = TangentBundlePoint(random_density(grid, rng, modes, density_amplitude),
+                               random_zero_mean(grid, rng, modes, phase_amplitude))
+    return WaveField.normalized(grid, polar_wave(point, constants))

@@ -168,16 +168,14 @@ def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.nd
 
 
 def _generator(grid: Grid, mask: np.ndarray, terms: np.ndarray, out: np.ndarray,
-               quantum: float | None = None, potential=0.0) -> np.ndarray:
-    """The dealiased Fisher generator, from the `_fisher_terms` samples, in
-    `Grid.rfft` coefficients, written into `out` and returned; with `quantum`
-    set, potential + quantum * it, the total-energy generator (`potential` in
-    coefficients too)."""
+               weight: float, potential) -> np.ndarray:
+    """potential + weight * the dealiased Fisher generator, from the
+    `_fisher_terms` samples, in `Grid.rfft` coefficients (`potential` in
+    coefficients too), written into `out` and returned."""
     grid.rfft(terms, out=out)
     out *= mask
-    if quantum is not None:
-        out *= quantum
-        out += potential
+    out *= weight
+    out += potential
     return out
 
 
@@ -190,19 +188,19 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     Returns rates(coefficients, out): `coefficients` stacks the `Grid.rfft`
     coefficients of mu and S, `potential` holds those of V, and the (2,
     n/2+1) rates are written into `out`, which is returned.  One inverse
-    transform gives mu, dS/dx (and dmu/dx, lap mu with hbar set); one forward
-    transform dealiases flux and pressure.  The spectral stack, the sample
-    stack and the flux/pressure rows belong to the kernel and are overwritten
-    by every call.  Unchecked, for RK stages.
+    transform gives dS/dx, mu, dmu/dx and lap mu; one forward transform
+    dealiases flux and pressure.  At hbar = 0 the Fisher term adds an exact
+    zero wherever mu has no zero sample.  The spectral stack, the sample
+    stack and the flux/pressure rows belong to the kernel and are
+    overwritten by every call.  Unchecked, for RK stages.
     """
     into, outof, _ = _flow_symbols(grid)
-    rows = 4 if hbar else 2
-    spectral = np.empty((rows, grid.n // 2 + 1), dtype=complex)
-    samples = np.empty((rows, grid.n))
+    spectral = np.empty((4, grid.n // 2 + 1), dtype=complex)
+    samples = np.empty((4, grid.n))
     fluxes = np.empty((2, grid.n))
     flux, pressure = fluxes
-    s_x, mu, *gradients = samples
-    slope_symbol, density_symbols = into[0], into[1:rows]
+    s_x, mu, mu_x, lap_mu = samples
+    slope_symbol, density_symbols = into[0], into[1:]
     slope_hat, density_hats = spectral[0], spectral[1:]
     quantum = 0.125 * hbar ** 2
 
@@ -212,10 +210,9 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
         grid.irfft(spectral, out=samples)
         np.multiply(s_x, 0.5, out=pressure)
         np.multiply(pressure, s_x, out=pressure)
-        if hbar:
-            terms = _fisher_terms(mu, *gradients)
-            np.multiply(terms, quantum, out=terms)
-            np.add(pressure, terms, out=pressure)
+        terms = _fisher_terms(mu, mu_x, lap_mu)
+        np.multiply(terms, quantum, out=terms)
+        np.add(pressure, terms, out=pressure)
         np.multiply(mu, s_x, out=flux)
         grid.rfft(fluxes, out=out)
         out *= outof
@@ -272,21 +269,19 @@ def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
     """(d mu / mu)^2 - 2 (lap mu)/mu, the generator of the Fisher gradient:
     |d log mu|^2 - 2 (lap mu)/mu without the logarithm, finite on the
     non-positive stages an explicit step can produce; dealiased, unchecked.
-    hbar^2/8 times it is the quantum correction."""
-    into, _, mask = _flow_symbols(grid)
-    out = np.empty(grid.n // 2 + 1, dtype=complex)
-    terms = _fisher_terms(*grid.irfft(into[1:] * grid.rfft(density_values)))
-    return grid.irfft(_generator(grid, mask, terms, out))
+    `energy_coefficients` with weight 1 and no potential, in samples."""
+    return grid.irfft(energy_coefficients(grid, grid.rfft(density_values), 0.0, 1.0))
 
 
 def energy_coefficients(grid: Grid, coefficients: np.ndarray, potential,
-                        hbar: float) -> np.ndarray:
-    """V + (hbar^2/8) * fisher generator, the generator of the total-energy
-    gradient, in `Grid.rfft` coefficients (of mu and V in, of it out)."""
+                        weight: float) -> np.ndarray:
+    """V + weight * fisher generator in `Grid.rfft` coefficients (of mu and V
+    in, of it out).  Weight hbar^2/8 gives the generator of the total-energy
+    gradient."""
     into, _, mask = _flow_symbols(grid)
     out = np.empty(grid.n // 2 + 1, dtype=complex)
     terms = _fisher_terms(*grid.irfft(into[1:] * coefficients))
-    return _generator(grid, mask, terms, out, 0.125 * hbar ** 2, potential)
+    return _generator(grid, mask, terms, out, weight, potential)
 
 
 GRADIENT_KINDS = ("potential", "entropy", "fisher", "total")
@@ -315,7 +310,8 @@ def wasserstein_gradient(kind: str, mu: DensityField,
         if potential is None or constants is None:
             raise ValueError("the total-energy gradient needs a potential and constants")
         coef = g.rfft(np.stack((mu.values, potential.values)))
-        generator = g.irfft(energy_coefficients(g, coef[0], coef[1], constants.hbar))
+        generator = g.irfft(energy_coefficients(g, coef[0], coef[1],
+                                                0.125 * constants.hbar ** 2))
     else:
         raise ValueError(f"unknown gradient kind {kind!r}; known: {GRADIENT_KINDS}")
     return TangentVector(mu, generator)

@@ -325,7 +325,7 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     assert not np.array_equal(rec.states[-1].base.values, rec.states[0].base.values)
 
     def descent(y):
-        generator = energy_coefficients(g, y[0], v_hat, c.hbar)
+        generator = energy_coefficients(g, y[0], v_hat, 0.125 * c.hbar ** 2)
         both = np.stack((y[0], generator))
         return -flow_kernel(g)(both, np.empty_like(both))[:1]
 
@@ -338,10 +338,16 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     assert not np.array_equal(rec.states[-1].values, rec.states[0].values)
 
 
-def test_madelung_stops_at_a_non_finite_phase(monkeypatch):
-    # the per-step re-gauging is the one scan of the phase between
-    # snapshots: a right-hand side that turns row 1 non-finite in the third
-    # step must stop the run at that step, before the NaN reaches the ledger
+@pytest.mark.parametrize("row, message", [
+    pytest.param(0, r"density reached a non-finite value at step 3, t = 0\.003$",
+                 id="density"),
+    pytest.param(1, r"phase reached a non-finite mean at t = 0\.003$", id="phase")])
+def test_madelung_stops_at_a_non_finite_row(monkeypatch, row, message):
+    # a right-hand side that turns a row non-finite in the third step must
+    # stop the run at that step: a NaN density is named as such, not as a
+    # floor breach (NaN fails the floor test too), and the per-step
+    # re-gauging, the one scan of the phase between snapshots, stops a NaN
+    # phase before it reaches the ledger
     calls = []
 
     def poisoned_kernel(grid, potential, hbar):
@@ -349,13 +355,13 @@ def test_madelung_stops_at_a_non_finite_phase(monkeypatch):
             calls.append(1)
             out[...] = 0.0
             if len(calls) > 8:
-                out[1] = np.nan
+                out[row] = np.nan
             return out
         return rates
 
     monkeypatch.setattr(dynamics, "flow_kernel", poisoned_kernel)
     g = Grid(64)
-    with pytest.raises(NonFiniteError, match=r"at t = 0\.003$"):
+    with pytest.raises(NonFiniteError, match=message):
         madelung_evolve(_at_rest(cosine_bump_density(g, np.pi, 0.3)),
                         PotentialField.zero(g), PhysicsConstants(1.0), 1e-3, 0.01,
                         snapshot_stride=5)

@@ -106,9 +106,10 @@ def test_config_rejects_unknown_keys_everywhere():
 def test_config_rejects_bad_entries():
     cases = []
 
-    m = _heat_mapping()
-    m["schema"] = 2
-    cases.append(m)
+    for schema in (2, True, 1.0):  # true and 1.0 compare equal to 1
+        m = _heat_mapping()
+        m["schema"] = schema
+        cases.append(m)
 
     m = _heat_mapping()
     del m["name"]
@@ -1000,20 +1001,38 @@ def test_cli_output_path_through_a_file_exits_two_before_the_solve(
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep"
 
 
-def test_cli_suite(tmp_path, capsys):
-    # a cut-down suite through the CLI would re-run everything; the full
-    # double-run determinism claim lives in the acceptance tests.  Here:
-    # the suite honours --out and reports per-scenario verdicts.
-    code = main(["suite", "--out", str(tmp_path / "suite")])
+def _stub_suite_worker(monkeypatch, failing=()):
+    """Replace the suite's per-scenario worker by one that runs nothing and
+    fails the scenarios in `failing`; returns the (name, root) calls."""
+    calls = []
+
+    def worker(name, root):
+        calls.append((name, root))
+        return (name, False, ["mass_conservation", "stationarity"]) if name in failing \
+            else (name, True, [])
+    monkeypatch.setattr(scenarios, "_suite_worker", worker)
+    return calls
+
+
+def test_cli_suite(tmp_path, capsys, monkeypatch):
+    # the real suite runs in the acceptance tests; here: --out reaches every
+    # worker, and the verdicts print with their exit code
+    calls = _stub_suite_worker(monkeypatch)
+    assert main(["suite", "--out", str(tmp_path / "suite")]) == 0
     out = capsys.readouterr().out
-    assert code == 0
-    for name in builtin_names():
-        assert f"PASS  {name}" in out
-        assert (tmp_path / "suite" / name / "observables.csv").exists()
+    assert calls == [(name, str(tmp_path / "suite")) for name in builtin_names()]
+    assert out.splitlines() == [f"PASS  {name}" for name in builtin_names()]
+
+    _stub_suite_worker(monkeypatch, failing=("free_gaussian",))
+    assert main(["suite", "--out", str(tmp_path / "suite")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  free_gaussian: mass_conservation, stationarity\n" in out
+    assert out.count("PASS  ") == len(builtin_names()) - 1
+
 
 def test_suite_forks_at_most_one_worker_per_scenario(tmp_path, monkeypatch):
     # the pool forks all its workers at the first submit, so the bound is
-    # checked on a stand-in that runs each scenario inline: no process starts
+    # checked on a stand-in that runs a stub worker inline: no process starts
     import concurrent.futures
 
     sizes = []
@@ -1034,10 +1053,11 @@ def test_suite_forks_at_most_one_worker_per_scenario(tmp_path, monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    names = ["plane_wave_eigenstate", "free_gaussian"]
-    results = run_suite(tmp_path, jobs=10**6, names=names)
-    assert sizes == [2]
-    assert list(results) == names and all(ok for ok, _ in results.values())
+    calls = _stub_suite_worker(monkeypatch)
+    results = run_suite(tmp_path, jobs=10**6)
+    assert sizes == [len(builtin_names())] == [10]
+    assert [name for name, _ in calls] == list(results) == builtin_names()
+    assert all(ok for ok, _ in results.values())
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

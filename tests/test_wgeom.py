@@ -301,16 +301,17 @@ def test_madelung_step_is_rk4_of_the_hamiltonian_vector_field():
     assert np.max(np.abs(final.base.values - rec.states[0].base.values)) > 1e-6
 
 
-def test_hamiltonian_flow_fuses_its_transforms(fft_calls):
+@pytest.mark.parametrize("hbar", [0.0, 0.8])
+def test_hamiltonian_flow_fuses_its_transforms(fft_calls, hbar):
     # the half-spectrum kernel makes one inverse transform of (S, mu, mu, mu)
     # for dS/dx, mu, dmu/dx and lap mu, and one forward transform of the
     # flux and the pressure: 2 FFT calls, and the rates equal those built
-    # from one transform per row, bit for bit
+    # from one transform per row, bit for bit; at hbar = 0 too, where the
+    # Fisher term adds an exact zero
     g = Grid(256)
     rng = np.random.default_rng(25)
     mu = random_density(g, rng, modes=3).values
     s = random_zero_mean(g, rng, modes=3, amplitude=0.3)
-    hbar = 0.8
     coef, v_hat = g.rfft(np.stack((mu, s))), g.rfft(1.0 - np.cos(g.points))
     kernel = flow_kernel(g, v_hat, hbar)
     before = len(fft_calls)
