@@ -59,9 +59,6 @@ MAX_REFINEMENTS = 8
 #: the largest record a run may keep, in bytes of its float samples; a
 #: longer one is refused before its solve (ConfigError)
 MAX_RECORD_BYTES = 2 ** 30
-#: the most periodic images a wrapped Gaussian may sum, ample for a packet
-#: spread over a thousand grid lengths
-MAX_IMAGES = 10 ** 4
 
 _TINY = 1e-300
 
@@ -107,16 +104,13 @@ def _as_float(value: Any, path: str, grid: Grid | None = None,
 
 
 def _as_int(value: Any, path: str, grid: Grid | None = None,
-            minimum: int | None = None, maximum: int | None = None,
-            mode: bool = False) -> int:
+            minimum: int | None = None, mode: bool = False) -> int:
     """An integer; with `mode`, a Fourier mode (or mode count) the grid
     resolves: |value| < n/2."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path} must be <= {maximum}, got {value!r}")
     if mode and not 2 * abs(value) < grid.n:
         raise ConfigError(f"{path} must lie below n/2 = {grid.n // 2} in size, "
                           f"got {value!r}")
@@ -300,21 +294,21 @@ class ScenarioConfig:
                    output_directory=directory, output_formats=formats)
 
     def resolved_mapping(self) -> dict:
-        """Canonical JSON-ready echo of the validated config."""
+        """Canonical JSON-ready echo of the validated config; the keys of a
+        parameter table name the attributes that hold their values."""
+        def echo(table: Mapping, holder) -> dict:
+            return {key: getattr(holder, key) for key in table}
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
-            "grid": {"n": self.grid.n, "length": self.grid.length},
-            "constants": {"hbar": self.constants.hbar},
+            "grid": echo(_GRID, self.grid),
+            "constants": echo(_CONSTANTS, self.constants),
             "potential": {"kind": self.potential_kind,
                           "parameters": dict(self.potential_parameters)},
             "initial_state": {"kind": self.initial_kind,
                               "parameters": dict(self.initial_parameters)},
-            "integrator": {"solver": self.solver, "dt": self.dt,
-                           "total_time": self.total_time,
-                           "snapshot_stride": self.snapshot_stride},
-            "checks": [{"name": c.name, "tolerance": c.tolerance}
-                       for c in self.checks],
+            "integrator": echo(_INTEGRATOR, self),
+            "checks": [echo(_CHECK, c) for c in self.checks],
             "output": {"directory": self.output_directory,
                        "formats": list(self.output_formats)},
         }
@@ -432,8 +426,7 @@ POTENTIAL_KINDS: dict[str, tuple[Callable[..., PotentialField], dict]] = {
 #: the shape of a wrapped Gaussian, which `gaussian` centers once and
 #: `gaussian_pair` twice
 _PACKET = {"sigma": (_POSITIVE, 0.35),
-           "floor_weight": (_as_float, statelib.DEFAULT_GAUSSIAN_FLOOR),
-           "images": (partial(_as_int, minimum=1, maximum=MAX_IMAGES), 6)}
+           "floor_weight": (_as_float, statelib.DEFAULT_GAUSSIAN_FLOOR)}
 
 #: density spec kind -> (builder, parameter table)
 DENSITY_KINDS: dict[str, tuple[Callable[..., DensityField], dict]] = {
@@ -522,9 +515,10 @@ def build_initial(config: ScenarioConfig) -> dict:
     if kind in ("gaussian", "perturbed_uniform"):
         if kind == "gaussian" and solver == "schrodinger" and args["floor_weight"] == 0.0:
             # the packet at time t, the free_packet_density oracle; if that check
-            # reads it, its images must hold it at the final time, when widest
+            # reads it, its spread at the final time, when widest, must stay
+            # within the bound on its periodic images
             packet = partial(statelib.free_gaussian_wave, grid, args["center"],
-                             args["sigma"], constants, images=args["images"])
+                             args["sigma"], constants)
             wave = packet(0.0)
             if any(c.name == "free_packet_density" for c in config.checks):
                 packet(config.total_time)
@@ -545,9 +539,6 @@ def build_initial(config: ScenarioConfig) -> dict:
                 return statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)
             return {"trials": _trials(config, wave_trial)}
         rng = np.random.default_rng(seed)
-        if solver == "schrodinger":
-            return {"wave": statelib.random_wave(grid, rng, constants, modes,
-                                                 d_amp, p_amp)}
         mu = statelib.random_density(grid, rng, modes, d_amp)
         s = statelib.random_zero_mean(grid, rng, modes, p_amp)
         return _solver_start(solver, mu, s, 0.0, constants)
@@ -757,7 +748,6 @@ class CheckDefinition:
     tolerance: float
     solvers: tuple[str, ...]
     fn: Callable[[RunContext], np.ndarray]
-    summary: str
     #: the check differences in time, so validation rejects a stride that
     #: leaves fewer than three snapshots or spaces them unevenly
     uniform_snapshots: bool = False
@@ -789,10 +779,12 @@ def _state_arrays(state) -> tuple[np.ndarray, ...]:
 
 
 def _check_mass_conservation(ctx: RunContext) -> np.ndarray:
+    """Total mass stays at one."""
     return np.abs(ctx.columns["mass"] - 1.0)
 
 
 def _check_stationarity(ctx: RunContext) -> np.ndarray:
+    """State stays at its initial value."""
     base = _state_arrays(ctx.record.states[0])
     out = np.zeros(len(ctx.record.times))
     for i, state in enumerate(ctx.record.states):
@@ -802,6 +794,7 @@ def _check_stationarity(ctx: RunContext) -> np.ndarray:
 
 
 def _check_energy_conservation(ctx: RunContext) -> np.ndarray:
+    """Relative energy drift stays small."""
     column = "H_S" if ctx.config.solver == "schrodinger" else "H_F"
     energy = ctx.columns[column]
     return np.abs(energy - energy[0]) / max(abs(energy[0]), _TINY)
@@ -814,6 +807,7 @@ def _l2_gaps(grid: Grid, gaps) -> np.ndarray:
 
 
 def _check_eigenstate_phase(ctx: RunContext) -> np.ndarray:
+    """Single mode accumulates the exact phase."""
     k = TAU * ctx.initial["mode"] / ctx.grid.length
     rotation = -0.5j * ctx.constants.hbar * k * k
     psi0 = ctx.record.states[0].values
@@ -822,12 +816,14 @@ def _check_eigenstate_phase(ctx: RunContext) -> np.ndarray:
 
 
 def _check_free_packet_density(ctx: RunContext) -> np.ndarray:
+    """Density tracks the closed-form spreading packet."""
     packet = ctx.initial["packet"]
     return _l2_gaps(ctx.grid, (np.abs(state.values) ** 2 - np.abs(packet(float(t)).values) ** 2
                                for t, state in zip(ctx.record.times, ctx.record.states)))
 
 
 def _check_schrodinger_density_match(ctx: RunContext) -> np.ndarray:
+    """Hydrodynamic density tracks the wave solver."""
     return _l2_gaps(ctx.grid, (polar.base.values - np.abs(wave.values) ** 2 for polar, wave
                                in zip(ctx.record.states, ctx.wave_oracle.states)))
 
@@ -845,6 +841,7 @@ def _check_velocity_potential_match(ctx: RunContext) -> np.ndarray:
 
 
 def _check_newton_residual(ctx: RunContext) -> np.ndarray:
+    """Covariant acceleration balances the energy gradient."""
     h = _uniform_snapshot_step(ctx)
     sts = ctx.record.states
     out = np.full(len(sts), np.nan)
@@ -861,6 +858,7 @@ def _check_newton_residual(ctx: RunContext) -> np.ndarray:
 
 
 def _check_entropy_dissipation(ctx: RunContext) -> np.ndarray:
+    """Entropy decays at the information production rate."""
     h = _uniform_snapshot_step(ctx)
     entropy = ctx.columns["entropy"]
     fisher = ctx.columns["fisher"]
@@ -875,6 +873,7 @@ def _check_entropy_dissipation(ctx: RunContext) -> np.ndarray:
 
 
 def _check_descent_monotone(ctx: RunContext) -> np.ndarray:
+    """Energy never increases between snapshots."""
     energy = ctx.columns["H_F"]
     out = np.zeros(len(energy))
     out[1:] = np.maximum(0.0, np.diff(energy))
@@ -882,6 +881,7 @@ def _check_descent_monotone(ctx: RunContext) -> np.ndarray:
 
 
 def _check_phase_correction_ledger(ctx: RunContext) -> np.ndarray:
+    """Gauge ledger equals the running action integral."""
     times = ctx.record.times
     lagrangian_col = ctx.columns["L_F"]
     steps = 0.5 * (lagrangian_col[1:] + lagrangian_col[:-1]) * np.diff(times)
@@ -890,6 +890,7 @@ def _check_phase_correction_ledger(ctx: RunContext) -> np.ndarray:
 
 
 def _check_hamiltonian_pullback(ctx: RunContext) -> np.ndarray:
+    """Wave energy equals the lifted hydrodynamic energy."""
     h_s, h_f = ctx.columns["H_S"], ctx.columns["H_F"]
     return np.abs(h_s - h_f) / np.maximum(np.abs(h_f), _TINY)
 
@@ -899,6 +900,7 @@ _PULLBACK_SEED_BASE = 900
 
 
 def _check_symplectic_pullback(ctx: RunContext) -> np.ndarray:
+    """Wave symplectic form pulls back to the scaled bundle form."""
     g = ctx.grid
     out = np.zeros(len(ctx.record.states))
     for i, state in enumerate(ctx.record.states):
@@ -914,6 +916,7 @@ def _check_symplectic_pullback(ctx: RunContext) -> np.ndarray:
 
 
 def _check_bb_action_match(ctx: RunContext) -> np.ndarray:
+    """Kinetic action of the geodesic equals the squared distance."""
     h = _uniform_snapshot_step(ctx)
     action = transport.path_action(ctx.record.states, h)
     w2sq = ctx.w2_squared
@@ -947,6 +950,7 @@ def _check_bb_path_optimality(ctx: RunContext) -> np.ndarray:
 
 
 def _check_constant_speed(ctx: RunContext) -> np.ndarray:
+    """Distance from the start grows linearly along the geodesic."""
     sts = ctx.record.states
     times = ctx.record.times
     total_time = times[-1]
@@ -959,61 +963,36 @@ def _check_constant_speed(ctx: RunContext) -> np.ndarray:
 
 
 CHECKS: dict[str, CheckDefinition] = {
-    "mass_conservation": CheckDefinition(
-        1e-8, SOLVER_KINDS, _check_mass_conservation,
-        "total mass stays at one"),
-    "stationarity": CheckDefinition(
-        1e-10, _DYNAMIC, _check_stationarity,
-        "state stays at its initial value"),
+    "mass_conservation": CheckDefinition(1e-8, SOLVER_KINDS, _check_mass_conservation),
+    "stationarity": CheckDefinition(1e-10, _DYNAMIC, _check_stationarity),
     "energy_conservation": CheckDefinition(
-        1e-6, ("schrodinger", "madelung"), _check_energy_conservation,
-        "relative energy drift stays small"),
+        1e-6, ("schrodinger", "madelung"), _check_energy_conservation),
     "eigenstate_phase": CheckDefinition(
-        1e-10, ("schrodinger",), _check_eigenstate_phase,
-        "single mode accumulates the exact phase", kinds=("plane_wave",),
+        1e-10, ("schrodinger",), _check_eigenstate_phase, kinds=("plane_wave",),
         potentials=("none",)),
     "free_packet_density": CheckDefinition(
-        1e-6, ("schrodinger",), _check_free_packet_density,
-        "density tracks the closed-form spreading packet", kinds=("gaussian",),
+        1e-6, ("schrodinger",), _check_free_packet_density, kinds=("gaussian",),
         potentials=("none",)),
     "schrodinger_density_match": CheckDefinition(
-        1e-3, ("madelung",), _check_schrodinger_density_match,
-        "hydrodynamic density tracks the wave solver"),
+        1e-3, ("madelung",), _check_schrodinger_density_match),
     "velocity_potential_match": CheckDefinition(
-        1e-3, ("madelung",), _check_velocity_potential_match,
-        "gauge-fixed phases of the two solvers agree"),
+        1e-3, ("madelung",), _check_velocity_potential_match),
     "newton_residual": CheckDefinition(
-        1e-3, ("madelung",), _check_newton_residual,
-        "covariant acceleration balances the energy gradient",
-        uniform_snapshots=True),
+        1e-3, ("madelung",), _check_newton_residual, uniform_snapshots=True),
     "entropy_dissipation": CheckDefinition(
-        1e-4, ("heat",), _check_entropy_dissipation,
-        "entropy decays at the information production rate",
-        uniform_snapshots=True),
-    "descent_monotone": CheckDefinition(
-        1e-10, ("dlss",), _check_descent_monotone,
-        "energy never increases between snapshots"),
+        1e-4, ("heat",), _check_entropy_dissipation, uniform_snapshots=True),
+    "descent_monotone": CheckDefinition(1e-10, ("dlss",), _check_descent_monotone),
     "phase_correction_ledger": CheckDefinition(
-        1e-4, ("madelung",), _check_phase_correction_ledger,
-        "gauge ledger equals the running action integral"),
+        1e-4, ("madelung",), _check_phase_correction_ledger),
     "hamiltonian_pullback": CheckDefinition(
-        1e-8, ("static",), _check_hamiltonian_pullback,
-        "wave energy equals the lifted hydrodynamic energy", kinds=("random_polar",)),
+        1e-8, ("static",), _check_hamiltonian_pullback, kinds=("random_polar",)),
     "symplectic_pullback": CheckDefinition(
-        1e-4, ("static",), _check_symplectic_pullback,
-        "wave symplectic form pulls back to the scaled bundle form",
-        kinds=("random_density",)),
+        1e-4, ("static",), _check_symplectic_pullback, kinds=("random_density",)),
     "bb_action_match": CheckDefinition(
-        1e-3, ("displacement",), _check_bb_action_match,
-        "kinetic action of the geodesic equals the squared distance",
-        uniform_snapshots=True),
+        1e-3, ("displacement",), _check_bb_action_match, uniform_snapshots=True),
     "bb_path_optimality": CheckDefinition(
-        1e-12, ("displacement",), _check_bb_path_optimality,
-        "perturbed paths cost at least as much as the geodesic",
-        uniform_snapshots=True),
-    "constant_speed": CheckDefinition(
-        1e-4, ("displacement",), _check_constant_speed,
-        "distance from the start grows linearly along the geodesic"),
+        1e-12, ("displacement",), _check_bb_path_optimality, uniform_snapshots=True),
+    "constant_speed": CheckDefinition(1e-4, ("displacement",), _check_constant_speed),
 }
 
 

@@ -29,28 +29,41 @@ def uniform_density(grid: Grid) -> DensityField:
 GAUSSIAN_REACH = float(np.sqrt(-2.0 * np.log(np.finfo(float).eps)))
 
 
-def _require_resolved(grid: Grid, center: float, sigma: float, images: int,
-                      spread: float, width: float) -> None:
-    """ValueError unless a sum over |m| <= images of Gaussians with modulus
-    exp(-(x - center + m L)^2 / (2 spread^2)) and spectral modulus
-    exp(-width^2 k^2 / 2) is periodic and band-limited in double precision:
-    its first omitted image on the grid and its spectrum at the top
-    wavenumber lie below machine epsilon of the peak.  The message names
-    `sigma`."""
-    gap = (images + 1) * grid.length - np.abs(grid.points - center).max()
-    if gap < GAUSSIAN_REACH * spread:
-        raise ValueError(f"a Gaussian of sigma {sigma:g} is not resolved by "
-                         f"{images} images: the first omitted image lies above "
-                         "double rounding")
+#: the most periodic images a wrapped Gaussian may sum on each side, ample
+#: for a packet spread over a thousand grid lengths
+MAX_IMAGES = 10 ** 4
+
+
+def _wrapped_sum(grid: Grid, center: float, sigma: float, spread: float,
+                 width: float, image) -> np.ndarray:
+    """The sum over |m| <= M of image(x - center + m L), a Gaussian whose
+    modulus has width `spread` and whose spectrum's modulus has width
+    `width`, periodic and band-limited in double precision.
+
+    M is the fewest images whose first omitted one lies below machine
+    epsilon of the peak on the grid: the least m >= 0 with
+    (m + 1) L - max |x - center| >= GAUSSIAN_REACH spread.  ValueError,
+    naming `sigma`, if the spectrum at the top wavenumber lies above
+    double rounding or M exceeds MAX_IMAGES.
+    """
     if np.pi * grid.n / grid.length * width < GAUSSIAN_REACH:
         raise ValueError(f"a Gaussian of sigma {sigma:g} is not resolved on "
                          f"{grid.n} points: its spectrum at the top wavenumber "
                          "lies above double rounding")
+    offsets = grid.points - center
+    reach = np.abs(offsets).max()
+    images = np.ceil((GAUSSIAN_REACH * spread + reach) / grid.length) - 1.0
+    if not images <= MAX_IMAGES:
+        bound = ((MAX_IMAGES + 1) * grid.length - reach) / GAUSSIAN_REACH
+        raise ValueError(f"a Gaussian of sigma {sigma:g} spreads to {spread:g} "
+                         f"about center {center:g}, past the spread {bound:g} "
+                         f"that {MAX_IMAGES} periodic images hold")
+    images = int(images)
+    return sum(image(offsets + m * grid.length) for m in range(-images, images + 1))
 
 
 def wrapped_gaussian_density(grid: Grid, center: float, sigma: float,
-                             floor_weight: float = DEFAULT_GAUSSIAN_FLOOR,
-                             images: int = 6) -> DensityField:
+                             floor_weight: float = DEFAULT_GAUSSIAN_FLOOR) -> DensityField:
     """Periodized Gaussian bump, mixed with a small uniform component.
 
     The admixture (weight `floor_weight`) keeps narrow bumps above the
@@ -61,11 +74,9 @@ def wrapped_gaussian_density(grid: Grid, center: float, sigma: float,
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     if not (0.0 <= floor_weight < 1.0):
         raise ValueError(f"floor weight must lie in [0, 1), got {floor_weight!r}")
-    _require_resolved(grid, center, sigma, images, sigma, sigma)
-    x, bump = grid.points, np.zeros(grid.n)
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-    for m in range(-images, images + 1):
-        bump += norm * np.exp(-0.5 * ((x - center + m * grid.length) / sigma) ** 2)
+    bump = _wrapped_sum(grid, center, sigma, sigma, sigma,
+                        lambda xi: norm * np.exp(-0.5 * (xi / sigma) ** 2))
     bump = bump / grid.integrate(bump)
     mixed = (1.0 - floor_weight) * bump + floor_weight / grid.length
     return normalize_density(grid, mixed)
@@ -99,26 +110,21 @@ def plane_wave(grid: Grid, mode: int) -> WaveField:
 
 
 def free_gaussian_wave(grid: Grid, center: float, sigma0: float,
-                       constants: PhysicsConstants, time: float,
-                       images: int = 6) -> WaveField:
+                       constants: PhysicsConstants, time: float) -> WaveField:
     """Closed-form free evolution of a periodized Gaussian wave packet.
 
     Line solution with complex width alpha(t) = 1 + i hbar t / (2 sigma0^2),
     summed over periodic images and normalized.  At time 0 this is the real
     square root of the bare wrapped Gaussian; the density variance grows as
     sigma0^2 + (hbar t / (2 sigma0))^2.  Each image's modulus is a Gaussian
-    of width sqrt(2) sigma0 |alpha(t)|, which the images must hold at time
-    t, while its spectrum's modulus keeps the width of time 0.
+    of width sqrt(2) sigma0 |alpha(t)|, which sets how many images time t
+    sums, while its spectrum's modulus keeps the width of time 0.
     """
     alpha = 1.0 + 0.5j * constants.hbar * time / sigma0 ** 2
-    _require_resolved(grid, center, sigma0, images,
-                      np.sqrt(2.0) * sigma0 * abs(alpha), np.sqrt(2.0) * sigma0)
-    x = grid.points
-    values = np.zeros(grid.n, dtype=complex)
     prefactor = (2.0 * np.pi * sigma0 ** 2) ** -0.25 / np.sqrt(alpha)
-    for m in range(-images, images + 1):
-        xi = x - center + m * grid.length
-        values += prefactor * np.exp(-xi ** 2 / (4.0 * sigma0 ** 2 * alpha))
+    values = _wrapped_sum(
+        grid, center, sigma0, np.sqrt(2.0) * sigma0 * abs(alpha), np.sqrt(2.0) * sigma0,
+        lambda xi: prefactor * np.exp(-xi ** 2 / (4.0 * sigma0 ** 2 * alpha)))
     return WaveField.normalized(grid, values)
 
 

@@ -245,6 +245,43 @@ def test_free_gaussian_wave_time_zero_and_spreading():
     assert abs(var - expected) / expected < 1e-4
 
 
+def _sixty_image_packet(g, center, sigma0, hbar, t):
+    """The free packet at time t summed term by term over |m| <= 60."""
+    alpha = 1.0 + 0.5j * hbar * t / sigma0 ** 2
+    prefactor = (2.0 * np.pi * sigma0 ** 2) ** -0.25 / np.sqrt(alpha)
+    values = np.zeros(g.n, dtype=complex)
+    for m in range(-60, 61):
+        xi = g.points - center + m * g.length
+        values += prefactor * np.exp(-xi ** 2 / (4.0 * sigma0 ** 2 * alpha))
+    return WaveField.normalized(g, values).values
+
+
+@pytest.mark.parametrize("n, center, sigma0, hbar, t", [
+    # the free_gaussian builtin at its snapshots, and its n = 4096 variant
+    (256, np.pi, 0.35, 1.0, 0.0), (256, np.pi, 0.35, 1.0, 0.15),
+    (256, np.pi, 0.35, 1.0, 0.3), (4096, np.pi, 0.35, 1.0, 0.1),
+])
+def test_builtin_free_packet_sums_its_images_bit_for_bit(n, center, sigma0, hbar, t):
+    got = free_gaussian_wave(Grid(n), center, sigma0, PhysicsConstants(hbar), t).values
+    assert got.tobytes() == _sixty_image_packet(Grid(n), center, sigma0, hbar, t).tobytes()
+
+
+@pytest.mark.parametrize("n, center, sigma0, hbar, t", [
+    (256, 0.0, 0.2, 1.0, 5.0),    # narrow and spread over the whole circle
+    (256, np.pi, 2.0, 1.0, 0.0),  # wide already at time 0
+    (256, 1.0, 3.0, 0.5, 12.0),
+    (64, 5.5, 0.6, 1.0, 15.0),
+    (256, 20.0, 0.35, 1.0, 0.7),  # centered about three lengths off the grid
+])
+def test_free_packet_derives_its_images_from_its_spread(n, center, sigma0, hbar, t):
+    # the omitted images lie below double rounding of the peak; what is
+    # left is the rounding of the sums and of the normalization
+    got = free_gaussian_wave(Grid(n), center, sigma0, PhysicsConstants(hbar), t).values
+    reference = _sixty_image_packet(Grid(n), center, sigma0, hbar, t)
+    peak = np.abs(reference).max()
+    assert np.abs(got - reference).max() <= 8 * np.finfo(float).eps * peak
+
+
 def test_random_builders_reproducible():
     g = Grid(64)
     f1 = random_zero_mean(g, np.random.default_rng(42), modes=3)

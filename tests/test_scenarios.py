@@ -274,33 +274,37 @@ def test_readme_kind_tables_list_each_tables_parameters():
 
 
 def test_gaussian_wave_honours_images():
-    # sigma = 2 on a 2 pi circle: with one image on each side the first
-    # omitted one lies above double rounding, with three it does not
-    def start(images):
-        m = _heat_mapping(solver="schrodinger", total_time=1e-3)
-        m["initial_state"] = {"kind": "gaussian", "parameters": {
-            "sigma": 2.0, "floor_weight": 1e-8, "images": images}}
-        return run_scenario(ScenarioConfig.from_mapping(m), write=False).context
-
-    with pytest.raises(ConfigError, match="not resolved by 1 images"):
-        start(1)
-    ctx = start(3)
-    mu = wrapped_gaussian_density(ctx.grid, np.pi, 2.0, 1e-8, 3)
+    # sigma = 2 on a 2 pi circle: the start sums the images on each side
+    # that its spread needs
+    m = _heat_mapping(solver="schrodinger", total_time=1e-3)
+    m["initial_state"] = {"kind": "gaussian", "parameters": {
+        "sigma": 2.0, "floor_weight": 1e-8}}
+    ctx = run_scenario(ScenarioConfig.from_mapping(m), write=False).context
+    mu = wrapped_gaussian_density(ctx.grid, np.pi, 2.0, 1e-8)
     wave = ctx.initial["wave"].values
     assert np.max(np.abs(np.abs(wave) ** 2 - mu.values)) < 1e-12
 
 
-@pytest.mark.parametrize("override", [
-    "initial_state.parameters.images=60",
-    # no check reads the oracle, so its images need not hold it
-    'checks=["mass_conservation"]',
+@pytest.mark.parametrize("overrides", [
+    [],
+    # no check reads the oracle at the final time
+    ['checks=["mass_conservation"]'],
 ])
-def test_free_packet_images_need_only_hold_the_packet_at_the_final_time(override):
-    # at t = 20 the packet's spread width is 40.4: past what 6 images hold
-    # (4.8), within what 60 hold
+def test_free_packet_images_need_only_hold_the_packet_at_the_final_time(overrides):
+    # at t = 20 the packet's spread width is 40.4: the oracle sums the 55
+    # images on each side that hold it
     m = apply_overrides(builtin_mapping("free_gaussian"), [
-        "integrator.total_time=20", "integrator.dt=0.01", override])
+        "integrator.total_time=20", "integrator.dt=0.01", *overrides])
     assert run_scenario(ScenarioConfig.from_mapping(m), write=False).passed
+
+
+def test_random_polar_starts_the_wave_and_hydrodynamic_solvers_alike():
+    def start(solver):
+        m = apply_overrides(builtin_mapping("thm44_hamiltonian"), [
+            f"integrator.solver={solver}", "integrator.dt=1e-3",
+            "integrator.total_time=1e-3", "checks=[]"])
+        return build_initial(ScenarioConfig.from_mapping(m))["wave"].values
+    assert start("schrodinger").tobytes() == start("madelung").tobytes()
 
 
 def test_wave_oracle_samples_the_madelung_schedule_bit_for_bit():
@@ -859,8 +863,10 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     ("free_gaussian", ["initial_state.parameters.floor_weight=1e-3"], "bare packet"),
     # Gaussians that double precision does not resolve on the grid
     ("free_gaussian", ["initial_state.parameters.sigma=1e-9"], "top wavenumber"),
-    ("free_gaussian", ["initial_state.parameters.sigma=2.0",
-                       "initial_state.parameters.images=1"], "first omitted image"),
+    # a density whose images would be summed one by one, from far off the circle
+    ("free_gaussian", ["initial_state.parameters.center=1e6",
+                       "initial_state.parameters.floor_weight=1e-8",
+                       'checks=["mass_conservation"]'], "10000 periodic images hold"),
     # a transport of zero length
     ("benamou_brenier_action", ["initial_state.parameters.centers=[1.0,1.0]"],
      "coincide on the circle"),
@@ -876,15 +882,15 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     ("free_gaussian", ["potential.kind=cosine_well"], "a potential of kind 'cosine_well'"),
     # a floor weight that is not a number, before the bare-packet rule reads it
     ("free_gaussian", ['initial_state.parameters.floor_weight="0"'], "must be a number"),
-    # by t = 20 the free packet has spread past its 6 images
-    ("free_gaussian", ["integrator.total_time=20", "integrator.dt=0.01"],
-     "first omitted image"),
+    # by t = 100000 the free packet has spread past what its images may hold
+    ("free_gaussian", ["integrator.total_time=100000", "integrator.dt=1",
+                       "integrator.snapshot_stride=100000"],
+     "spreads to 202031 about center 3.14159, past the spread 7400.69"),
     # 40,001 snapshots of 4096 floats, 1.3 GB of samples
     ("heat_entropy_dissipation", ["grid.n=4096", "integrator.dt=1e-6"],
      "40001 snapshots of 4096 floats, 1250 MiB"),
-    # a billion images would be summed one by one
-    ("free_gaussian", ["initial_state.parameters.images=1000000000",
-                       'checks=["mass_conservation"]'], "images must be <= 10000"),
+    # the periodic images are derived, not set
+    ("free_gaussian", ["initial_state.parameters.images=6"], "unknown keys ['images']"),
 ])
 def test_cli_unservable_start_exits_two_before_the_solve(monkeypatch, capsys, tmp_path,
                                                          scenario, overrides, message):
