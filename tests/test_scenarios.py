@@ -6,6 +6,7 @@ import re
 import runpy
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 import madflow
 from madflow import scenarios
 from madflow.cli import main
-from madflow.dynamics import heat_evolve, madelung_evolve
+from madflow.dynamics import TrajectoryRecord, heat_evolve, madelung_evolve
 from madflow.errors import ConfigError
 from madflow.fields import DensityField, WaveField, functionals
 from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
@@ -38,7 +39,8 @@ from madflow.scenarios import (
     run_scenario,
     run_suite,
 )
-from madflow.wgeom import hamiltonian, lagrangian, wasserstein_gradient
+from madflow.wgeom import (TangentBundlePoint, hamiltonian, lagrangian,
+                           wasserstein_gradient)
 
 TAU = 2 * np.pi
 SRC = str(Path(madflow.__file__).resolve().parents[1])
@@ -517,6 +519,140 @@ def test_snapshot_writer_holds_one_state_at_a_time(tmp_path):
     assert len(record.states) == 200 and path.stat().st_size > 3 * 2 ** 20
     assert peak < 2 ** 20, peak
     assert len(json.loads(path.read_text())["states"]) == 200
+
+
+def _snapshot_context(kind, count, n=64):
+    """A context whose record holds `count` distinct states of `kind`."""
+    config = ScenarioConfig.from_mapping({**_heat_mapping(), "grid": {"n": n, "length": TAU}})
+    grid = config.grid
+    states = []
+    for i in range(count):
+        density = DensityField(grid, (1.0 + 0.3 * np.cos(grid.points + 0.1 * i)) / TAU)
+        phase = np.sin(grid.points) / (i + 1)
+        states.append({"density": density,
+                       "polar": TangentBundlePoint(density, phase),
+                       "wave": WaveField(grid, np.sqrt(density.values) * np.exp(1j * phase)),
+                       }[kind])
+    record = TrajectoryRecord(0.01 * np.arange(count), tuple(states))
+    return scenarios.RunContext(config=config, grid=grid, constants=config.constants,
+                                potential=None, initial={}, record=record)
+
+
+def _force_shares(monkeypatch, cpus):
+    """Make every record of at least `cpus` states split into `cpus` shares."""
+    monkeypatch.setattr(scenarios, "SHARE_FLOATS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _one_dump(ctx) -> str:
+    return json.dumps({"scenario": ctx.config.name,
+                       "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
+                       "times": ctx.record.times.tolist(),
+                       "states": [scenarios._state_payload(s) for s in ctx.record.states]},
+                      separators=(",", ":")) + "\n"
+
+
+def _assert_no_leftovers(directory: Path) -> None:
+    assert not list(directory.glob("*.part*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind,count,cpus,shares", [
+    ("wave", 7, 1, 1), ("wave", 7, 2, 2), ("wave", 7, 3, 3),
+    ("polar", 7, 1, 1), ("polar", 7, 2, 2), ("polar", 7, 3, 3),
+    ("density", 7, 1, 1), ("density", 7, 2, 2), ("density", 7, 3, 3),
+    ("density", 1, 3, 1), ("wave", 2, 3, 2)])
+def test_snapshot_shares_write_the_bytes_of_one_dump(tmp_path, monkeypatch,
+                                                     kind, count, cpus, shares):
+    ctx = _snapshot_context(kind, count)
+    _force_shares(monkeypatch, cpus)
+    assert scenarios._share_count(ctx) == shares
+    path = tmp_path / "snapshots.json"
+    scenarios._write_snapshots(path, ctx)
+    assert path.read_text() == _one_dump(ctx)
+    _assert_no_leftovers(tmp_path)
+
+
+def test_share_count_needs_share_floats_per_writer(monkeypatch):
+    # a density state is n floats and a wave or polar state 2n
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(scenarios, "SHARE_FLOATS", 64 * 10)
+    assert scenarios._share_count(_snapshot_context("density", 19)) == 1
+    assert scenarios._share_count(_snapshot_context("density", 20)) == 2
+    assert scenarios._share_count(_snapshot_context("wave", 10)) == 2
+    assert scenarios._share_count(_snapshot_context("polar", 50)) == 4
+
+
+def test_snapshot_writer_holds_one_state_at_a_time_with_two_shares(tmp_path, monkeypatch):
+    # the twin of the one-writer test: the second share's text is encoded
+    # by a child and appended in the kernel, so the parent's peak stays
+    config = ScenarioConfig.from_mapping({**_heat_mapping(),
+                                          "grid": {"n": 1024, "length": TAU}})
+    grid = config.grid
+    record = heat_evolve(DensityField(grid, (1.0 + 0.3 * np.cos(grid.points)) / TAU),
+                         1e-3, 0.199)
+    ctx = scenarios.RunContext(config=config, grid=grid, constants=config.constants,
+                               potential=None, initial={}, record=record)
+    _force_shares(monkeypatch, 2)
+    assert scenarios._share_count(ctx) == 2
+    path = tmp_path / "snapshots.json"
+    tracemalloc.start()
+    try:
+        scenarios._write_snapshots(path, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(record.states) == 200 and path.stat().st_size > 3 * 2 ** 20
+    assert peak < 2 ** 20, peak
+    assert path.read_text() == _one_dump(ctx)
+    _assert_no_leftovers(tmp_path)
+
+
+def test_failed_snapshot_child_raises_and_leaves_nothing(tmp_path, monkeypatch):
+    ctx = _snapshot_context("wave", 4)
+    _force_shares(monkeypatch, 2)
+    payload, last = scenarios._state_payload, ctx.record.states[-1]
+
+    def failing(state):
+        if state is last:
+            raise ValueError("no payload")
+        return payload(state)
+
+    monkeypatch.setattr(scenarios, "_state_payload", failing)
+    with pytest.raises(OSError, match=r"states 2\.\.3 exited with status 1"):
+        scenarios._write_snapshots(tmp_path / "snapshots.json", ctx)
+    _assert_no_leftovers(tmp_path)
+
+
+def test_failed_parent_share_kills_and_reaps_children(tmp_path, monkeypatch):
+    # the children would encode for a minute; the parent's failure ends them
+    ctx = _snapshot_context("density", 6)
+    _force_shares(monkeypatch, 3)
+    parent = os.getpid()
+
+    def failing(state):
+        if os.getpid() == parent:
+            raise ValueError("parent share")
+        time.sleep(60)
+
+    monkeypatch.setattr(scenarios, "_state_payload", failing)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent share"):
+        scenarios._write_snapshots(tmp_path / "snapshots.json", ctx)
+    assert time.monotonic() - start < 10
+    _assert_no_leftovers(tmp_path)
+
+
+def test_snapshot_writer_without_fork_writes_one_share(tmp_path, monkeypatch):
+    ctx = _snapshot_context("polar", 5)
+    _force_shares(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert scenarios._share_count(ctx) == 1
+    path = tmp_path / "snapshots.json"
+    scenarios._write_snapshots(path, ctx)
+    assert path.read_text() == _one_dump(ctx)
+    _assert_no_leftovers(tmp_path)
 
 
 def test_failing_check_is_recorded_not_raised(tmp_path):
