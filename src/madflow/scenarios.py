@@ -14,6 +14,7 @@ Builtin scenarios cover the whole acceptance surface; see
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -21,11 +22,11 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import dynamics, transport
+from . import dynamics, floattext, transport
 from . import states as statelib
 from .dynamics import TrajectoryRecord
 from .errors import (AliasError, ConfigError, CutError, NodeError,
@@ -956,8 +957,7 @@ def _check_constant_speed(ctx: RunContext) -> np.ndarray:
     total_time = times[-1]
     total = np.sqrt(ctx.w2_squared)
     out = np.zeros(len(sts))
-    for i in range(1, len(sts)):
-        reached = transport.w2_distance(sts[i], sts[0])
+    for i, reached in enumerate(transport.w2_distances(sts[1:], sts[0]), start=1):
         out[i] = abs(reached - (times[i] / total_time) * total)
     return out
 
@@ -1035,106 +1035,52 @@ def _write_observables(path: Path, ctx: RunContext,
             out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _state_payload(state) -> dict:
-    if isinstance(state, WaveField):
-        return {"kind": "wave", "real": state.values.real.tolist(),
-                "imag": state.values.imag.tolist()}
-    if isinstance(state, TangentBundlePoint):
-        return {"kind": "polar", "density": state.base.values.tolist(),
-                "phase": state.fiber_potential.tolist()}
-    return {"kind": "density", "density": state.values.tolist()}
+def _snapshot_arrays(states: Sequence) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Each array of each state with the JSON text that goes before it;
+    the "]}" that closes the last state is left to the caller."""
+    glue = b""
+    for state in states:
+        if isinstance(state, WaveField):
+            kind, fields = b"wave", ((b"real", state.values.real),
+                                     (b"imag", state.values.imag))
+        elif isinstance(state, TangentBundlePoint):
+            kind, fields = b"polar", ((b"density", state.base.values),
+                                      (b"phase", state.fiber_potential))
+        else:
+            kind, fields = b"density", ((b"density", state.values),)
+        glue += b'{"kind":"%s"' % kind
+        for name, values in fields:
+            yield glue + b',"%s":[' % name, values
+            glue = b"]"
+        glue = b"]},"
 
 
-#: the fewest float samples worth one forked snapshot writer: a fork of a
-#: ~90 MB process costs 10-15 ms and CPython's shortest float repr about
-#: 0.85 us a float, so a share of 2**16 floats (~55 ms of encoding) earns
-#: its fork back several times, while the short records of the builtins
-#: keep one writer
-SHARE_FLOATS = 2 ** 16
-
-
-def _share_count(ctx: RunContext) -> int:
-    """How many contiguous shares of the states to encode at once: one
-    per usable CPU, at most one per state and per `SHARE_FLOATS` floats;
-    1 where the process cannot fork."""
-    states = ctx.record.states
-    if not (states and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    width = 2 if isinstance(states[0], (WaveField, TangentBundlePoint)) else 1
-    floats = len(states) * ctx.grid.n * width
-    return max(1, min(len(os.sched_getaffinity(0)), len(states),
-                      floats // SHARE_FLOATS))
-
-
-def _fork_share(path: Path, states: Sequence, dumps: Callable) -> int:
-    """Fork a child that writes `,` and each state's text to `path`; the
-    child leaves through `os._exit` (0 on success, else 1)."""
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        with path.open("w") as out:
-            for state in states:
-                out.write(",")
-                out.write(dumps(_state_payload(state)))
-        status = 0
-    except BaseException as exc:  # the child must never unwind into the caller
-        os.write(2, f"snapshot writer: {exc!r}\n".encode())
-    finally:
-        os._exit(status)
+#: floats encoded per `floattext.encode_rows` call: enough whole arrays to
+#: spread its fixed cost (~0.1 ms a call) over a short record, few enough
+#: that its temporaries (~240 bytes a float) and its tables (~0.5 MB,
+#: built once) stay under 1 MB
+BLOCK_FLOATS = 1024
 
 
 def _write_snapshots(path: Path, ctx: RunContext) -> None:
-    """`snapshots.json`, written state by state: the bytes of one compact
-    `json.dumps` of {scenario, grid, times, states} and a newline, with
-    one state's lists and text in memory at a time.
-
-    A long record is cut into `_share_count` contiguous shares. This
-    process writes the head and share 0; share j > 0 is encoded at the
-    same time by a forked child into `<path>.part<j>`, which is appended
-    in the kernel (`os.sendfile`) in order and deleted. A failed child
-    raises OSError; on any failure every child is killed and reaped and
-    no part file is left."""
-    dumps = partial(json.dumps, separators=(",", ":"))
-    states = ctx.record.states
-    shares = _share_count(ctx)
-    cuts = [len(states) * j // shares for j in range(shares + 1)]
-    parts = {j: path.with_name(f"{path.name}.part{j}") for j in range(1, shares)}
-    head = dumps({"scenario": ctx.config.name,
-                  "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
-                  "times": ctx.record.times.tolist()})
-    children: dict[int, int] = {}  # share -> pid, until reaped
-    try:
-        for j in range(1, shares):
-            children[j] = _fork_share(parts[j], states[cuts[j]:cuts[j + 1]], dumps)
-        with path.open("w") as out:
-            out.write(head[:-1] + ',"states":[')
-            for i, state in enumerate(states[:cuts[1]]):
-                if i:
-                    out.write(",")
-                out.write(dumps(_state_payload(state)))
-        with path.open("r+b", buffering=0) as out:
-            out.seek(0, os.SEEK_END)
-            for j in range(1, shares):
-                status = os.waitstatus_to_exitcode(os.waitpid(children[j], 0)[1])
-                del children[j]
-                if status:
-                    raise OSError(f"snapshot writer for states {cuts[j]}.."
-                                  f"{cuts[j + 1] - 1} exited with status {status}")
-                with parts[j].open("rb") as part:
-                    while os.sendfile(out.fileno(), part.fileno(), None, 1 << 30):
-                        pass
-                parts[j].unlink()
-            out.write(b"]}\n")
-    finally:
-        if children:
-            import signal  # only a failure needs it; at the top it adds 2 ms to every import
-            for pid in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for part in parts.values():
-            part.unlink(missing_ok=True)
+    """`snapshots.json`: the bytes of one compact `json.dumps` of
+    {scenario, grid, times, states} and a newline.  Each state is written
+    as the fixed JSON text around the `floattext` encodings of its arrays,
+    which are encoded a block of whole arrays (at most `BLOCK_FLOATS`
+    floats, or one longer array) at a time."""
+    head = json.dumps({"scenario": ctx.config.name,
+                       "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
+                       "times": ctx.record.times.tolist()}, separators=(",", ":"))
+    arrays = _snapshot_arrays(ctx.record.states)
+    per_block = max(1, BLOCK_FLOATS // ctx.grid.n)
+    with path.open("wb") as out:
+        out.write(head[:-1].encode() + b',"states":[')
+        while block := list(itertools.islice(arrays, per_block)):
+            texts = floattext.encode_rows(np.stack([values for _, values in block]))
+            for (glue, _), text in zip(block, texts):
+                out.write(glue)
+                out.write(text)
+        out.write(b"]}]}\n" if ctx.record.states else b"]}\n")
 
 
 def _summary_payload(ctx: RunContext, results: Sequence[CheckResult],

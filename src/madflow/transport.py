@@ -104,10 +104,23 @@ def w2_distance(mu: DensityField, nu: DensityField) -> float:
 
     W2^2 = int_0^1 |q_mu(p) - q_nu(p)|^2 dp, midpoint rule on the ladder.
     """
-    _require_shared_grid(mu, nu)
-    cut = joint_cut_index(mu, nu)
-    diff = quantile_table(mu, cut) - quantile_table(nu, cut)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return w2_distances([mu], nu)[0]
+
+
+def w2_distances(path: Sequence[DensityField], nu: DensityField) -> list[float]:
+    """`w2_distance(mu, nu)` for each mu of `path`, with nu's quantile
+    table built once per distinct joint cut."""
+    tables: dict[int, np.ndarray] = {}
+    out = []
+    for mu in path:
+        _require_shared_grid(mu, nu)
+        cut = joint_cut_index(mu, nu)
+        table = quantile_table(mu, cut)
+        if cut not in tables:
+            tables[cut] = quantile_table(nu, cut)
+        diff = table - tables[cut]
+        out.append(float(np.sqrt(np.mean(diff * diff))))
+    return out
 
 
 def displacement_geodesic(mu: DensityField, nu: DensityField):

@@ -6,7 +6,6 @@ import re
 import runpy
 import subprocess
 import sys
-import time
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -477,6 +476,31 @@ def test_summary_residuals_recomputable_from_csv(tmp_path):
         assert (entry["residual"] <= entry["tolerance"]) == entry["passed"]
 
 
+def _tolist_payload(state) -> dict:
+    """A state's record entry, built from `.tolist()` as one dump would."""
+    if isinstance(state, WaveField):
+        return {"kind": "wave", "real": state.values.real.tolist(),
+                "imag": state.values.imag.tolist()}
+    if isinstance(state, TangentBundlePoint):
+        return {"kind": "polar", "density": state.base.values.tolist(),
+                "phase": state.fiber_potential.tolist()}
+    return {"kind": "density", "density": state.values.tolist()}
+
+
+def _one_dump(ctx) -> str:
+    return json.dumps({"scenario": ctx.config.name,
+                       "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
+                       "times": ctx.record.times.tolist(),
+                       "states": [_tolist_payload(s) for s in ctx.record.states]},
+                      separators=(",", ":")) + "\n"
+
+
+def _assert_no_leftovers(directory: Path) -> None:
+    assert not list(directory.glob("*.part*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("scenario, kind", [
     ("free_gaussian", "wave"),
     ("thm21_equivalence", "polar"),
@@ -485,18 +509,44 @@ def test_summary_residuals_recomputable_from_csv(tmp_path):
 def test_streamed_artifacts_equal_one_dump_of_the_whole_record(tmp_path, scenario, kind):
     outcome = run_builtin(scenario, out_dir=tmp_path)
     ctx, results = outcome.context, outcome.checks
-    payload = {"scenario": scenario,
-               "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
-               "times": ctx.record.times.tolist(),
-               "states": [scenarios._state_payload(s) for s in ctx.record.states]}
-    assert payload["states"][0]["kind"] == kind
-    assert ((tmp_path / "snapshots.json").read_text()
-            == json.dumps(payload, separators=(",", ":")) + "\n")
+    assert _tolist_payload(ctx.record.states[0])["kind"] == kind
+    assert (tmp_path / "snapshots.json").read_text() == _one_dump(ctx)
     table = [ctx.columns[name] for name in OBSERVABLE_COLUMNS]
     table += [r.residuals for r in results]
     lines = [",".join(list(OBSERVABLE_COLUMNS) + [f"res_{r.name}" for r in results])]
     lines += [",".join("%.17g" % v for v in row) for row in zip(*table)]
     assert (tmp_path / "observables.csv").read_text() == "\n".join(lines) + "\n"
+    _assert_no_leftovers(tmp_path)
+
+
+def _snapshot_context(kind, count, n=64):
+    """A context whose record holds `count` distinct states of `kind`."""
+    config = ScenarioConfig.from_mapping({**_heat_mapping(), "grid": {"n": n, "length": TAU}})
+    grid = config.grid
+    states = []
+    for i in range(count):
+        density = DensityField(grid, (1.0 + 0.3 * np.cos(grid.points + 0.1 * i)) / TAU)
+        phase = np.sin(grid.points) / (i + 1)
+        states.append({"density": density,
+                       "polar": TangentBundlePoint(density, phase),
+                       "wave": WaveField(grid, np.sqrt(density.values) * np.exp(1j * phase)),
+                       }[kind])
+    record = TrajectoryRecord(0.01 * np.arange(count), tuple(states))
+    return scenarios.RunContext(config=config, grid=grid, constants=config.constants,
+                                potential=None, initial={}, record=record)
+
+
+@pytest.mark.parametrize("kind,count,n", [
+    (kind, count, 64) for kind in ("wave", "polar", "density") for count in (1, 2, 3)
+] + [("density", 0, 64), ("wave", 3, 4096), ("polar", 5, 1024), ("wave", 2, 2048)])
+def test_streamed_snapshots_of_each_kind_equal_one_dump(tmp_path, kind, count, n):
+    # blocks of whole arrays: at n = 1024 three, so a block ends inside a
+    # polar state; at n = 2048 and 4096 one
+    ctx = _snapshot_context(kind, count, n)
+    path = tmp_path / "snapshots.json"
+    scenarios._write_snapshots(path, ctx)
+    assert path.read_text() == _one_dump(ctx)
+    _assert_no_leftovers(tmp_path)
 
 
 def test_snapshot_writer_holds_one_state_at_a_time(tmp_path):
@@ -519,140 +569,6 @@ def test_snapshot_writer_holds_one_state_at_a_time(tmp_path):
     assert len(record.states) == 200 and path.stat().st_size > 3 * 2 ** 20
     assert peak < 2 ** 20, peak
     assert len(json.loads(path.read_text())["states"]) == 200
-
-
-def _snapshot_context(kind, count, n=64):
-    """A context whose record holds `count` distinct states of `kind`."""
-    config = ScenarioConfig.from_mapping({**_heat_mapping(), "grid": {"n": n, "length": TAU}})
-    grid = config.grid
-    states = []
-    for i in range(count):
-        density = DensityField(grid, (1.0 + 0.3 * np.cos(grid.points + 0.1 * i)) / TAU)
-        phase = np.sin(grid.points) / (i + 1)
-        states.append({"density": density,
-                       "polar": TangentBundlePoint(density, phase),
-                       "wave": WaveField(grid, np.sqrt(density.values) * np.exp(1j * phase)),
-                       }[kind])
-    record = TrajectoryRecord(0.01 * np.arange(count), tuple(states))
-    return scenarios.RunContext(config=config, grid=grid, constants=config.constants,
-                                potential=None, initial={}, record=record)
-
-
-def _force_shares(monkeypatch, cpus):
-    """Make every record of at least `cpus` states split into `cpus` shares."""
-    monkeypatch.setattr(scenarios, "SHARE_FLOATS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def _one_dump(ctx) -> str:
-    return json.dumps({"scenario": ctx.config.name,
-                       "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
-                       "times": ctx.record.times.tolist(),
-                       "states": [scenarios._state_payload(s) for s in ctx.record.states]},
-                      separators=(",", ":")) + "\n"
-
-
-def _assert_no_leftovers(directory: Path) -> None:
-    assert not list(directory.glob("*.part*"))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("kind,count,cpus,shares", [
-    ("wave", 7, 1, 1), ("wave", 7, 2, 2), ("wave", 7, 3, 3),
-    ("polar", 7, 1, 1), ("polar", 7, 2, 2), ("polar", 7, 3, 3),
-    ("density", 7, 1, 1), ("density", 7, 2, 2), ("density", 7, 3, 3),
-    ("density", 1, 3, 1), ("wave", 2, 3, 2)])
-def test_snapshot_shares_write_the_bytes_of_one_dump(tmp_path, monkeypatch,
-                                                     kind, count, cpus, shares):
-    ctx = _snapshot_context(kind, count)
-    _force_shares(monkeypatch, cpus)
-    assert scenarios._share_count(ctx) == shares
-    path = tmp_path / "snapshots.json"
-    scenarios._write_snapshots(path, ctx)
-    assert path.read_text() == _one_dump(ctx)
-    _assert_no_leftovers(tmp_path)
-
-
-def test_share_count_needs_share_floats_per_writer(monkeypatch):
-    # a density state is n floats and a wave or polar state 2n
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(scenarios, "SHARE_FLOATS", 64 * 10)
-    assert scenarios._share_count(_snapshot_context("density", 19)) == 1
-    assert scenarios._share_count(_snapshot_context("density", 20)) == 2
-    assert scenarios._share_count(_snapshot_context("wave", 10)) == 2
-    assert scenarios._share_count(_snapshot_context("polar", 50)) == 4
-
-
-def test_snapshot_writer_holds_one_state_at_a_time_with_two_shares(tmp_path, monkeypatch):
-    # the twin of the one-writer test: the second share's text is encoded
-    # by a child and appended in the kernel, so the parent's peak stays
-    config = ScenarioConfig.from_mapping({**_heat_mapping(),
-                                          "grid": {"n": 1024, "length": TAU}})
-    grid = config.grid
-    record = heat_evolve(DensityField(grid, (1.0 + 0.3 * np.cos(grid.points)) / TAU),
-                         1e-3, 0.199)
-    ctx = scenarios.RunContext(config=config, grid=grid, constants=config.constants,
-                               potential=None, initial={}, record=record)
-    _force_shares(monkeypatch, 2)
-    assert scenarios._share_count(ctx) == 2
-    path = tmp_path / "snapshots.json"
-    tracemalloc.start()
-    try:
-        scenarios._write_snapshots(path, ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(record.states) == 200 and path.stat().st_size > 3 * 2 ** 20
-    assert peak < 2 ** 20, peak
-    assert path.read_text() == _one_dump(ctx)
-    _assert_no_leftovers(tmp_path)
-
-
-def test_failed_snapshot_child_raises_and_leaves_nothing(tmp_path, monkeypatch):
-    ctx = _snapshot_context("wave", 4)
-    _force_shares(monkeypatch, 2)
-    payload, last = scenarios._state_payload, ctx.record.states[-1]
-
-    def failing(state):
-        if state is last:
-            raise ValueError("no payload")
-        return payload(state)
-
-    monkeypatch.setattr(scenarios, "_state_payload", failing)
-    with pytest.raises(OSError, match=r"states 2\.\.3 exited with status 1"):
-        scenarios._write_snapshots(tmp_path / "snapshots.json", ctx)
-    _assert_no_leftovers(tmp_path)
-
-
-def test_failed_parent_share_kills_and_reaps_children(tmp_path, monkeypatch):
-    # the children would encode for a minute; the parent's failure ends them
-    ctx = _snapshot_context("density", 6)
-    _force_shares(monkeypatch, 3)
-    parent = os.getpid()
-
-    def failing(state):
-        if os.getpid() == parent:
-            raise ValueError("parent share")
-        time.sleep(60)
-
-    monkeypatch.setattr(scenarios, "_state_payload", failing)
-    start = time.monotonic()
-    with pytest.raises(ValueError, match="parent share"):
-        scenarios._write_snapshots(tmp_path / "snapshots.json", ctx)
-    assert time.monotonic() - start < 10
-    _assert_no_leftovers(tmp_path)
-
-
-def test_snapshot_writer_without_fork_writes_one_share(tmp_path, monkeypatch):
-    ctx = _snapshot_context("polar", 5)
-    _force_shares(monkeypatch, 2)
-    monkeypatch.delattr(os, "fork")
-    assert scenarios._share_count(ctx) == 1
-    path = tmp_path / "snapshots.json"
-    scenarios._write_snapshots(path, ctx)
-    assert path.read_text() == _one_dump(ctx)
-    _assert_no_leftovers(tmp_path)
 
 
 def test_failing_check_is_recorded_not_raised(tmp_path):
