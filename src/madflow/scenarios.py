@@ -285,8 +285,6 @@ class ScenarioConfig:
         formats = tuple(_as_name(f, f"output.formats[{i}]", known=("csv", "json"))
                         for i, f in enumerate(formats))
 
-        if solver == "displacement":
-            transport.splines()  # import scipy's splines now, not inside the solve
         return cls(name=name, grid=grid, constants=constants,
                    potential_kind=pot_kind, potential_parameters=pot_params,
                    initial_kind=init_kind, initial_parameters=init_params,

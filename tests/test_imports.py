@@ -1,5 +1,5 @@
-"""What importing madflow loads: scipy's interpolation layer only for
-transport, and every name the benchmark tracer wraps.
+"""What madflow needs at import and run time: numpy alone, and every name
+the benchmark tracer wraps.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -24,38 +24,20 @@ def _run(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
-def test_cli_and_time_solver_configs_leave_scipy_interpolate_unloaded():
+def test_every_builtin_validates_and_transport_runs_without_scipy():
+    # scipy blocked: importing it anywhere in madflow raises ImportError
     _run("""
 import sys
+sys.modules["scipy"] = None
 import madflow.cli
-from madflow import scenarios
-assert "scipy.interpolate" not in sys.modules
-for name in scenarios.builtin_names():
-    config = scenarios.builtin_config(name)
-    if config.solver != "displacement":
-        assert "scipy.interpolate" not in sys.modules, name
-""")
-
-
-def test_displacement_config_loads_scipy_interpolate_at_validation():
-    _run("""
-import sys
-from madflow import scenarios
-scenarios.builtin_config("benamou_brenier_action")
-assert "scipy.interpolate" in sys.modules
-""")
-
-
-def test_transport_exports_import_first_and_load_splines_on_use():
-    _run("""
-import sys
-from madflow import Grid, quantile_table, w2_distance
+from madflow import Grid, quantile_table, scenarios, w2_distance
 from madflow.states import wrapped_gaussian_density
-assert "scipy.interpolate" not in sys.modules
+configs = [scenarios.builtin_config(name) for name in scenarios.builtin_names()]
+config = next(c for c in configs if c.name == "benamou_brenier_action")
+assert scenarios.run_scenario(config, write=False).passed
 g = Grid(256)
 mu, nu = (wrapped_gaussian_density(g, c, 0.3) for c in (3.0, 3.5))
 assert abs(w2_distance(mu, nu) - 0.5) < 1e-6
-assert "scipy.interpolate" in sys.modules
 assert quantile_table.__module__ == "madflow.transport"
 """)
 

@@ -4,6 +4,10 @@ Independent oracle: the monotone coupling built directly by two-pointer
 mass splitting between fine histogram cells (65536 of them) of the two
 trigonometric interpolants, cut at the shared low-density point.  For
 translates of a localized bump the distance must equal the shift.
+
+The two spline kernels are checked against dense solves, their defining
+smoothness and shape properties, their convergence order and, where scipy
+is installed, scipy's interpolators.
 """
 
 import numpy as np
@@ -18,6 +22,9 @@ from madflow.states import (
 )
 from madflow.transport import (
     LADDER,
+    _pchip,
+    _periodic_spline,
+    _solve_cyclic,
     displacement_geodesic,
     displacement_interpolation,
     joint_cut_index,
@@ -205,3 +212,109 @@ def test_path_action_validation():
         path_action(path[:2], 0.1)
     with pytest.raises(ValueError):
         path_action(path, 0.0)
+
+
+def _dense_cyclic(diag, off):
+    """The matrix of `_solve_cyclic`'s system: off[i] couples i and i + 1 mod N."""
+    size = len(diag)
+    matrix = np.diag(diag)
+    for i in range(size):
+        matrix[i, (i + 1) % size] += off[i]
+        matrix[(i + 1) % size, i] += off[i]
+    return matrix
+
+
+def _warped_knots(count: int) -> np.ndarray:
+    """`count` increasing, non-uniform knots on one period from 0.1."""
+    u = TAU * np.arange(count) / count
+    return u + 0.5 * np.sin(u) + 0.1
+
+
+def _cubic_pieces(x, y, period):
+    """Each spline interval's cubic in s = (q - x[i]) / h[i], fitted through
+    four interior samples: coefficients (4, N) of 1, s, s^2, s^3, and h."""
+    h = np.diff(np.append(x, x[0] + period))
+    s = np.array([0.2, 0.4, 0.6, 0.8])
+    samples = _periodic_spline(x, y, period, x[None, :] + s[:, None] * h[None, :])
+    return np.linalg.solve(np.vander(s, 4, increasing=True), samples), h
+
+
+def test_cyclic_solver_matches_a_dense_solve():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 4, 8, 64):
+        off = rng.uniform(-1.0, 1.0, size)
+        diag = rng.uniform(2.1, 3.0, size) * rng.choice([-1.0, 1.0], size)
+        rhs = rng.uniform(-1.0, 1.0, size)
+        expected = np.linalg.solve(_dense_cyclic(diag, off), rhs)
+        assert np.max(np.abs(_solve_cyclic(diag, off, rhs) - expected)) < 1e-14
+    for size in (3, 12):
+        with pytest.raises(ValueError):
+            _solve_cyclic(np.full(size, 3.0), np.ones(size), np.ones(size))
+
+
+def test_periodic_spline_interpolates_and_is_c2_across_every_knot():
+    x = _warped_knots(64)
+    y = np.exp(np.sin(x)) + 0.3 * np.cos(5 * x)
+    assert np.max(np.abs(_periodic_spline(x, y, TAU, x) - y)) < 1e-15
+    # one period on, and one back
+    assert np.max(np.abs(_periodic_spline(x, y, TAU, x + TAU) - y)) < 1e-14
+    assert np.max(np.abs(_periodic_spline(x, y, TAU, x - TAU) - y)) < 1e-14
+    c, h = _cubic_pieces(x, y, TAU)
+    # value, slope and curvature at each interval's two ends; the right end
+    # of the last interval meets the left end of the first across the wrap
+    left = np.array([c[0], c[1] / h, 2 * c[2] / h**2])
+    right = np.array([c.sum(axis=0), (c[1] + 2 * c[2] + 3 * c[3]) / h,
+                      (2 * c[2] + 6 * c[3]) / h**2])
+    jumps = np.abs(np.roll(left, -1, axis=1) - right)
+    scales = np.max(np.abs(left), axis=1, keepdims=True)
+    assert np.all(jumps < 1e-9 * scales)
+
+
+def test_periodic_spline_error_falls_sixteenfold_per_doubling():
+    def f(x):
+        return np.sin(x) + 0.5 * np.cos(3 * x)
+
+    q = TAU * (np.arange(1000) + 0.5) / 1000
+    errors = []
+    for count in (32, 64, 128, 256):
+        x = _warped_knots(count)
+        errors.append(np.max(np.abs(_periodic_spline(x, f(x), TAU, q) - f(q))))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((ratios > 12.0) & (ratios < 20.0)), ratios
+
+
+def test_pchip_reproduces_lines_and_keeps_monotone_data_monotone():
+    rng = np.random.default_rng(8)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    q = np.linspace(x[0], x[-1], 2001)
+    assert np.max(np.abs(_pchip(x, 2.5 * x - 1.0, q) - (2.5 * q - 1.0))) < 1e-13
+    steps = rng.uniform(0.0, 1.0, 39) ** 4
+    steps[[5, 6, 20]] = 0.0  # flat stretches
+    # end secants that the three-point end rule would overshoot below zero
+    steps[[0, -1]] = 1e-3
+    steps[[1, -2]] = 1.0
+    y = np.concatenate([[0.0], np.cumsum(steps)])
+    assert np.all(np.diff(_pchip(x, y, q)) >= 0.0)
+    assert np.all(np.diff(_pchip(x, -y, q)) <= 0.0)
+    assert np.array_equal(_pchip(x, y, x), y)
+
+
+def test_spline_kernels_agree_with_scipy():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(21)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 64))
+    q = np.linspace(x[0] - 1.0, x[-1] + 1.0, 3001)
+    rising = np.cumsum(rng.uniform(0.0, 1.0, 64))
+    # both end slopes capped at 3 secants next to a sign change
+    wavy = np.concatenate([[0.0, 1.0, -5.0], rng.normal(size=58), [-5.0, 1.0, 0.0]])
+    for y in (rising, wavy):
+        expected = interpolate.PchipInterpolator(x, y)(q)
+        assert np.max(np.abs(_pchip(x, y, q) - expected)) <= 1e-14 * np.max(np.abs(expected))
+    knots = _warped_knots(256)
+    values = np.exp(np.sin(knots))
+    q = np.linspace(-1.0, TAU + 1.0, 3001)
+    periodic = interpolate.CubicSpline(np.append(knots, knots[0] + TAU),
+                                       np.append(values, values[0]), bc_type="periodic")
+    expected = periodic(q)
+    got = _periodic_spline(knots, values, TAU, q)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
