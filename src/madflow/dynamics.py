@@ -10,8 +10,9 @@ dlss_evolve          explicit RK4 descent of the total energy (fourth order
 
 The hydrodynamic right-hand side is `wgeom.flow_kernel`, the Hamiltonian
 vector field of the geometry itself, and the DLSS right-hand side is
-`wgeom.descent_kernel`, minus the divergence form of the total-energy
-generator that `wgeom.wasserstein_gradient("total")` returns.  Each kernel
+`wgeom.descent_kernel`, that field's density row along its own phase rate
+at rest (S = 0), which is minus the total-energy gradient that
+`wgeom.wasserstein_gradient("total")` returns.  Each kernel
 is built once per run and owns its transform buffers; as `rhs(y, out)` it
 writes the rates of the coefficients `y` into `out`.  Both run through one
 RK4 step, guard and snapshot loop, which owns the stage buffers, steps
@@ -258,10 +259,11 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
                 snapshot_stride: int = 1) -> TrajectoryRecord:
     """Explicit RK4 descent of the total energy (steepest descent flow).
 
-    The velocity is minus the metric gradient of the total energy, so the
-    density rate is minus the divergence form of its generator and the
-    energy must not increase; a per-step ascent beyond the descent
-    tolerance raises StabilityError (step size violation).
+    The velocity is minus the metric gradient of the total energy, the
+    Hamiltonian flow's phase rate at rest, so the density rate is the
+    flow's density row along it and the energy must not increase; a
+    per-step ascent beyond the descent tolerance raises StabilityError
+    (step size violation).
     """
     g = mu0.grid
     marks = _snapshot_steps(dt, total_time, snapshot_stride)

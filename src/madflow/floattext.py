@@ -1,7 +1,7 @@
 """Shortest round-trip text of float64 arrays, vectorized.
 
-`encode(values)` returns the bytes of
-`json.dumps(values.tolist(), separators=(",", ":"))[1:-1]`: each float as
+`encode_rows(table)` returns, for each row of a 2-D array, the bytes of
+`json.dumps(row.tolist(), separators=(",", ":"))[1:-1]`: each float as
 CPython's `repr` prints it, joined by commas, with no Python object per
 float.  The digits come from Schubfach (R. Giulietti, "The Schubfach way
 to render doubles", 2020), which finds the shortest decimal in a double's
@@ -232,14 +232,9 @@ def _text(x: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def encode(values) -> bytes:
-    """`json.dumps(values.tolist(), separators=(",", ":"))[1:-1]` as
-    bytes, for a 1-D array of finite floats."""
-    return _text(np.ascontiguousarray(values, dtype=np.float64).ravel())[:-1]
-
-
 def encode_rows(table) -> list[bytes]:
-    """`encode` of each row of a 2-D array, from one pass over all of
+    """`json.dumps(row.tolist(), separators=(",", ":"))[1:-1]` as bytes, for
+    each row of a 2-D array of finite floats, from one pass over all of
     them: the fixed cost of a pass is spread over every row."""
     table = np.ascontiguousarray(table, dtype=np.float64)
     rows, n = table.shape

@@ -635,12 +635,17 @@ def _require_record_budget(solver: str, initial_kind: str, n: int, steps: int,
     rows = -(-steps // stride) + 1  # every stride-th step, and the last
     density = solver in ("heat", "dlss", "displacement") or initial_kind == "random_density"
     floats = n if density else 2 * n
-    size = 8 * rows * floats
-    if size > MAX_RECORD_BYTES:
+    if 8 * rows * floats > MAX_RECORD_BYTES:
+        mib = rows * (8 * floats / 2 ** 20)  # a float product: inf, not OverflowError, past 1e308
         raise ConfigError(
-            f"the record would hold {rows} snapshots of {floats} floats, "
-            f"{size / 2 ** 20:.0f} MiB, above the {MAX_RECORD_BYTES / 2 ** 20:.0f} MiB "
+            f"the record would hold {_whole(rows)} snapshots of {floats} floats, "
+            f"{_whole(mib)} MiB, above the {MAX_RECORD_BYTES / 2 ** 20:.0f} MiB "
             "limit; raise integrator.snapshot_stride")
+
+
+def _whole(x) -> str:
+    """`x` to the unit below 1e15, to three digits and an exponent (1e+300) above."""
+    return f"{x:.0f}" if x < 1e15 else f"{x:.3g}"
 
 
 def _resolve_record(ctx: RunContext) -> None:

@@ -144,13 +144,13 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
 
 
 @lru_cache(maxsize=8)
-def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectrum (d, 1, d, lap) for (S, mu, mu, mu); (-d, -1) behind the
-    2/3 rule for the flux and the pressure; the 2/3 mask."""
+    2/3 rule for the flux and the pressure."""
     h = grid.n // 2 + 1
     ik, mask = grid.derivative_symbol[:h], grid.dealias_mask[:h]
     out = (np.stack((ik, np.ones(h), ik, grid.laplacian_symbol[:h])),
-           np.stack((-ik * mask, -mask)), mask)
+           np.stack((-ik * mask, -mask)))
     for sym in out:
         sym.setflags(write=False)
     return out
@@ -165,18 +165,6 @@ def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.nd
     lap_mu /= mu
     mu_x -= lap_mu
     return mu_x
-
-
-def _generator(grid: Grid, mask: np.ndarray, terms: np.ndarray, out: np.ndarray,
-               weight: float, potential) -> np.ndarray:
-    """potential + weight * the dealiased Fisher generator, from the
-    `_fisher_terms` samples, in `Grid.rfft` coefficients (`potential` in
-    coefficients too), written into `out` and returned."""
-    grid.rfft(terms, out=out)
-    out *= mask
-    out *= weight
-    out += potential
-    return out
 
 
 def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
@@ -194,7 +182,7 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     stack and the flux/pressure rows belong to the kernel and are
     overwritten by every call.  Unchecked, for RK stages.
     """
-    into, outof, _ = _flow_symbols(grid)
+    into, outof = _flow_symbols(grid)
     spectral = np.empty((4, grid.n // 2 + 1), dtype=complex)
     samples = np.empty((4, grid.n))
     fluxes = np.empty((2, grid.n))
@@ -225,42 +213,48 @@ def descent_kernel(grid: Grid, potential, hbar: float):
     """Rates of the steepest descent of the total energy, buffered like `flow_kernel`.
 
     Returns rates(coefficients, out) for the (1, n/2+1) `Grid.rfft`
-    coefficients of mu: minus the divergence form of the total-energy
-    generator `energy_coefficients` gives (`potential` holds the
-    coefficients of V), written into `out` and returned.  The inverse
-    transform behind the Fisher generator also gives the mu that carries
-    the flux, so a call transforms 3 + 1 rows inverse and 1 + 1 forward.
+    coefficients of mu (`potential` holds those of V): the flow's density
+    row along its phase rate at rest (S = 0), minus the total-energy
+    generator, each in `flow_kernel`'s order, written into `out` and
+    returned.  The inverse transform behind the Fisher terms also gives the
+    mu that carries the flux, so a call transforms 3 + 1 rows inverse and
+    1 + 1 forward.
     """
-    into, outof, mask = _flow_symbols(grid)
+    into, outof = _flow_symbols(grid)
     h = grid.n // 2 + 1
     spectral = np.empty((3, h), dtype=complex)
     samples = np.empty((3, grid.n))
-    generator = np.empty(h, dtype=complex)
+    phase_rate = np.empty(h, dtype=complex)
     flux = np.empty(grid.n)
     mu, mu_x, lap_mu = samples
-    slope_symbol, density_symbols, divergence_symbol = into[0], into[1:], outof[0]
+    slope_symbol, density_symbols = into[0], into[1:]
+    divergence_symbol, pressure_symbol = outof
     slope_hat = spectral[0]
     quantum = 0.125 * hbar ** 2
 
     def rates(coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(density_symbols, coefficients[0], out=spectral)
         grid.irfft(spectral, out=samples)
-        _generator(grid, mask, _fisher_terms(mu, mu_x, lap_mu), generator, quantum, potential)
-        np.multiply(slope_symbol, generator, out=slope_hat)
+        terms = _fisher_terms(mu, mu_x, lap_mu)
+        np.multiply(terms, quantum, out=terms)
+        grid.rfft(terms, out=phase_rate)
+        np.multiply(phase_rate, pressure_symbol, out=phase_rate)
+        np.subtract(phase_rate, potential, out=phase_rate)
+        np.multiply(slope_symbol, phase_rate, out=slope_hat)
         grid.irfft(slope_hat, out=flux)
-        np.multiply(flux, mu, out=flux)
+        np.multiply(mu, flux, out=flux)
         grid.rfft(flux, out=out[0])
         out *= divergence_symbol
-        np.negative(out, out=out)
         return out
     return rates
 
 
-def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber: np.ndarray,
+def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber=0.0,
                      potential_values=0.0, hbar: float = 0.0) -> np.ndarray:
     """One call of a fresh `flow_kernel` on samples, rows (dmu/dt, dS/dt).  With
-    no potential and hbar = 0, row 0 is a tangent vector's divergence form."""
-    coef = grid.rfft(np.stack((mu, fiber, np.broadcast_to(potential_values, np.shape(mu)))))
+    no potential and hbar = 0, row 0 is a tangent vector's divergence form;
+    at rest (fiber 0), row 1 is minus the generator of the energy gradient."""
+    coef = grid.rfft(np.stack(np.broadcast_arrays(mu, fiber, potential_values)))
     out = np.empty((2, grid.n // 2 + 1), dtype=complex)
     return grid.irfft(flow_kernel(grid, coef[2], hbar)(coef[:2], out))
 
@@ -269,19 +263,8 @@ def fisher_generator(grid: Grid, density_values: np.ndarray) -> np.ndarray:
     """(d mu / mu)^2 - 2 (lap mu)/mu, the generator of the Fisher gradient:
     |d log mu|^2 - 2 (lap mu)/mu without the logarithm, finite on the
     non-positive stages an explicit step can produce; dealiased, unchecked.
-    `energy_coefficients` with weight 1 and no potential, in samples."""
-    return grid.irfft(energy_coefficients(grid, grid.rfft(density_values), 0.0, 1.0))
-
-
-def energy_coefficients(grid: Grid, coefficients: np.ndarray, potential,
-                        weight: float) -> np.ndarray:
-    """V + weight * fisher generator in `Grid.rfft` coefficients (of mu and V
-    in, of it out).  Weight hbar^2/8 gives the generator of the total-energy
-    gradient."""
-    into, _, mask = _flow_symbols(grid)
-    out = np.empty(grid.n // 2 + 1, dtype=complex)
-    terms = _fisher_terms(*grid.irfft(into[1:] * coefficients))
-    return _generator(grid, mask, terms, out, weight, potential)
+    -8 times the phase rate at rest of the flow with hbar = 1 and no potential."""
+    return -8.0 * hamiltonian_flow(grid, density_values, hbar=1.0)[1]
 
 
 GRADIENT_KINDS = ("potential", "entropy", "fisher", "total")
@@ -295,7 +278,8 @@ def wasserstein_gradient(kind: str, mu: DensityField,
     kind "potential": generator V, for the functional int V dmu
     kind "entropy":   generator log mu (divergence form is -lap mu)
     kind "fisher":    generator (d mu / mu)^2 - 2 (lap mu)/mu
-    kind "total":     V + (hbar^2/8) * fisher generator
+    kind "total":     V + (hbar^2/8) * fisher generator, minus the phase
+                      rate of `hamiltonian_flow` at rest
     """
     g = mu.grid
     if kind == "potential":
@@ -309,9 +293,7 @@ def wasserstein_gradient(kind: str, mu: DensityField,
     elif kind == "total":
         if potential is None or constants is None:
             raise ValueError("the total-energy gradient needs a potential and constants")
-        coef = g.rfft(np.stack((mu.values, potential.values)))
-        generator = g.irfft(energy_coefficients(g, coef[0], coef[1],
-                                                0.125 * constants.hbar ** 2))
+        generator = -hamiltonian_flow(g, mu.values, 0.0, potential.values, constants.hbar)[1]
     else:
         raise ValueError(f"unknown gradient kind {kind!r}; known: {GRADIENT_KINDS}")
     return TangentVector(mu, generator)
@@ -406,7 +388,8 @@ def covariant_acceleration(phi_curve: Sequence[np.ndarray], density: DensityFiel
 
     `phi_curve` holds the potentials at times t-step, t, t+step; the
     result is the tangent vector at `density` (the base at time t) with
-    generator d(phi)/dt + |dphi/dx|^2 / 2, gauge fixed.
+    generator d(phi)/dt + |dphi/dx|^2 / 2, gauge fixed: d(phi)/dt minus the
+    phase rate of the free classical flow (no potential, hbar = 0).
     """
     if len(phi_curve) != 3:
         raise ValueError("phi_curve must hold exactly three consecutive potentials")
@@ -417,6 +400,4 @@ def covariant_acceleration(phi_curve: Sequence[np.ndarray], density: DensityFiel
     current = np.asarray(g.check_values(phi_curve[1]), dtype=float)
     after = np.asarray(g.check_values(phi_curve[2]), dtype=float)
     dt_phi = (after - before) / (2.0 * step)
-    slope = g.derivative(current)
-    generator = dt_phi + 0.5 * g.dealias(slope * slope)
-    return TangentVector(density, generator)
+    return TangentVector(density, dt_phi - hamiltonian_flow(g, density.values, current)[1])

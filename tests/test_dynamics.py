@@ -36,7 +36,7 @@ from madflow.states import (
     uniform_density,
     wrapped_gaussian_density,
 )
-from madflow.wgeom import (TangentBundlePoint, energy_coefficients, flow_kernel,
+from madflow.wgeom import (TangentBundlePoint, flow_kernel,
                            hamiltonian, lagrangian)
 
 TAU = 2 * np.pi
@@ -279,10 +279,10 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     # the solvers advance in place through kernel-owned buffers; the
     # textbook loop below allocates every stage and builds a fresh kernel
     # for every right-hand side, writing into a fresh buffer (for DLSS the
-    # generator, then the flow's density row from a transform of both
-    # rows).  Every snapshot and the ledger must agree bit for bit, so a
-    # stage buffer overwritten before the final combination, or a kernel
-    # that keeps state between calls, fails here.
+    # flow's phase rate at rest, then its density row along that rate, two
+    # full flow kernels).  Every snapshot and the ledger must agree bit for
+    # bit, so a stage buffer overwritten before the final combination, or a
+    # kernel that keeps state between calls, fails here.
     g = Grid(64)
     mask = g.dealias_mask[: g.n // 2 + 1]
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
@@ -325,9 +325,10 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     assert not np.array_equal(rec.states[-1].base.values, rec.states[0].base.values)
 
     def descent(y):
-        generator = energy_coefficients(g, y[0], v_hat, 0.125 * c.hbar ** 2)
-        both = np.stack((y[0], generator))
-        return -flow_kernel(g)(both, np.empty_like(both))[:1]
+        at_rest = np.stack((y[0], np.zeros_like(y[0])))
+        rate = flow_kernel(g, v_hat, c.hbar)(at_rest, np.empty_like(at_rest))[1]
+        both = np.stack((y[0], rate))
+        return flow_kernel(g)(both, np.empty_like(both))[:1]
 
     dt = 1e-5
     expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda y, x: x)

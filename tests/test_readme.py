@@ -1,0 +1,52 @@
+"""README's "Library layout" table names only what the library has."""
+
+import builtins
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import madflow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _layout_rows() -> list[tuple[str, list[str]]]:
+    """(module, backticked names in its contents cell) for each table row."""
+    table = README.read_text().split("## Library layout", 1)[1].split("\n\n")[1]
+    rows = []
+    for line in table.splitlines()[2:]:
+        module, contents = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        rows.append((module.strip("`"), re.findall(r"`([^`]+)`", contents)))
+    return rows
+
+
+def _resolves(name: str, module) -> bool:
+    """A bare name on the module, a builtin or an attribute of one of the
+    module's classes; a dotted name from `madflow` or an importable module.
+    `name(args)` resolves by its name."""
+    head, *rest = name.split("(")[0].split(".")
+    if rest:
+        try:
+            obj = getattr(madflow, head) if hasattr(madflow, head) else importlib.import_module(head)
+            for part in rest:
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            return False
+        return True
+    if head == madflow.__name__ or hasattr(module, head) or hasattr(builtins, head):
+        return True
+    return any(hasattr(cls, head) for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__)
+
+
+def test_layout_table_is_found():
+    assert len(_layout_rows()) >= 10
+
+
+@pytest.mark.parametrize("module_name, names", _layout_rows(), ids=[m for m, _ in _layout_rows()])
+def test_layout_table_names_resolve(module_name, names):
+    module = importlib.import_module(module_name)
+    assert [name for name in names if not _resolves(name, module)] == []

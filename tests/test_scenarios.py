@@ -941,6 +941,13 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     # 40,001 snapshots of 4096 floats, 1.3 GB of samples
     ("heat_entropy_dissipation", ["grid.n=4096", "integrator.dt=1e-6"],
      "40001 snapshots of 4096 floats, 1250 MiB"),
+    # a record past any memory reads as exponents, not 300-digit integers
+    ("thm21_equivalence", ["integrator.dt=1e-300"],
+     "1e+298 snapshots of 512 floats, 3.91e+295 MiB, above"),
+    # 8e308 MiB is past the largest double: the message says inf, not a traceback
+    ("heat_entropy_dissipation", ["grid.n=1048576", "integrator.dt=1e-307",
+                                  "integrator.total_time=10", "integrator.snapshot_stride=1"],
+     "1e+308 snapshots of 1048576 floats, inf MiB, above"),
     # the periodic images are derived, not set
     ("free_gaussian", ["initial_state.parameters.images=6"], "unknown keys ['images']"),
 ])

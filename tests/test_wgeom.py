@@ -168,11 +168,14 @@ def test_fisher_generator_pairs_to_fisher_information():
         assert abs(g.integrate(gen * mu.values) - vals.fisher) < 1e-10
 
 
-def test_gradient_generators():
+# hbar = 2 weighs the Fisher generator by 0.5, a power of two; 0.8 does not,
+# so only it shows the order in which the weight and the transform round
+@pytest.mark.parametrize("hbar", [2.0, 0.8])
+def test_gradient_generators(hbar):
     g = Grid(256)
     mu = cosine_bump_density(g, np.pi, 1.5)
     V = PotentialField(g, np.cos(g.points))
-    c = PhysicsConstants(2.0)
+    c = PhysicsConstants(hbar)
 
     pot = wasserstein_gradient("potential", mu, potential=V)
     assert np.max(np.abs(g.derivative(pot.potential) - g.derivative(V.values))) < 1e-10
@@ -183,7 +186,7 @@ def test_gradient_generators():
 
     fis = wasserstein_gradient("fisher", mu)
     tot = wasserstein_gradient("total", mu, potential=V, constants=c)
-    combo = TangentVector(mu, V.values + 0.125 * 4.0 * fis.potential)
+    combo = TangentVector(mu, V.values + 0.125 * hbar ** 2 * fis.potential)
     assert np.max(np.abs(tot.potential - combo.potential)) < 1e-10
 
     with pytest.raises(ValueError):
