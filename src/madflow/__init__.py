@@ -9,16 +9,15 @@ configs tie solvers to property checks; the `madflow` CLI runs them.
 from .dynamics import (TrajectoryRecord, dlss_evolve, heat_evolve,
                        madelung_evolve, schrodinger_evolve)
 from .errors import (AliasError, BaseMismatchError, CompatibilityError,
-                     ConfigError, CutError, FoldError, GaugeError,
-                     MadflowError, NodeError, NonFiniteError, StabilityError,
-                     WindingError)
+                     ConfigError, CutError, FoldError, MadflowError,
+                     NodeError, NonFiniteError, StabilityError, WindingError)
 from .fields import (DensityField, FunctionalValues, PhysicsConstants,
                      PotentialField, WaveField, density_floor, functionals,
                      normalize_density, unwrapped_phase)
 from .grid import TAU, Grid
 from .madelung import (complex_symplectic_form, madelung_section,
-                       madelung_transform, phase_correction, polar_wave,
-                       submersion_pullback_defect, wave_hamiltonian)
+                       madelung_transform, polar_wave, submersion_pullback_defect,
+                       wave_hamiltonian)
 from .scenarios import (ScenarioConfig, builtin_config, builtin_names,
                         run_builtin, run_scenario, run_suite)
 from .transport import (displacement_interpolation, path_action,

@@ -14,9 +14,11 @@ vector field of the geometry itself, and the DLSS right-hand side is
 at rest (S = 0), which is minus the total-energy gradient that
 `wgeom.wasserstein_gradient("total")` returns.  Each kernel
 is built once per run and owns its transform buffers; as `rhs(y, out)` it
-writes the rates of the coefficients `y` into `out`.  Both run through one
-RK4 step, guard and snapshot loop, which owns the stage buffers, steps
-`rfft` coefficients in place and returns to samples once per step.  Every
+writes the rates of the coefficients `y` into `out`.  Both step through
+one RK4 generator, `_rk4_steps`, which owns the stage buffers, steps
+`rfft` coefficients in place, returns to samples once per step, guards
+the density floor and yields (step, coefficients, samples); each solver
+re-gauges, guards and records inline in its own loop over it.  Every
 solver, and the scenario runner's pseudo-time runners, read the snapshot
 schedule from `_snapshot_steps`; a record's times are those steps times
 dt.  The solvers only integrate: a TrajectoryRecord holds the snapshot
@@ -93,31 +95,29 @@ def _snapshot_steps(dt: float, total_time: float, stride: int) -> list[int]:
     return marks
 
 
-def _rk4_run(grid, samples, rhs, dt: float, marks: list[int], settle, record) -> None:
+def _rk4_steps(grid, samples, rhs, dt: float, steps: int):
     """Classical RK4 on y, the dealiased `Grid.rfft` coefficients of
-    `samples`, a stacked state, up to the last snapshot step of `marks`.
+    `samples`, a stacked state, for `steps` steps.
 
-    `rhs(y, out)` writes the rates of the coefficients `y` into `out`; it
-    must not keep either array.  The loop owns the rates k1 .. k4, the
-    stage and the samples, and advances `y` in place; every stage and the
-    combination round exactly as y + (c dt) k and y + (dt/6)(k1 + 2 k2 +
-    2 k3 + k4) do.  After each step one inverse transform gives the
-    samples `x`, whose row 0, the density, must stay finite (NonFiniteError)
-    and at or above its floor (NodeError); then `settle(step, y, x)` applies
-    the solver's own guard or re-gauging to both in place, and `record(step,
-    x)` runs at every mark.  Step 0 is settled and recorded too.  `settle` and `record` must
-    copy what they keep: `x` is overwritten by the next step.
+    Yields `(step, y, x)` with the samples `x` of `y` at step 0 and after
+    every step.  `rhs(y, out)` writes the rates of the coefficients `y`
+    into `out`; it must not keep either array.  The loop owns the rates
+    k1 .. k4, the stage and the samples, and advances `y` in place; every
+    stage and the combination round exactly as y + (c dt) k and
+    y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) do.  After each step one inverse
+    transform gives `x`, whose row 0, the density, must stay finite
+    (NonFiniteError) and at or above its floor (NodeError).  The caller
+    may change `y` and `x` in place before the next step (re-gauging) and
+    must copy what it keeps: both are overwritten by the next step.
     """
     y = grid.rfft(samples)
     y *= grid.dealias_mask[: grid.n // 2 + 1]
     floor = density_floor(grid)
-    mark_set = set(marks)
     x = grid.irfft(y)
-    settle(0, y, x)
-    record(0, x)
+    yield 0, y, x
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     half, sixth = 0.5 * dt, dt / 6.0
-    for step in range(1, marks[-1] + 1):
+    for step in range(1, steps + 1):
         rhs(y, k1)
         np.multiply(k1, half, out=stage)
         stage += y
@@ -144,9 +144,7 @@ def _rk4_run(grid, samples, rhs, dt: float, marks: list[int], settle, record) ->
             raise NodeError(
                 f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"
             )
-        settle(step, y, x)
-        if step in mark_set:
-            record(step, x)
+        yield step, y, x
 
 
 # -- linear wave solver ------------------------------------------------------
@@ -208,36 +206,31 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     # which no cancellation can hide a blow-up
     guard_weight = np.abs(v_vals) - v_vals
     rhs = flow_kernel(g, g.rfft(v_vals), constants.hbar)
+    samples = np.stack((point.base.values, point.fiber_potential))
+    mark_set = set(marks)
     states, ledgers = [], []
     ledger = 0.0
     reference_energy = None
-
-    def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
-        nonlocal ledger
+    for step, y, x in _rk4_steps(g, samples, rhs, dt, marks[-1]):
         removed = float(g.spacing * (x[1] * x[0]).sum())
         if not np.isfinite(removed):
-            raise NonFiniteError(
-                f"phase reached a non-finite mean at t = {step_index * dt:.4g}")
+            raise NonFiniteError(f"phase reached a non-finite mean at t = {step * dt:.4g}")
         x[1] -= removed
         y[1, 0] -= removed * g.n
         ledger += removed
-
-    def record(step_index: int, x: np.ndarray) -> None:
-        nonlocal reference_energy
+        if step not in mark_set:
+            continue
         state = TangentBundlePoint(DensityField(g, x[0]), x[1])
         guard = hamiltonian(state, potential, constants) + g.integrate(guard_weight * x[0])
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
             raise StabilityError(
-                f"energy grew to {guard:.3e} at t = {step_index * dt:.4g} "
+                f"energy grew to {guard:.3e} at t = {step * dt:.4g} "
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
         states.append(state)
         ledgers.append(ledger)
-
-    _rk4_run(g, np.stack((point.base.values, point.fiber_potential)), rhs, dt, marks,
-             settle, record)
     return TrajectoryRecord(np.array(marks) * dt, tuple(states), np.array(ledgers))
 
 
@@ -268,21 +261,18 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     g = mu0.grid
     marks = _snapshot_steps(dt, total_time, snapshot_stride)
     rhs = descent_kernel(g, g.rfft(potential.values), constants.hbar)
+    mark_set = set(marks)
     energy = np.inf
     states = []
-
-    def settle(step_index: int, y: np.ndarray, x: np.ndarray) -> None:
-        nonlocal energy
-        new_energy = functionals(DensityField(g, x[0]), potential, constants).total_energy
+    for step, _, x in _rk4_steps(g, mu0.values[None, :], rhs, dt, marks[-1]):
+        mu = DensityField(g, x[0])
+        new_energy = functionals(mu, potential, constants).total_energy
         if new_energy > energy + DESCENT_TOL:
             raise StabilityError(
                 f"energy rose by {new_energy - energy:.3e} in one step at "
-                f"t = {step_index * dt:.4g}; reduce the step size"
+                f"t = {step * dt:.4g}; reduce the step size"
             )
         energy = new_energy
-
-    def record(step_index: int, x: np.ndarray) -> None:
-        states.append(DensityField(g, x[0]))
-
-    _rk4_run(g, mu0.values[None, :], rhs, dt, marks, settle, record)
+        if step in mark_set:
+            states.append(mu)
     return TrajectoryRecord(np.array(marks) * dt, tuple(states))

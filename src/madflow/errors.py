@@ -33,10 +33,6 @@ class CutError(MadflowError):
     """A density carries non-negligible mass at the transport cut point."""
 
 
-class GaugeError(MadflowError):
-    """A fiber potential is not in the gauge required by the operation."""
-
-
 class NonFiniteError(MadflowError, ValueError):
     """A field holds an infinite or NaN sample (bad input, or an overflow)."""
 

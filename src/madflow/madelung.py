@@ -5,27 +5,24 @@ tangent bundle: the density and hbar times the unwrapped phase, whose
 tangent vector is the density velocity the wave induces; polar_wave maps
 a point back, and madelung_section is the right inverse pinning the phase
 value at the reference point.  The module also carries the wave-side
-energy and symplectic form, the phase correction that adds the running
-action integral to a trajectory of mean-zero points, and the pullback
-defect, taken through the section's exact differential, that verifies the
-transform intertwines the two symplectic structures.
+energy and symplectic form, and the pullback defect, taken through the
+section's exact differential, that verifies the transform intertwines the
+two symplectic structures.  The constant phase shifts by which the
+Madelung and Schrödinger flows differ are not corrected here: the
+Madelung solver keeps them in its gauge ledger, and the
+`phase_correction_ledger` check reconciles that ledger with the running
+action integral.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import GaugeError
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      unwrapped_phase)
 from .grid import Grid
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
-                    lagrangian, symplectic_form)
-
-# Largest base-weighted fiber mean that `phase_correction` accepts as zero.
-GAUGE_TOL = 1e-10
+                    symplectic_form)
 
 
 def polar_wave(point: TangentBundlePoint, constants: PhysicsConstants) -> np.ndarray:
@@ -74,28 +71,6 @@ def wave_hamiltonian(psi: WaveField, potential: PotentialField,
     dpsi = g.derivative(psi.values)
     kinetic = 0.5 * constants.hbar ** 2 * g.integrate(np.abs(dpsi) ** 2)
     return kinetic + g.integrate(np.abs(psi.values) ** 2 * potential.values)
-
-
-def phase_correction(points: Sequence[TangentBundlePoint], potential: PotentialField,
-                     constants: PhysicsConstants, timestep: float) -> list[TangentBundlePoint]:
-    """Add the running action integral to a trajectory of mean-zero points.
-
-    Each fiber must have base-weighted mean zero within GAUGE_TOL
-    (GaugeError otherwise).  The output fibers are S + int_0^t L ds with
-    the Lagrangian L evaluated along the trajectory (no re-zeroing).
-    """
-    if not points:
-        raise ValueError("need a non-empty trajectory of points")
-    if not timestep > 0.0:
-        raise ValueError(f"timestep must be positive, got {timestep!r}")
-    for point in points:
-        mean = point.grid.integrate(point.fiber_potential * point.base.values)
-        if abs(mean) > GAUGE_TOL:
-            raise GaugeError(f"fiber has weighted mean {mean:.3e}, beyond {GAUGE_TOL}")
-    lag = np.array([lagrangian(p.tangent, potential, constants) for p in points])
-    running = np.concatenate(([0.0], np.cumsum(0.5 * (lag[1:] + lag[:-1]) * timestep)))
-    return [TangentBundlePoint(p.base, p.fiber_potential + shift)
-            for p, shift in zip(points, running)]
 
 
 def submersion_pullback_defect(point: TangentBundlePoint,

@@ -316,12 +316,12 @@ class ScenarioConfig:
 def load_mapping(path: str | Path) -> dict:
     """Read a JSON config file into a raw mapping (ConfigError on failure)."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

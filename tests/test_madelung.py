@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from madflow import Grid, PhysicsConstants, PotentialField
-from madflow.errors import GaugeError
 from madflow.madelung import (
     complex_symplectic_form,
     madelung_section,
     madelung_transform,
-    phase_correction,
     polar_wave,
     submersion_pullback_defect,
     wave_hamiltonian,
@@ -143,37 +141,6 @@ def test_hamiltonians_agree_through_the_transform():
         h_wave = wave_hamiltonian(psi, V, c)
         h_flow = hamiltonian(madelung_transform(psi, c), V, c)
         assert abs(h_wave - h_flow) < 1e-10 * abs(h_flow)
-
-
-def test_phase_correction_constant_potential():
-    # With mu uniform and S = 0 the Lagrangian is -V0: the corrected fiber
-    # ramps linearly downward while the density never moves.
-    g = Grid(64)
-    mu = uniform_density(g)
-    c = PhysicsConstants(1.0)
-    V = PotentialField(g, np.full(g.n, 0.8))
-    n_steps = 5
-    dt = 0.1
-    points = [TangentBundlePoint(mu, np.zeros(g.n))] * n_steps
-    out = phase_correction(points, V, c, dt)
-    for k, point in enumerate(out):
-        assert point.base is mu
-        assert np.max(np.abs(point.fiber_potential - (-0.8 * k * dt))) < 1e-12
-
-
-def test_phase_correction_validation():
-    g = Grid(64)
-    mu = uniform_density(g)
-    c = PhysicsConstants(1.0)
-    V = PotentialField.zero(g)
-    zero = TangentBundlePoint(mu, np.zeros(g.n))
-    with pytest.raises(ValueError):
-        phase_correction([], V, c, 0.1)
-    with pytest.raises(ValueError):
-        phase_correction([zero], V, c, 0.0)
-    crooked = TangentBundlePoint(mu, np.cos(g.points) + 1.0)
-    with pytest.raises(GaugeError):
-        phase_correction([crooked], V, c, 0.1)
 
 
 def _pullback_trial(g, trial):

@@ -1,4 +1,5 @@
-"""README's "Library layout" table names only what the library has."""
+"""README's "Library layout" table and its list of error types name only
+what the library has."""
 
 import builtins
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import madflow
+import madflow.errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,3 +52,11 @@ def test_layout_table_is_found():
 def test_layout_table_names_resolve(module_name, names):
     module = importlib.import_module(module_name)
     assert [name for name in names if not _resolves(name, module)] == []
+
+
+def test_error_sentence_names_resolve():
+    # the backticked names of the "Errors are typed (...)" sentence
+    sentence = README.read_text().split("Errors are typed (", 1)[1].split(")", 1)[0]
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert len(names) >= 5
+    assert [name for name in names if not hasattr(madflow.errors, name)] == []

@@ -406,6 +406,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_mapping(bad)
+    for raw in (b"\xff\xfe", b'{"name": "\xff"}'):  # not UTF-8 text
+        bad.write_bytes(raw)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_mapping(bad)
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     with pytest.raises(ConfigError):
@@ -752,6 +756,9 @@ def test_cli_config_errors_leave_no_artifacts(tmp_path, capsys):
     cfg_path.write_text(json.dumps(bad))
     assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
     capsys.readouterr()
+    cfg_path.write_bytes(b"\xff\xfe")  # not UTF-8 text
+    assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out_dir.exists()
 
 
