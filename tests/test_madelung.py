@@ -1,9 +1,12 @@
 """Wave <-> polar correspondence, wave-side energy and symplectic form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from madflow import Grid, PhysicsConstants, PotentialField
+from madflow import Grid, PhysicsConstants, PotentialField, scenarios
+from madflow.dynamics import madelung_evolve
 from madflow.madelung import (
     complex_symplectic_form,
     madelung_section,
@@ -141,6 +144,42 @@ def test_hamiltonians_agree_through_the_transform():
         h_wave = wave_hamiltonian(psi, V, c)
         h_flow = hamiltonian(madelung_transform(psi, c), V, c)
         assert abs(h_wave - h_flow) < 1e-10 * abs(h_flow)
+
+
+def test_phase_correction_constant_potential():
+    # With mu uniform and S = 0 the Lagrangian is -V0: the density never
+    # moves, and the fiber corrected by the solver's gauge ledger maps
+    # through polar_wave to the wave e^{-i V0 t / hbar} sqrt(mu).
+    g = Grid(64)
+    mu = uniform_density(g)
+    V = PotentialField(g, np.full(g.n, 0.8))
+    for hbar in (0.5, 1.0):
+        c = PhysicsConstants(hbar)
+        rec = madelung_evolve(TangentBundlePoint(mu, np.zeros(g.n)), V, c, 1e-3, 0.1,
+                              snapshot_stride=20)
+        assert len(rec.states) == 6
+        for t, state, ledger in zip(rec.times, rec.states, rec.gauge_constant):
+            assert np.max(np.abs(state.base.values - mu.values)) < 1e-14
+            corrected = TangentBundlePoint(state.base, state.fiber_potential + ledger)
+            exact = np.sqrt(mu.values) * np.exp(-1j * 0.8 * t / hbar)
+            assert np.max(np.abs(polar_wave(corrected, c) - exact)) < 1e-12
+
+
+def test_phase_correction_validation():
+    # the phase_correction_ledger check reads the ledger against the running
+    # action integral: a true run passes, and a ledger off by a constant or
+    # of the wrong sign fails its tolerance
+    mapping = scenarios.apply_overrides(scenarios.builtin_mapping("thm21_equivalence"), [
+        "integrator.total_time=0.05", 'checks=["phase_correction_ledger"]'])
+    ctx = scenarios.execute_config(scenarios.ScenarioConfig.from_mapping(mapping))
+    check = scenarios.CHECKS["phase_correction_ledger"]
+    assert ctx.config.solver == "madelung"
+    assert np.max(check.fn(ctx)) <= check.tolerance
+    ledger = ctx.columns["gauge_constant"]
+    assert np.max(np.abs(ledger)) > 10 * check.tolerance
+    for wrong in (ledger + 10 * check.tolerance, -ledger):
+        crooked = replace(ctx, columns={**ctx.columns, "gauge_constant": wrong})
+        assert np.max(check.fn(crooked)) > check.tolerance
 
 
 def _pullback_trial(g, trial):
