@@ -164,9 +164,6 @@ class Grid:
         """Spectral first derivative; preserves real/complex kind."""
         return self.apply_symbol(self.check_values(values), self.derivative_symbol)
 
-    def laplacian(self, values) -> np.ndarray:
-        return self.apply_symbol(self.check_values(values), self.laplacian_symbol)
-
     def integrate(self, values):
         """Quadrature over one period (rectangle rule, spectrally exact)."""
         v = self.check_values(values)

@@ -287,6 +287,7 @@ def path_action(path: Sequence[DensityField], timestep: float) -> float:
             raise ValueError("path samples live on different grids")
     energies = []
     last = len(path) - 1
+    # second order on purpose: the splines bound bb_action_match, and five points read worse
     for k, mu in enumerate(path):
         if k == 0:
             rate = (-3.0 * path[0].values + 4.0 * path[1].values - path[2].values)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -382,22 +381,13 @@ def hamiltonian_vector_field(point: TangentBundlePoint, potential: PotentialFiel
     return StandardVectorFieldSpec(g, f, drift)
 
 
-def covariant_acceleration(phi_curve: Sequence[np.ndarray], density: DensityField,
-                           step: float) -> TangentVector:
-    """Covariant time derivative of a curve of velocity potentials.
+def covariant_acceleration(point: TangentBundlePoint, phase_rate) -> TangentVector:
+    """Covariant time derivative of a curve of velocity potentials at `point`.
 
-    `phi_curve` holds the potentials at times t-step, t, t+step; the
-    result is the tangent vector at `density` (the base at time t) with
-    generator d(phi)/dt + |dphi/dx|^2 / 2, gauge fixed: d(phi)/dt minus the
-    phase rate of the free classical flow (no potential, hbar = 0).
+    `phase_rate` is d(phi)/dt of the curve through the point's fiber phi;
+    the result is the tangent vector at the base with generator
+    d(phi)/dt + |dphi/dx|^2 / 2, gauge fixed: d(phi)/dt minus the phase
+    rate of the free classical flow (no potential, hbar = 0).
     """
-    if len(phi_curve) != 3:
-        raise ValueError("phi_curve must hold exactly three consecutive potentials")
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    g = density.grid
-    before = np.asarray(g.check_values(phi_curve[0]), dtype=float)
-    current = np.asarray(g.check_values(phi_curve[1]), dtype=float)
-    after = np.asarray(g.check_values(phi_curve[2]), dtype=float)
-    dt_phi = (after - before) / (2.0 * step)
-    return TangentVector(density, dt_phi - hamiltonian_flow(g, density.values, current)[1])
+    free = hamiltonian_flow(point.grid, point.base.values, point.fiber_potential)[1]
+    return TangentVector(point.base, phase_rate - free)

@@ -163,7 +163,8 @@ def test_wrapped_gaussian_fisher_matches_line_formula():
 def test_lagrangian_kinetic_minus_energy():
     g = Grid(128)
     mu = uniform_density(g)
-    tangent = solve_velocity_potential(mu, -g.laplacian(np.sin(g.points)) / TAU)
+    tangent = solve_velocity_potential(
+        mu, -g.apply_symbol(np.sin(g.points), g.laplacian_symbol) / TAU)
     V = PotentialField(g, np.full(g.n, 0.7))
     val = lagrangian(tangent, V, PhysicsConstants())
     # kinetic: phi = sin(x), int cos^2 / (2 pi) = 1/2, halved -> 1/4

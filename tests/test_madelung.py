@@ -109,7 +109,7 @@ def test_quantum_potential_curvature_identity():
     mu = random_density(g, np.random.default_rng(8), modes=3)
     c = PhysicsConstants(1.0)
     root = np.sqrt(mu.values)
-    other = -0.5 * g.laplacian(root) / root
+    other = -0.5 * g.apply_symbol(root, g.laplacian_symbol) / root
     assert np.max(np.abs(_quantum_potential(mu, c) - other)) < 1e-8
 
 

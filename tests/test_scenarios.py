@@ -1,5 +1,6 @@
 """Scenario configs, artifact writing, the check registry and the CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -354,6 +355,44 @@ def test_stride_is_free_without_a_time_differencing_check_or_a_step_count():
         ScenarioConfig.from_mapping(apply_overrides(
             builtin_mapping("newton_residual"),
             ["integrator.snapshot_stride=7", "integrator.dt=null"]))
+
+
+def _residual(outcome, name: str) -> float:
+    return next(c.residual for c in outcome.checks if c.name == name)
+
+
+def _thinned(ctx, step: int):
+    """`ctx` keeping every `step`-th snapshot: the run at `step` times its stride."""
+    rec = ctx.record
+    return dataclasses.replace(
+        ctx, record=TrajectoryRecord(rec.times[::step], rec.states[::step]),
+        columns={name: column[::step] for name, column in ctx.columns.items()})
+
+
+@pytest.fixture(scope="module")
+def newton_outcome():
+    return run_builtin("newton_residual", write=False)
+
+
+def test_newton_residual_sees_an_error_in_the_flow_kernel(monkeypatch, newton_outcome):
+    # the check takes the energy gradient in Bohm's form, so scaling the
+    # solver kernel's quantum pressure by 1.0001 shows orders above a clean run
+    terms = madflow.wgeom._fisher_terms
+    monkeypatch.setattr("madflow.wgeom._fisher_terms", lambda *args: terms(*args) * 1.0001)
+    mutant = run_builtin("newton_residual", write=False)
+    assert (_residual(mutant, "newton_residual")
+            >= 1e3 * _residual(newton_outcome, "newton_residual"))
+
+
+def test_time_differencing_checks_are_fourth_order(newton_outcome):
+    # halving the snapshot stride divides each residual by about 2^4
+    heat = execute_config(ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("heat_entropy_dissipation"), ["grid.n=64"])))
+    for ctx, name, steps in ((newton_outcome.context, "newton_residual", (2, 1)),  # strides 60, 30
+                             (heat, "entropy_dissipation", (4, 2, 1))):  # 20, 10, 5
+        worst = [np.nanmax(scenarios.CHECKS[name].fn(_thinned(ctx, k))) for k in steps]
+        ratios = np.array(worst[:-1]) / worst[1:]
+        assert np.all((12.0 <= ratios) & (ratios <= 20.0)), (name, worst)
 
 
 def test_check_tolerance_defaults_from_registry():
@@ -934,7 +973,9 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
     # with dt omitted, the first rung's 1500 steps; one snapshot past the start
     ("newton_residual", ["integrator.snapshot_stride=7", "integrator.dt=null"],
      "does not divide the 1500 steps"),
-    ("benamou_brenier_action", ["integrator.snapshot_stride=63"], "three or more"),
+    ("benamou_brenier_action", ["integrator.snapshot_stride=63"], "five or more"),
+    # 1500 steps in three equal parts: four snapshots, one short of five
+    ("newton_residual", ["integrator.snapshot_stride=500"], "into four or more equal parts"),
     # the free-evolution oracles describe a run without a potential
     ("plane_wave_eigenstate", ["potential.kind=cosine_well"],
      "a potential of kind 'cosine_well'"),

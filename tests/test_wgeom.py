@@ -182,7 +182,8 @@ def test_gradient_generators(hbar):
 
     ent = wasserstein_gradient("entropy", mu)
     # divergence form of the entropy gradient is minus the laplacian
-    assert np.max(np.abs(ent.divergence_form + g.laplacian(mu.values))) < 1e-8
+    lap_mu = g.apply_symbol(mu.values, g.laplacian_symbol)
+    assert np.max(np.abs(ent.divergence_form + lap_mu)) < 1e-8
 
     fis = wasserstein_gradient("fisher", mu)
     tot = wasserstein_gradient("total", mu, potential=V, constants=c)
@@ -334,20 +335,14 @@ def test_hamiltonian_flow_fuses_its_transforms(fft_calls, hbar):
                           g.irfft(rates))
 
 
-def test_covariant_acceleration_formula_and_guards():
+def test_covariant_acceleration_formula():
     g = Grid(128)
     mu = perturbed_uniform_density(g, 0.2)
-    h = 1e-3
-    curve = [np.sin(g.points) * np.cos(t) for t in (-h, 0.0, h)]
-    acc = covariant_acceleration(curve, mu, h)
-    dt_phi = np.sin(g.points) * (np.cos(h) - np.cos(-h)) / (2 * h)
+    dt_phi = -0.3 * np.sin(2 * g.points)
+    acc = covariant_acceleration(TangentBundlePoint(mu, np.sin(g.points)), dt_phi)
     generator = dt_phi + 0.5 * g.dealias(np.cos(g.points) ** 2)
     expected = TangentVector(mu, generator)
     assert np.max(np.abs(acc.potential - expected.potential)) < 1e-12
-    with pytest.raises(ValueError):
-        covariant_acceleration(curve[:2], mu, h)
-    with pytest.raises(ValueError):
-        covariant_acceleration(curve, mu, 0.0)
 
 
 def test_geodesic_curve_has_vanishing_acceleration():
@@ -363,6 +358,7 @@ def test_geodesic_curve_has_vanishing_acceleration():
     for i in (1, 2, 3):
         rate = (rhos[i + 1].values - rhos[i - 1].values) / (2 * h)
         phis.append(solve_velocity_potential(rhos[i], rate).potential)
-    acc = covariant_acceleration(phis, rhos[2], h)
+    acc = covariant_acceleration(TangentBundlePoint(rhos[2], phis[1]),
+                                 (phis[2] - phis[0]) / (2 * h))
     scale = TangentVector(rhos[2], phis[1]).norm()
     assert acc.norm() < 1e-4 * scale
