@@ -9,21 +9,21 @@ dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
 
 The hydrodynamic right-hand side is `wgeom.flow_kernel`, the Hamiltonian
-vector field of the geometry itself, and the DLSS right-hand side is
-`wgeom.descent_kernel`, that field's density row along its own phase rate
-at rest (S = 0), which is minus the total-energy gradient that
-`wgeom.wasserstein_gradient("total")` returns.  Each kernel
-is built once per run and owns its transform buffers; as `rhs(y, out)` it
-writes the rates of the coefficients `y` into `out`.  Both step through
-one RK4 generator, `_rk4_steps`, which owns the stage buffers, steps
-`rfft` coefficients in place, returns to samples once per step, guards
-the density floor and yields (step, coefficients, samples); each solver
-re-gauges, guards and records inline in its own loop over it.  Every
-solver, and the scenario runner's pseudo-time runners, read the snapshot
-schedule from `_snapshot_steps`; a record's times are those steps times
-dt.  The solvers only integrate: a TrajectoryRecord holds the snapshot
-times and states and, on the Madelung solver, the gauge ledger; mass,
-energies, entropy and Fisher information are functions of a state,
+vector field of the geometry itself, and the DLSS right-hand side is two
+calls of the same kernel: its density row along its own phase rate at
+rest (S = 0), which is minus the total-energy gradient that
+`wgeom.wasserstein_gradient("total")` returns.  The kernel is built once
+per run and owns its transform buffers; each solver's right-hand side,
+`rhs(y, out)`, writes the rates of the coefficients `y` into `out`.  Both
+step through one RK4 generator, `_rk4_steps`, which owns the stage
+buffers, steps `rfft` coefficients in place, returns to samples once per
+step, guards the density floor and yields (step, coefficients, samples);
+each solver re-gauges, guards and records inline in its own loop over
+it.  Every solver, and the scenario runner's pseudo-time runners, read
+the snapshot schedule from `_snapshot_steps`; a record's times are those
+steps times dt.  The solvers only integrate: a TrajectoryRecord holds the
+snapshot times and states and, on the Madelung solver, the gauge ledger;
+mass, energies, entropy and Fisher information are functions of a state,
 derived from it by the caller.  Products are dealiased with the 2/3 rule.
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NodeError, NonFiniteError, StabilityError
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      density_floor, functionals)
-from .wgeom import TangentBundlePoint, descent_kernel, flow_kernel, hamiltonian
+from .wgeom import TangentBundlePoint, flow_kernel, hamiltonian
 
 ENERGY_BLOWUP_FACTOR = 1e3
 DESCENT_TOL = 1e-10
@@ -254,13 +254,24 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
 
     The velocity is minus the metric gradient of the total energy, the
     Hamiltonian flow's phase rate at rest, so the density rate is the
-    flow's density row along it and the energy must not increase; a
+    flow's density row along it: one `wgeom.flow_kernel` called at rest
+    on (mu, 0) for that rate, then on (mu, rate) for the density row,
+    which depends on neither V nor hbar.  The energy must not increase; a
     per-step ascent beyond the descent tolerance raises StabilityError
     (step size violation).
     """
     g = mu0.grid
     marks = _snapshot_steps(dt, total_time, snapshot_stride)
-    rhs = descent_kernel(g, g.rfft(potential.values), constants.hbar)
+    kernel = flow_kernel(g, g.rfft(potential.values), constants.hbar)
+    pair = np.empty((2, g.n // 2 + 1), dtype=complex)
+    rates = np.empty_like(pair)
+
+    def rhs(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        pair[0] = y[0]
+        pair[1] = 0.0
+        pair[1] = kernel(pair, rates)[1]
+        out[0] = kernel(pair, rates)[0]
+        return out
     mark_set = set(marks)
     energy = np.inf
     states = []

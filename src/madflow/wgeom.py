@@ -208,46 +208,6 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     return rates
 
 
-def descent_kernel(grid: Grid, potential, hbar: float):
-    """Rates of the steepest descent of the total energy, buffered like `flow_kernel`.
-
-    Returns rates(coefficients, out) for the (1, n/2+1) `Grid.rfft`
-    coefficients of mu (`potential` holds those of V): the flow's density
-    row along its phase rate at rest (S = 0), minus the total-energy
-    generator, each in `flow_kernel`'s order, written into `out` and
-    returned.  The inverse transform behind the Fisher terms also gives the
-    mu that carries the flux, so a call transforms 3 + 1 rows inverse and
-    1 + 1 forward.
-    """
-    into, outof = _flow_symbols(grid)
-    h = grid.n // 2 + 1
-    spectral = np.empty((3, h), dtype=complex)
-    samples = np.empty((3, grid.n))
-    phase_rate = np.empty(h, dtype=complex)
-    flux = np.empty(grid.n)
-    mu, mu_x, lap_mu = samples
-    slope_symbol, density_symbols = into[0], into[1:]
-    divergence_symbol, pressure_symbol = outof
-    slope_hat = spectral[0]
-    quantum = 0.125 * hbar ** 2
-
-    def rates(coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(density_symbols, coefficients[0], out=spectral)
-        grid.irfft(spectral, out=samples)
-        terms = _fisher_terms(mu, mu_x, lap_mu)
-        np.multiply(terms, quantum, out=terms)
-        grid.rfft(terms, out=phase_rate)
-        np.multiply(phase_rate, pressure_symbol, out=phase_rate)
-        np.subtract(phase_rate, potential, out=phase_rate)
-        np.multiply(slope_symbol, phase_rate, out=slope_hat)
-        grid.irfft(slope_hat, out=flux)
-        np.multiply(mu, flux, out=flux)
-        grid.rfft(flux, out=out[0])
-        out *= divergence_symbol
-        return out
-    return rates
-
-
 def hamiltonian_flow(grid: Grid, mu: np.ndarray, fiber=0.0,
                      potential_values=0.0, hbar: float = 0.0) -> np.ndarray:
     """One call of a fresh `flow_kernel` on samples, rows (dmu/dt, dS/dt).  With
@@ -386,8 +346,8 @@ def covariant_acceleration(point: TangentBundlePoint, phase_rate) -> TangentVect
 
     `phase_rate` is d(phi)/dt of the curve through the point's fiber phi;
     the result is the tangent vector at the base with generator
-    d(phi)/dt + |dphi/dx|^2 / 2, gauge fixed: d(phi)/dt minus the phase
-    rate of the free classical flow (no potential, hbar = 0).
+    d(phi)/dt + |dphi/dx|^2 / 2, gauge fixed, written from `Grid.derivative`
+    alone so that it shares no code with `flow_kernel`.
     """
-    free = hamiltonian_flow(point.grid, point.base.values, point.fiber_potential)[1]
-    return TangentVector(point.base, phase_rate - free)
+    slope = point.grid.derivative(point.fiber_potential)
+    return TangentVector(point.base, phase_rate + 0.5 * slope * slope)

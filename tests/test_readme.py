@@ -1,5 +1,5 @@
-"""README's "Library layout" table and its list of error types name only
-what the library has."""
+"""README's "Library layout" table, its list of error types and its check
+reference table name only what the library has."""
 
 import builtins
 import importlib
@@ -11,6 +11,7 @@ import pytest
 
 import madflow
 import madflow.errors
+from madflow import scenarios
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,3 +61,20 @@ def test_error_sentence_names_resolve():
     names = re.findall(r"`([^`]+)`", sentence)
     assert len(names) >= 5
     assert [name for name in names if not hasattr(madflow.errors, name)] == []
+
+
+def _reference_table_checks() -> list[str]:
+    """The backticked names in the first cell of each row of the table
+    under "## Check references"."""
+    names, rows = [], False
+    for line in README.read_text().split("## Check references", 1)[1].splitlines():
+        if line.startswith("|"):
+            rows = True
+            names += re.findall(r"`(\w+)`", line.strip("|").split("|")[0])
+        elif rows:
+            break
+    return names
+
+
+def test_reference_table_names_every_check_once():
+    assert sorted(_reference_table_checks()) == sorted(scenarios.CHECKS)

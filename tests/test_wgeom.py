@@ -17,6 +17,7 @@ from madflow.errors import BaseMismatchError, CompatibilityError, FoldError
 from madflow.fields import functionals
 from madflow.states import (
     cosine_bump_density,
+    cosine_well,
     perturbed_uniform_density,
     random_density,
     random_zero_mean,
@@ -220,6 +221,29 @@ def test_gradient_is_metric_dual_of_directional_derivative():
         fd = (value(kind, plus) - value(kind, minus)) / (2 * h)
         pairing = tangent_inner(grad, v)
         assert abs(fd - pairing) < 1e-7 * max(1.0, abs(pairing))
+
+
+@pytest.mark.parametrize("n, hbar", [(64, 0.5), (256, 1.0)])
+def test_flow_rate_at_rest_is_minus_the_first_variation_of_the_energy(n, hbar):
+    # `functionals` writes the Fisher information through log mu, a third
+    # formula sharing no code with `flow_kernel`: minus the kernel's phase
+    # rate at rest, the velocity generator of the DLSS descent, must pair
+    # with a zero-mass variation eta as the five-point difference of the
+    # total energy along mu + eps eta does
+    g = Grid(n)
+    mu = cosine_bump_density(g, np.pi, 1.0)
+    V = cosine_well(g, 1.0, 0.0)
+    c = PhysicsConstants(hbar)
+    eta = 0.3 * np.cos(g.points) + 0.2 * np.sin(2 * g.points)
+    eps = 1e-4
+
+    def energy(k):
+        return functionals(DensityField(g, mu.values + k * eps * eta), V, c).total_energy
+
+    variation = (energy(-2) - 8.0 * energy(-1) + 8.0 * energy(1) - energy(2)) / (12.0 * eps)
+    generator = -hamiltonian_flow(g, mu.values, 0.0, V.values, hbar)[1]
+    pairing = g.integrate(generator * eta)
+    assert abs(pairing - variation) < 1e-10 * abs(variation)
 
 
 def test_bundle_point_and_fiber_tangent():
