@@ -22,7 +22,14 @@ class BaseMismatchError(MadflowError):
 
 
 class CompatibilityError(MadflowError):
-    """A density variation carries net mass and is not a tangent direction."""
+    """A density variation carries net mass and is not a tangent direction.
+
+    `row` is the flat index, over a stack's leading axes, of the first
+    variation that carries it (0 for a single field)."""
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class FoldError(MadflowError):

@@ -130,7 +130,7 @@ class Grid:
         v = np.asarray(values)
         if v.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteError("field contains non-finite samples")
         return v
 

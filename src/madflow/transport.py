@@ -21,14 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CutError, NodeError
+from .errors import CompatibilityError, CutError, NodeError, NonFiniteError
 from .fields import DensityField, normalize_density
 from .grid import Grid
-from .wgeom import solve_velocity_potential, tangent_inner
+from .wgeom import green_operator, mean_free, metric_pairing
 
 LADDER = 4096
 CUT_MASS_TOL = 1e-8
 _REFINE = 16
+# floats per array in one stacked chunk of `path_action`'s solve: a whole
+# 64-sample path at n = 256, and no rise in peak memory at n = 1024
+_CHUNK_FLOATS = 2 ** 14
 
 
 def _hermite(x, y, slopes, q):
@@ -274,29 +277,49 @@ def path_action(path: Sequence[DensityField], timestep: float) -> float:
 
     Velocities come from second-order finite differences (one-sided at the
     endpoints) fed through the weighted Poisson solve; the metric energy is
-    accumulated by the trapezoid rule.  CompatibilityError propagates when
-    the mass drifts along the path.
+    accumulated by the trapezoid rule.  The samples are solved in stacked
+    chunks of max(1, 2**14 // n) rows, at most 2**14 floats per array of
+    the solve, through `wgeom.green_operator` and `wgeom.metric_pairing`,
+    each row bit for bit the one-sample solve.  Raises ValueError for fewer than three samples,
+    samples on different grids or a timestep that is not finite and
+    positive, NonFiniteError when a rate overflows, and CompatibilityError,
+    naming the first such sample, when the mass drifts along the path.
     """
     if len(path) < 3:
         raise ValueError("a path needs at least three samples")
-    if not timestep > 0.0:
-        raise ValueError(f"timestep must be positive, got {timestep!r}")
+    if not 0.0 < timestep < np.inf:
+        raise ValueError(f"timestep must be finite and positive, got {timestep!r}")
     g = path[0].grid
     for mu in path[1:]:
         if mu.grid != g:
             raise ValueError("path samples live on different grids")
-    energies = []
-    last = len(path) - 1
-    # second order on purpose: the splines bound bb_action_match, and five points read worse
-    for k, mu in enumerate(path):
-        if k == 0:
-            rate = (-3.0 * path[0].values + 4.0 * path[1].values - path[2].values)
-        elif k == last:
-            rate = (3.0 * path[last].values - 4.0 * path[last - 1].values
-                    + path[last - 2].values)
-        else:
-            rate = path[k + 1].values - path[k - 1].values
-        velocity = solve_velocity_potential(mu, rate / (2.0 * timestep))
-        energies.append(tangent_inner(velocity, velocity))
-    energies = np.asarray(energies)
+    count = len(path)
+    last = count - 1
+    rows = max(1, _CHUNK_FLOATS // g.n)
+    energies = np.empty(count)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        lo, hi = max(start - 1, 0), min(stop + 1, count)
+        window = np.stack([mu.values for mu in path[lo:hi]])
+        # second order on purpose: the splines bound bb_action_match, and five points read worse
+        rates = window[2:] - window[:-2]
+        if start == 0:
+            first = -3.0 * path[0].values + 4.0 * path[1].values - path[2].values
+            rates = np.concatenate([first[None], rates])
+        if stop == count:
+            end = (3.0 * path[last].values - 4.0 * path[last - 1].values
+                   + path[last - 2].values)
+            rates = np.concatenate([rates, end[None]])
+        with np.errstate(over="ignore"):
+            rates /= 2.0 * timestep
+        if not np.isfinite(rates).all():
+            raise NonFiniteError(f"path rates overflow at timestep {timestep!r}")
+        mus = window[start - lo:stop - lo]
+        try:
+            phi = green_operator(g, mus, rates)
+        except CompatibilityError as err:
+            sample = start + err.row
+            raise CompatibilityError(f"path sample {sample}: {err}", row=sample) from None
+        velocity = mean_free(g, mus, phi)
+        energies[start:stop] = metric_pairing(g, mus, velocity, velocity)[:, 0]
     return float(timestep * (energies.sum() - 0.5 * (energies[0] + energies[-1])))

@@ -45,9 +45,7 @@ class TangentVector:
 
     def __post_init__(self) -> None:
         g = self.base.grid
-        v = np.asarray(g.check_values(self.potential), dtype=float)
-        shift = g.integrate(v * self.base.values)
-        v = v - shift
+        v = mean_free(g, self.base.values, np.asarray(g.check_values(self.potential), dtype=float))
         v.setflags(write=False)
         object.__setattr__(self, "potential", v)
 
@@ -71,35 +69,63 @@ class TangentVector:
         return TangentVector(self.base, self.potential + other.potential)
 
 
+def _integrals(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """`Grid.integrate` of each row along the last axis, kept as a length-1 axis."""
+    return grid.spacing * values.sum(axis=-1, keepdims=True)
+
+
+def mean_free(grid: Grid, mu: np.ndarray, potential: np.ndarray) -> np.ndarray:
+    """The gauge: each potential minus its mu-weighted mean, row by row."""
+    return potential - _integrals(grid, potential * mu)
+
+
+def metric_pairing(grid: Grid, mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int da/dx db/dx dmu of potentials a and b over densities mu, row by row.
+
+    Stacks (..., n) broadcast; the result keeps a length-1 last axis.  Every
+    transform and sum runs along the last axis, so each row is bit for bit
+    the one-row value.  Unchecked: `tangent_inner` takes checked vectors.
+    """
+    slope = grid.apply_symbol(a, grid.derivative_symbol)
+    other = slope if b is a else grid.apply_symbol(b, grid.derivative_symbol)
+    return _integrals(grid, slope * other * mu)
+
+
+def green_operator(grid: Grid, mu: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Invert psi = -d/dx(mu dphi/dx) for phi, row by row, before the gauge.
+
+    Closed form on the circle: one antiderivative of the source, a flux
+    constant fixed by periodicity of phi, a division by mu, and a second
+    antiderivative.  Stacks (..., n) broadcast, and each row is bit for bit
+    the one-row solve.  Unchecked samples; raises CompatibilityError when a
+    source carries net mass, its `row` the flat index over the leading axes
+    of the first such source.
+    """
+    net = _integrals(grid, source)
+    drift = np.flatnonzero(np.abs(net) > SOURCE_MASS_TOL)
+    if drift.size:
+        raise CompatibilityError(f"source carries net mass {net.flat[drift[0]]:.3e}",
+                                 row=int(drift[0]))
+    cumulative = grid.apply_symbol(source, grid.antiderivative_symbol)
+    inv = 1.0 / mu
+    flux_const = _integrals(grid, cumulative * inv) / _integrals(grid, inv)
+    slope = (flux_const - cumulative) * inv
+    return grid.apply_symbol(slope, grid.antiderivative_symbol)
+
+
 def tangent_inner(a: TangentVector, b: TangentVector) -> float:
     """Metric pairing int dphi_a dphi_b dmu over the shared base."""
     if not _same_base(a.base, b.base):
         raise BaseMismatchError("tangent vectors live over different base densities")
-    g = a.grid
-    slope = g.derivative(a.potential)
-    other = slope if b is a else g.derivative(b.potential)
-    return g.integrate(slope * other * a.base.values)
+    return float(metric_pairing(a.grid, a.base.values, a.potential, b.potential)[0])
 
 
 def solve_velocity_potential(mu: DensityField, source) -> TangentVector:
-    """Invert psi = -d/dx(mu dphi/dx) for the velocity potential phi.
-
-    Closed-form Green operator on the circle: one antiderivative of the
-    source, a flux constant fixed by periodicity of phi, a division by mu,
-    and a second antiderivative.  Raises CompatibilityError when the
-    source carries net mass.
-    """
-    g = mu.grid
-    psi = np.asarray(g.check_values(source), dtype=float)
-    net = g.integrate(psi)
-    if abs(net) > SOURCE_MASS_TOL:
-        raise CompatibilityError(f"source carries net mass {net:.3e}")
-    cumulative = g.antiderivative(psi)
-    inv = 1.0 / mu.values
-    flux_const = g.integrate(cumulative * inv) / g.integrate(inv)
-    slope = (flux_const - cumulative) * inv
-    phi = g.antiderivative(slope)
-    return TangentVector(mu, phi)
+    """The tangent vector whose divergence form is `source`: the one-row
+    `green_operator`, gauge fixed.  Raises CompatibilityError when the
+    source carries net mass."""
+    psi = np.asarray(mu.grid.check_values(source), dtype=float)
+    return TangentVector(mu, green_operator(mu.grid, mu.values, psi))
 
 
 # -- flows of velocity potentials -------------------------------------------

@@ -10,17 +10,20 @@ smoothness and shape properties, their convergence order and, where scipy
 is installed, scipy's interpolators.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from madflow import DensityField, Grid
-from madflow.errors import CutError
+from madflow.errors import CompatibilityError, CutError, NonFiniteError
 from madflow.states import (
     perturbed_uniform_density,
     uniform_density,
     wrapped_gaussian_density,
 )
 from madflow.transport import (
+    _CHUNK_FLOATS,
     LADDER,
     _pchip,
     _periodic_spline,
@@ -32,6 +35,7 @@ from madflow.transport import (
     quantile_table,
     w2_distance,
 )
+from madflow.wgeom import solve_velocity_potential, tangent_inner
 
 TAU = 2 * np.pi
 
@@ -210,8 +214,66 @@ def test_path_action_validation():
     path = _geodesic_samples(mu, nu, 5)
     with pytest.raises(ValueError):
         path_action(path[:2], 0.1)
-    with pytest.raises(ValueError):
-        path_action(path, 0.0)
+    for timestep in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            path_action(path, timestep)
+    # a subnormal step overflows the rates
+    with pytest.raises(NonFiniteError):
+        path_action(path, 1e-310)
+
+
+def _looped_action(path: list[DensityField], timestep: float) -> float:
+    """The action as one weighted Poisson solve per sample, then the trapezoid."""
+    last = len(path) - 1
+    energies = []
+    for k, mu in enumerate(path):
+        if k == 0:
+            rate = -3.0 * path[0].values + 4.0 * path[1].values - path[2].values
+        elif k == last:
+            rate = 3.0 * path[last].values - 4.0 * path[last - 1].values + path[last - 2].values
+        else:
+            rate = path[k + 1].values - path[k - 1].values
+        velocity = solve_velocity_potential(mu, rate / (2.0 * timestep))
+        energies.append(tangent_inner(velocity, velocity))
+    energies = np.asarray(energies)
+    return float(timestep * (energies.sum() - 0.5 * (energies[0] + energies[-1])))
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_stacked_path_action_is_the_per_sample_loop(n):
+    # lengths inside one chunk, filling it, one past it and, at n = 1024,
+    # across four chunks: each sample's energy is the one-sample solve's
+    g = Grid(n)
+    mu = wrapped_gaussian_density(g, 2.9, 0.35)
+    nu = wrapped_gaussian_density(g, 3.6, 0.35)
+    geodesic = displacement_geodesic(mu, nu)
+    rows = max(1, _CHUNK_FLOATS // n)
+    for count in (3, rows, rows + 1, 64):
+        path = [geodesic(t) for t in np.linspace(0.0, 1.0, count)]
+        timestep = 1.0 / (count - 1)
+        assert path_action(path, timestep) == _looped_action(path, timestep)
+
+
+def test_path_action_names_the_drifting_sample():
+    g = Grid(128)
+    mu = wrapped_gaussian_density(g, 2.9, 0.35)
+    nu = wrapped_gaussian_density(g, 3.6, 0.35)
+    path = _geodesic_samples(mu, nu, 5)
+    # masses 1 + 1e-13 k stay within MASS_TOL; every rate carries ~1e-9
+    drifting = [DensityField(g, rho.values * (1.0 + 1e-13 * k)) for k, rho in enumerate(path)]
+    with pytest.raises(CompatibilityError, match=r"^path sample 0: source carries net mass"):
+        path_action(drifting, 1e-4)
+    # at n = 1024 a chunk holds 16 samples: a mass step at sample 20 first
+    # shows in sample 19's central rate, row 3 of the second chunk
+    g = Grid(1024)
+    geodesic = displacement_geodesic(wrapped_gaussian_density(g, 2.9, 0.35),
+                                     wrapped_gaussian_density(g, 3.6, 0.35))
+    path = [geodesic(t) for t in np.linspace(0.0, 1.0, 40)]
+    drifting = [DensityField(g, rho.values * (1.0 + 1e-13 * (k >= 20)))
+                for k, rho in enumerate(path)]
+    with pytest.raises(CompatibilityError, match=r"^path sample 19: ") as err:
+        path_action(drifting, 1e-4)
+    assert err.value.row == 19
 
 
 def _dense_cyclic(diag, off):

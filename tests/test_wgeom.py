@@ -30,9 +30,12 @@ from madflow.wgeom import (
     covariant_acceleration,
     fisher_generator,
     flow_kernel,
+    green_operator,
     hamiltonian,
     hamiltonian_flow,
     hamiltonian_vector_field,
+    mean_free,
+    metric_pairing,
     pushforward_density,
     solve_velocity_potential,
     symplectic_form,
@@ -100,6 +103,46 @@ def test_poisson_solve_rejects_net_mass():
     g = Grid(64)
     with pytest.raises(CompatibilityError):
         solve_velocity_potential(uniform_density(g), np.full(g.n, 0.1))
+
+
+def _grid_green(mu: DensityField, source: np.ndarray) -> np.ndarray:
+    """The weighted Poisson solve written through the checked `Grid` methods."""
+    g = mu.grid
+    cumulative = g.antiderivative(source)
+    inv = 1.0 / mu.values
+    flux_const = g.integrate(cumulative * inv) / g.integrate(inv)
+    phi = g.antiderivative((flux_const - cumulative) * inv)
+    return phi - g.integrate(phi * mu.values)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_stacked_green_operator_rows_are_the_one_row_solve(n):
+    # every transform and sum runs along the last axis, so a stack of
+    # sources is solved row by row to the last bit
+    g = Grid(n)
+    rng = np.random.default_rng(n)
+    mus = [random_density(g, rng, modes=3) for _ in range(5)]
+    sources = np.stack([random_zero_mean(g, rng, modes=6) for _ in mus])
+    stack = np.stack([mu.values for mu in mus])
+    potentials = mean_free(g, stack, green_operator(g, stack, sources))
+    pairings = metric_pairing(g, stack, potentials, potentials)
+    assert pairings.shape == (len(mus), 1)
+    for k, mu in enumerate(mus):
+        one = solve_velocity_potential(mu, sources[k])
+        assert np.array_equal(potentials[k], one.potential)
+        assert np.array_equal(one.potential, _grid_green(mu, sources[k]))
+        assert pairings[k, 0] == tangent_inner(one, one)
+
+
+def test_stacked_green_operator_names_the_first_drifting_row():
+    g = Grid(64)
+    stack = np.tile(uniform_density(g).values, (2, 3, 1))
+    sources = np.zeros((2, 3, g.n))
+    sources[1, 0] = 0.1
+    sources[1, 2] = -0.2
+    with pytest.raises(CompatibilityError, match="net mass 6.283e-01") as err:
+        green_operator(g, stack, sources)
+    assert err.value.row == 3
 
 
 def test_pushforward_identity_and_change_of_variables():
