@@ -15,7 +15,7 @@ rest (S = 0), which is minus the total-energy gradient that
 `wgeom.wasserstein_gradient("total")` returns.  The kernel is built once
 per run and owns its transform buffers; each solver's right-hand side,
 `rhs(y, out)`, writes the rates of the coefficients `y` into `out`.  Both
-step through one RK4 generator, `_rk4_steps`, which owns the stage
+step through one RK4 generator, `_rk4_steps`, which owns the four rate
 buffers, steps `rfft` coefficients in place, returns to samples once per
 step, guards the density floor and yields (step, coefficients, samples);
 each solver re-gauges, guards and records inline in its own loop over
@@ -102,39 +102,25 @@ def _rk4_steps(grid, samples, rhs, dt: float, steps: int):
     Yields `(step, y, x)` with the samples `x` of `y` at step 0 and after
     every step.  `rhs(y, out)` writes the rates of the coefficients `y`
     into `out`; it must not keep either array.  The loop owns the rates
-    k1 .. k4, the stage and the samples, and advances `y` in place; every
-    stage and the combination round exactly as y + (c dt) k and
-    y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) do.  After each step one inverse
-    transform gives `x`, whose row 0, the density, must stay finite
-    (NonFiniteError) and at or above its floor (NodeError).  The caller
-    may change `y` and `x` in place before the next step (re-gauging) and
-    must copy what it keeps: both are overwritten by the next step.
+    k1 .. k4 and the samples, and advances `y` in place by the textbook
+    step.  After each step one inverse transform gives `x`, whose row 0,
+    the density, must stay finite (NonFiniteError) and at or above its
+    floor (NodeError).  The caller may change `y` and `x` in place before
+    the next step (re-gauging) and must copy what it keeps: both are
+    overwritten by the next step.
     """
     y = grid.rfft(samples)
     y *= grid.dealias_mask[: grid.n // 2 + 1]
     floor = density_floor(grid)
     x = grid.irfft(y)
     yield 0, y, x
-    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
-    half, sixth = 0.5 * dt, dt / 6.0
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     for step in range(1, steps + 1):
         rhs(y, k1)
-        np.multiply(k1, half, out=stage)
-        stage += y
-        rhs(stage, k2)
-        np.multiply(k2, half, out=stage)
-        stage += y
-        rhs(stage, k3)
-        np.multiply(k3, dt, out=stage)
-        stage += y
-        rhs(stage, k4)
-        k2 *= 2.0
-        k3 *= 2.0
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixth
-        y += k1
+        rhs(y + (0.5 * dt) * k1, k2)
+        rhs(y + (0.5 * dt) * k2, k3)
+        rhs(y + dt * k3, k4)
+        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         grid.irfft(y, out=x)
         low = float(x[0].min())
         if not np.isfinite(low):

@@ -102,13 +102,7 @@ def normalize_density(grid: Grid, raw_values) -> DensityField:
         raise ValueError("density must be real valued")
     if v.min() <= 0.0:
         raise NodeError(f"raw density has non-positive samples (min {v.min():.3e})")
-    scaled = v / grid.integrate(v)
-    if scaled.min() < density_floor(grid):
-        raise NodeError(
-            f"normalized density reaches {scaled.min():.3e}, "
-            f"below the admissibility floor {density_floor(grid):.3e}"
-        )
-    return DensityField(grid, scaled)
+    return DensityField(grid, v / grid.integrate(v))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
@@ -120,6 +122,8 @@ def free_gaussian_wave(grid: Grid, center: float, sigma0: float,
     of width sqrt(2) sigma0 |alpha(t)|, which sets how many images time t
     sums, while its spectrum's modulus keeps the width of time 0.
     """
+    if not sys.float_info.min <= sigma0 * sigma0 <= sys.float_info.max:
+        raise ValueError(f"sigma must have a finite, normal square, got {sigma0!r}")
     alpha = 1.0 + 0.5j * constants.hbar * time / sigma0 ** 2
     prefactor = (2.0 * np.pi * sigma0 ** 2) ** -0.25 / np.sqrt(alpha)
     values = _wrapped_sum(

@@ -11,7 +11,7 @@ symplectic form cheap and exact in one dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -168,19 +168,6 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
 # -- the Hamiltonian flow and functional gradients ----------------------------
 
 
-@lru_cache(maxsize=8)
-def _flow_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum (d, 1, d, lap) for (S, mu, mu, mu); (-d, -1) behind the
-    2/3 rule for the flux and the pressure."""
-    h = grid.n // 2 + 1
-    ik, mask = grid.derivative_symbol[:h], grid.dealias_mask[:h]
-    out = (np.stack((ik, np.ones(h), ik, grid.laplacian_symbol[:h])),
-           np.stack((-ik * mask, -mask)))
-    for sym in out:
-        sym.setflags(write=False)
-    return out
-
-
 def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.ndarray:
     """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing, written over `mu_x` and
     returned; `lap_mu` is spent as scratch."""
@@ -203,12 +190,17 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     n/2+1) rates are written into `out`, which is returned.  One inverse
     transform gives dS/dx, mu, dmu/dx and lap mu; one forward transform
     dealiases flux and pressure.  At hbar = 0 the Fisher term adds an exact
-    zero wherever mu has no zero sample.  The spectral stack, the sample
-    stack and the flux/pressure rows belong to the kernel and are
+    zero wherever mu has no zero sample.  The kernel builds its own symbol
+    stacks; its spectral stack, sample stack and flux/pressure rows are
     overwritten by every call.  Unchecked, for RK stages.
     """
-    into, outof = _flow_symbols(grid)
-    spectral = np.empty((4, grid.n // 2 + 1), dtype=complex)
+    h = grid.n // 2 + 1
+    ik, mask = grid.derivative_symbol[:h], grid.dealias_mask[:h]
+    # half-spectrum (d, 1, d, lap) for (S, mu, mu, mu); (-d, -1) behind the
+    # 2/3 rule for the flux and the pressure
+    into = np.stack((ik, np.ones(h), ik, grid.laplacian_symbol[:h]))
+    outof = np.stack((-ik * mask, -mask))
+    spectral = np.empty((4, h), dtype=complex)
     samples = np.empty((4, grid.n))
     fluxes = np.empty((2, grid.n))
     flux, pressure = fluxes

@@ -276,12 +276,13 @@ def test_rk4_step_makes_a_fixed_number_of_fft_calls(fft_calls, solver, per_step)
 
 
 def test_buffered_rk4_equals_a_plain_allocating_rk4():
-    # the solvers advance in place through kernel-owned buffers; the
-    # textbook loop below allocates every stage and builds a fresh kernel
-    # for every right-hand side, writing into a fresh buffer (for DLSS the
-    # flow's phase rate at rest, then its density row along that rate, two
-    # full flow kernels).  Every snapshot and the ledger must agree bit for
-    # bit, so a stage buffer overwritten before the final combination, or a
+    # the solvers fill four rate buffers through one kernel that owns its
+    # transform buffers, and advance the coefficients in place; the loop
+    # below allocates every rate and builds a fresh kernel for every
+    # right-hand side, writing into a fresh buffer (for DLSS the flow's
+    # phase rate at rest, then its density row along that rate, two full
+    # flow kernels).  Every snapshot and the ledger must agree bit for bit,
+    # so a rate buffer overwritten before the final combination, or a
     # kernel that keeps state between calls, fails here.
     g = Grid(64)
     mask = g.dealias_mask[: g.n // 2 + 1]

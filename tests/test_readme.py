@@ -1,5 +1,5 @@
-"""README's "Library layout" table, its list of error types and its check
-reference table name only what the library has."""
+"""README's "Library layout" table, its list of error types, its kind
+tables and its check reference table name only what the library has."""
 
 import builtins
 import importlib
@@ -78,3 +78,43 @@ def _reference_table_checks() -> list[str]:
 
 def test_reference_table_names_every_check_once():
     assert sorted(_reference_table_checks()) == sorted(scenarios.CHECKS)
+
+
+def _kind_table(header: str) -> list[list[str]]:
+    """The cells of each row of the table under "## Scenario configs" whose
+    first column is headed `header`."""
+    section = README.read_text().split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+    lines = iter(section.splitlines())
+    for line in lines:
+        if line.startswith(f"| {header} |"):
+            break
+    else:
+        raise AssertionError(f"no table headed {header!r}")
+    next(lines)  # the | --- | rule
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return rows
+
+
+def _names(cell: str) -> list[str]:
+    """The backticked names of a cell outside its bracketed defaults."""
+    return re.findall(r"`(\w+)`", re.sub(r"\[[^\]]*\]", "", cell))
+
+
+@pytest.mark.parametrize("header, kinds", [
+    ("potential kind", scenarios.POTENTIAL_KINDS),
+    ("initial-state kind", scenarios.INITIAL_KINDS),
+    ("density kind", scenarios.DENSITY_KINDS),
+    ("phase kind", scenarios.PHASE_KINDS),
+], ids=["potential", "initial_state", "density", "phase"])
+def test_kind_tables_name_every_kind_once_with_its_parameters(header, kinds):
+    rows = _kind_table(header)
+    assert sorted(name for row in rows for name in _names(row[0])) == sorted(kinds)
+    for row in rows:
+        (kind,) = _names(row[0])
+        assert sorted(_names(row[1])) == sorted(kinds[kind][1]), kind
+        if kinds is scenarios.INITIAL_KINDS:  # the solvers that accept the kind
+            assert sorted(_names(row[2])) == sorted(kinds[kind][0]), kind

@@ -18,7 +18,7 @@ import madflow
 from madflow import scenarios
 from madflow.cli import main
 from madflow.dynamics import TrajectoryRecord, heat_evolve, madelung_evolve
-from madflow.errors import ConfigError
+from madflow.errors import ConfigError, MadflowError
 from madflow.fields import DensityField, WaveField, functionals
 from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
 from madflow.states import wrapped_gaussian_density
@@ -905,6 +905,17 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _fresh_cli_run(out_dir: Path, scenario: str, override: str) -> subprocess.CompletedProcess:
+    """`madflow run` in a fresh interpreter, so the exit code and stderr are
+    what a user sees."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "madflow.cli", "run",
+                           "--scenario", scenario, "--override", override,
+                           "--out", str(out_dir)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("override, code, prefix", [
     # a 1e300 phase overflows the energy guard on the first snapshot
     ('initial_state.parameters.phase={"kind":"sine","amplitude":1e300}', 3, "run failed: "),
@@ -912,18 +923,24 @@ def test_cli_dlss_overlong_step_exits_three(tmp_path, capsys):
     ("initial_state.parameters.density.concentration=1e5", 2, "config error: "),
 ])
 def test_cli_non_finite_field_exits_without_a_traceback(tmp_path, override, code, prefix):
-    # a fresh interpreter, so the exit code and stderr are what a user sees
     out_dir = tmp_path / "never"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "madflow.cli", "run",
-                           "--scenario", "thm21_equivalence", "--override", override,
-                           "--out", str(out_dir)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _fresh_cli_run(out_dir, "thm21_equivalence", override)
     assert done.returncode == code, done.stderr
     # one line: numpy's overflow warnings would print their file, line and
     # source before it
     assert done.stderr.startswith(prefix) and len(done.stderr.splitlines()) == 1, done.stderr
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e300", "1e-300"])
+def test_cli_extreme_free_packet_sigma_exits_two(tmp_path, sigma):
+    # the closed-form packet divides by sigma^2, which overflows or
+    # underflows to zero before any resolution check reads it
+    out_dir = tmp_path / "never"
+    done = _fresh_cli_run(out_dir, "free_gaussian", f"initial_state.parameters.sigma={sigma}")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: ") and "sigma" in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
     assert not out_dir.exists()
 
 
@@ -1103,6 +1120,46 @@ def test_cli_out_of_range_parameter_exits_two(tmp_path, capsys, scenario, overri
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out_dir.exists()
+
+
+def _leaf_paths(node, prefix: str = ""):
+    """The dotted override path of every non-container value in `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        path = f"{prefix}{key}"
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaf_paths(value, path + ".")
+        else:
+            yield path
+
+
+#: the values the override fuzz puts at every leaf, as JSON
+_FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "null", "true", '"x"', "[]", "{}",
+                "0.5", "7", "1e-9")
+
+
+def test_fuzzed_builtin_overrides_build_or_raise_a_typed_error():
+    # every leaf of every builtin times a fixed list of values, built but
+    # not solved: a case either builds or raises what execute_config and
+    # the CLI turn into exit 2 or 3, never an untyped exception (exit 1
+    # and a traceback)
+    escaped, cases = [], 0
+    for name in builtin_names():
+        mapping = builtin_mapping(name)
+        for path, value in product(_leaf_paths(mapping), _FUZZ_VALUES):
+            cases += 1
+            try:
+                config = ScenarioConfig.from_mapping(
+                    apply_overrides(mapping, [f"{path}={value}"]))
+                with np.errstate(all="ignore"):  # as the `madflow` command runs
+                    scenarios.build_potential(config)
+                    build_initial(config)
+            except (MadflowError, ValueError):
+                pass
+            except Exception as exc:  # noqa: BLE001 - the escapes are the finding
+                escaped.append(f"{name} {path}={value}: {type(exc).__name__}: {exc}")
+    assert cases >= 2000
+    assert escaped == []
 
 
 @pytest.mark.parametrize("override, message", [
