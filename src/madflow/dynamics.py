@@ -1,9 +1,9 @@
 """Time integration: wave, hydrodynamic and gradient-flow solvers.
 
 schrodinger_evolve   split-step Fourier (Strang) for the linear wave equation
-madelung_evolve      RK4 lines for the coupled (density, phase) system with
-                     per-step mean-zero re-gauging and a gauge ledger; it
-                     starts from and stores `wgeom.TangentBundlePoint`s
+madelung_evolve      RK4 lines for the coupled (density, phase) system; it
+                     starts from and stores `wgeom.TangentBundlePoint`s,
+                     gauged to mean zero, with a gauge ledger
 heat_evolve          exact spectral semigroup of the heat flow
 dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
@@ -15,16 +15,17 @@ rest (S = 0), which is minus the total-energy gradient that
 `wgeom.wasserstein_gradient("total")` returns.  The kernel is built once
 per run and owns its transform buffers; each solver's right-hand side,
 `rhs(y, out)`, writes the rates of the coefficients `y` into `out`.  Both
-step through one RK4 generator, `_rk4_steps`, which owns the four rate
-buffers, steps `rfft` coefficients in place, returns to samples once per
-step, guards the density floor and yields (step, coefficients, samples);
-each solver re-gauges, guards and records inline in its own loop over
-it.  Every solver, and the scenario runner's pseudo-time runners, read
-the snapshot schedule from `_snapshot_steps`; a record's times are those
-steps times dt.  The solvers only integrate: a TrajectoryRecord holds the
-snapshot times and states and, on the Madelung solver, the gauge ledger;
-mass, energies, entropy and Fisher information are functions of a state,
-derived from it by the caller.  Products are dealiased with the 2/3 rule.
+step through one RK4 generator, `_rk4_steps`, which keeps its `rfft`
+coefficients and rate buffers to itself, returns to samples once per
+step, guards every row's finiteness and the density floor and yields
+(step, samples); each solver guards and records inline in its own loop
+over it.  Every solver, and the scenario runner's pseudo-time runners,
+read the snapshot schedule from `_snapshot_steps`; a record's times are
+those steps times dt.  The solvers only integrate: a TrajectoryRecord
+holds the snapshot times and states and, on the Madelung solver, the
+gauge ledger; mass, energies, entropy and Fisher information are
+functions of a state, derived from it by the caller.  Products are
+dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -99,21 +100,20 @@ def _rk4_steps(grid, samples, rhs, dt: float, steps: int):
     """Classical RK4 on y, the dealiased `Grid.rfft` coefficients of
     `samples`, a stacked state, for `steps` steps.
 
-    Yields `(step, y, x)` with the samples `x` of `y` at step 0 and after
+    Yields `(step, x)` with the samples `x` of `y` at step 0 and after
     every step.  `rhs(y, out)` writes the rates of the coefficients `y`
-    into `out`; it must not keep either array.  The loop owns the rates
-    k1 .. k4 and the samples, and advances `y` in place by the textbook
-    step.  After each step one inverse transform gives `x`, whose row 0,
-    the density, must stay finite (NonFiniteError) and at or above its
-    floor (NodeError).  The caller may change `y` and `x` in place before
-    the next step (re-gauging) and must copy what it keeps: both are
-    overwritten by the next step.
+    into `out`; it must not keep either array.  The loop owns `y`, the
+    rates k1 .. k4 and the samples, and advances `y` in place by the
+    textbook step.  After each step one inverse transform gives `x`, every
+    row of which must stay finite (NonFiniteError) and whose row 0, the
+    density, must stay at or above its floor (NodeError).  The caller
+    must copy what it keeps: the next step overwrites `x`.
     """
     y = grid.rfft(samples)
     y *= grid.dealias_mask[: grid.n // 2 + 1]
     floor = density_floor(grid)
     x = grid.irfft(y)
-    yield 0, y, x
+    yield 0, x
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     for step in range(1, steps + 1):
         rhs(y, k1)
@@ -123,14 +123,14 @@ def _rk4_steps(grid, samples, rhs, dt: float, steps: int):
         y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         grid.irfft(y, out=x)
         low = float(x[0].min())
-        if not np.isfinite(low):
+        if not (np.isfinite(low) and np.isfinite(x[1:]).all()):
             raise NonFiniteError(
-                f"density reached a non-finite value at step {step}, t = {step * dt:.4g}")
+                f"the state reached a non-finite value at step {step}, t = {step * dt:.4g}")
         if not low >= floor:
             raise NodeError(
                 f"density reached {low:.3e} at t = {step * dt:.4g}, below the floor {floor:.3e}"
             )
-        yield step, y, x
+        yield step, x
 
 
 # -- linear wave solver ------------------------------------------------------
@@ -180,10 +180,11 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
 
     The right-hand side is `wgeom.flow_kernel`; each snapshot is the
     `TangentBundlePoint` (mu, S), so a stored snapshot restarts the run.
-    The phase is re-gauged to mean zero at the start and after every step;
-    removed constants accumulate in the record's gauge_constant ledger
-    (reconciled against the running action integral).  Raises NodeError
-    when the density reaches its floor and StabilityError on energy blow-up.
+    Each stored phase is gauged to mu-mean zero (the rates read S only
+    through dS/dx); the constant it drops, the integral of S dmu, is that
+    snapshot's entry in the record's gauge_constant ledger (reconciled
+    against the running action integral).  Raises NodeError when the
+    density reaches its floor and StabilityError on energy blow-up.
     """
     g = point.grid
     marks = _snapshot_steps(dt, total_time, snapshot_stride)
@@ -195,18 +196,12 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     samples = np.stack((point.base.values, point.fiber_potential))
     mark_set = set(marks)
     states, ledgers = [], []
-    ledger = 0.0
     reference_energy = None
-    for step, y, x in _rk4_steps(g, samples, rhs, dt, marks[-1]):
-        removed = float(g.spacing * (x[1] * x[0]).sum())
-        if not np.isfinite(removed):
-            raise NonFiniteError(f"phase reached a non-finite mean at t = {step * dt:.4g}")
-        x[1] -= removed
-        y[1, 0] -= removed * g.n
-        ledger += removed
+    for step, x in _rk4_steps(g, samples, rhs, dt, marks[-1]):
         if step not in mark_set:
             continue
-        state = TangentBundlePoint(DensityField(g, x[0]), x[1])
+        ledger = float(g.spacing * (x[1] * x[0]).sum())
+        state = TangentBundlePoint(DensityField(g, x[0]), x[1] - ledger)
         guard = hamiltonian(state, potential, constants) + g.integrate(guard_weight * x[0])
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
@@ -261,7 +256,7 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     mark_set = set(marks)
     energy = np.inf
     states = []
-    for step, _, x in _rk4_steps(g, mu0.values[None, :], rhs, dt, marks[-1]):
+    for step, x in _rk4_steps(g, mu0.values[None, :], rhs, dt, marks[-1]):
         mu = DensityField(g, x[0])
         new_energy = functionals(mu, potential, constants).total_energy
         if new_energy > energy + DESCENT_TOL:

@@ -203,6 +203,8 @@ class ScenarioConfig:
         name = data.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigError("config needs a non-empty string name")
+        if name in (".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise ConfigError(f"config name {name!r} must be one path component")
 
         try:
             grid = Grid(**_parameters(data.get("grid", {}), _GRID, "grid", None))
@@ -259,11 +261,6 @@ class ScenarioConfig:
                 if kind not in served:
                     raise ConfigError(f"check {cname!r} does not apply to {what} of "
                                       f"kind {kind!r}; it reads {served}")
-            if cname == "free_packet_density" and _as_float(
-                    init_params.get("floor_weight", 0),
-                    "initial_state.parameters.floor_weight") != 0:
-                raise ConfigError("check 'free_packet_density' describes the bare "
-                                  "packet only; set floor_weight to 0")
             tol = definition.tolerance if tol is None else tol
             checks.append(CheckRequest(cname, tol))
             # a stride that divides the first rung's count divides the 2^k
@@ -522,6 +519,9 @@ def build_initial(config: ScenarioConfig) -> dict:
             if any(c.name == "free_packet_density" for c in config.checks):
                 packet(config.total_time)
             return {"wave": wave, "packet": packet}
+        if any(c.name == "free_packet_density" for c in config.checks):
+            raise ConfigError("check 'free_packet_density' describes the bare "
+                              "packet only; set floor_weight to 0")
         return _solver_start(solver, DENSITY_KINDS[kind][0](grid, **args),
                              _zero_phase(grid), 0.0, constants)
     if kind == "polar_pair":
@@ -1135,11 +1135,21 @@ def resolve_output_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Pa
 
 def _require_directory_path(target: Path) -> Path:
     """`target`, unless it or its nearest existing ancestor is not a
-    directory (ConfigError); creates nothing."""
+    directory, or it holds a NUL, an unencodable part or a new part over
+    that ancestor's name limit (ConfigError); creates nothing."""
+    try:
+        raw = os.fsencode(target)
+    except UnicodeEncodeError:
+        raise ConfigError(f"output directory {str(target)!r} is not encodable") from None
+    if b"\0" in raw:
+        raise ConfigError(f"output directory {str(target)!r} holds a NUL byte")
     probe = next(p for p in (target, *target.parents) if os.path.lexists(p))
     if not probe.is_dir():
         raise ConfigError(f"output directory {target}: {probe} exists and is "
                           "not a directory")
+    limit = os.pathconf(probe, "PC_NAME_MAX")  # -1: no limit
+    if any(0 < limit < len(os.fsencode(part)) for part in target.relative_to(probe).parts):
+        raise ConfigError(f"output directory {target}: a name is longer than {limit} bytes")
     return target
 
 
@@ -1322,18 +1332,12 @@ def run_suite(out_root: str | Path | None = None,
         out_root = Path(os.environ.get(OUTPUT_ROOT_ENV, DEFAULT_OUTPUT_ROOT))
     root = _require_directory_path(Path(out_root))
     names = builtin_names()
-    results: dict[str, tuple[bool, list[str]]] = {}
     workers = min(jobs, len(names))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_suite_worker, name, str(root))
-                       for name in names]
-            for future in futures:
-                name, passed, failed = future.result()
-                results[name] = (passed, failed)
+            futures = [pool.submit(_suite_worker, name, str(root)) for name in names]
+            verdicts = [future.result() for future in futures]
     else:
-        for name in names:
-            _, passed, failed = _suite_worker(name, str(root))
-            results[name] = (passed, failed)
-    return results
+        verdicts = [_suite_worker(name, str(root)) for name in names]
+    return {name: (passed, failed) for name, passed, failed in verdicts}

@@ -8,6 +8,8 @@ diagonally on modes: (1 + a e^{-t} cos x)/2pi is an exact trajectory.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madflow import (
     Grid,
@@ -33,6 +35,8 @@ from madflow.states import (
     cosine_bump_density,
     perturbed_uniform_density,
     plane_wave,
+    random_density,
+    random_zero_mean,
     uniform_density,
     wrapped_gaussian_density,
 )
@@ -227,6 +231,32 @@ def test_madelung_restarts_from_a_stored_snapshot():
     assert abs(ledger - full.gauge_constant[-1]) < 1e-15
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-10.0, 10.0), mark=st.integers(0, 3))
+def test_madelung_record_is_blind_to_the_phase_constant_and_restarts(seed, shift, mark):
+    # the rates read the phase only through its gradient, so a constant
+    # added to the start moves no density and no stored (gauged) fiber and
+    # enters the ledger whole; and a run restarted from any stored snapshot
+    # lands on the unbroken run, the two ledgers adding up to its ledger
+    g = Grid(64)
+    c = PhysicsConstants(1.0)
+    V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
+    rng = np.random.default_rng(seed)
+    mu, phase = random_density(g, rng), random_zero_mean(g, rng)
+    dt, stride, steps = 1e-3, 5, 20
+    full = madelung_evolve(TangentBundlePoint(mu, phase), V, c, dt, steps * dt, stride)
+    moved = madelung_evolve(TangentBundlePoint(mu, phase + shift), V, c, dt, steps * dt, stride)
+    for a, b in zip(full.states, moved.states):
+        assert np.max(np.abs(a.base.values - b.base.values)) <= 1e-12
+        assert np.max(np.abs(a.fiber_potential - b.fiber_potential)) <= 1e-12
+    assert np.max(np.abs(moved.gauge_constant - full.gauge_constant - shift)) <= 1e-13
+
+    rest = madelung_evolve(full.states[mark], V, c, dt, (steps - mark * stride) * dt, stride)
+    assert np.max(np.abs(rest.states[-1].base.values - full.states[-1].base.values)) <= 1e-12
+    ledger = full.gauge_constant[mark] + rest.gauge_constant[-1]
+    assert abs(ledger - full.gauge_constant[-1]) <= 1e-13
+
+
 def test_madelung_node_guard():
     # A strong compressive kick drives the density through zero; the
     # integrator must refuse to continue instead of going negative.
@@ -281,9 +311,10 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     # below allocates every rate and builds a fresh kernel for every
     # right-hand side, writing into a fresh buffer (for DLSS the flow's
     # phase rate at rest, then its density row along that rate, two full
-    # flow kernels).  Every snapshot and the ledger must agree bit for bit,
-    # so a rate buffer overwritten before the final combination, or a
-    # kernel that keeps state between calls, fails here.
+    # flow kernels), and gauges each snapshot's phase to mu-mean zero.
+    # Every snapshot and the ledger must agree bit for bit, so a rate
+    # buffer overwritten before the final combination, or a kernel that
+    # keeps state between calls, fails here.
     g = Grid(64)
     mask = g.dealias_mask[: g.n // 2 + 1]
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
@@ -293,36 +324,33 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     steps = 20
 
     def plain(y, rhs, dt, settle):
-        samples = [settle(y, g.irfft(y))]
+        samples = [settle(g.irfft(y))]
         for _ in range(steps):
             k1 = rhs(y)
             k2 = rhs(y + 0.5 * dt * k1)
             k3 = rhs(y + 0.5 * dt * k2)
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            samples.append(settle(y, g.irfft(y)))
+            samples.append(settle(g.irfft(y)))
         return samples
 
-    ledger = [0.0]
+    ledger = []
 
-    def regauge(y, x):
-        removed = g.integrate(x[1] * x[0])
-        x[1] -= removed
-        y[1, 0] -= removed * g.n
-        ledger.append(ledger[-1] + removed)
-        return x
+    def gauge(x):
+        ledger.append(g.integrate(x[1] * x[0]))
+        return np.stack((x[0], x[1] - ledger[-1]))
 
     start = TangentBundlePoint(mu0, 0.3 * np.sin(g.points))
     dt = 1e-3
     expected = plain(g.rfft(np.stack((mu0.values, start.fiber_potential))) * mask,
                      lambda y: flow_kernel(g, v_hat, c.hbar)(y, np.empty_like(y)), dt,
-                     regauge)
+                     gauge)
     rec = madelung_evolve(start, V, c, dt, steps * dt)
     assert len(rec.states) == steps + 1
     for state, x in zip(rec.states, expected):
         assert np.array_equal(state.base.values, x[0])
         assert np.array_equal(state.fiber_potential, x[1])
-    assert np.array_equal(rec.gauge_constant, ledger[1:])
+    assert np.array_equal(rec.gauge_constant, ledger)
     assert not np.array_equal(rec.states[-1].base.values, rec.states[0].base.values)
 
     def descent(y):
@@ -332,7 +360,7 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
         return flow_kernel(g)(both, np.empty_like(both))[:1]
 
     dt = 1e-5
-    expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda y, x: x)
+    expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda x: x)
     rec = dlss_evolve(mu0, V, c, dt, steps * dt)
     assert len(rec.states) == steps + 1
     for state, x in zip(rec.states, expected):
@@ -340,16 +368,13 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     assert not np.array_equal(rec.states[-1].values, rec.states[0].values)
 
 
-@pytest.mark.parametrize("row, message", [
-    pytest.param(0, r"density reached a non-finite value at step 3, t = 0\.003$",
-                 id="density"),
-    pytest.param(1, r"phase reached a non-finite mean at t = 0\.003$", id="phase")])
-def test_madelung_stops_at_a_non_finite_row(monkeypatch, row, message):
+@pytest.mark.parametrize("row", [pytest.param(0, id="density"), pytest.param(1, id="phase")])
+def test_madelung_stops_at_a_non_finite_row(monkeypatch, row):
     # a right-hand side that turns a row non-finite in the third step must
-    # stop the run at that step: a NaN density is named as such, not as a
-    # floor breach (NaN fails the floor test too), and the per-step
-    # re-gauging, the one scan of the phase between snapshots, stops a NaN
-    # phase before it reaches the ledger
+    # stop the run at that step: a NaN density is named non-finite, not a
+    # floor breach (NaN fails the floor test too), and the stepper's scan
+    # of every row stops a NaN phase between snapshots, before it reaches
+    # the ledger
     calls = []
 
     def poisoned_kernel(grid, potential, hbar):
@@ -363,7 +388,8 @@ def test_madelung_stops_at_a_non_finite_row(monkeypatch, row, message):
 
     monkeypatch.setattr(dynamics, "flow_kernel", poisoned_kernel)
     g = Grid(64)
-    with pytest.raises(NonFiniteError, match=message):
+    with pytest.raises(NonFiniteError,
+                       match=r"state reached a non-finite value at step 3, t = 0\.003$"):
         madelung_evolve(_at_rest(cosine_bump_density(g, np.pi, 0.3)),
                         PotentialField.zero(g), PhysicsConstants(1.0), 1e-3, 0.01,
                         snapshot_stride=5)

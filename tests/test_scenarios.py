@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from madflow import scenarios
 from madflow.cli import main
 from madflow.dynamics import TrajectoryRecord, heat_evolve, madelung_evolve
 from madflow.errors import ConfigError, MadflowError
-from madflow.fields import DensityField, WaveField, functionals
+from madflow.fields import DensityField, PhysicsConstants, WaveField, functionals
+from madflow.grid import Grid
 from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
-from madflow.states import wrapped_gaussian_density
+from madflow.states import uniform_density, wrapped_gaussian_density
 from madflow.scenarios import (
     INITIAL_KINDS,
     OBSERVABLE_COLUMNS,
@@ -158,6 +160,25 @@ def test_config_rejects_bad_entries():
     for mapping in cases:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_mapping(mapping)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("initial_state", None, "config needs an initial_state section"),
+    ("integrator", None, "config needs an integrator section"),
+    ("output", {"directory": 5}, "output.directory must be a string path"),
+    # the name is the run's directory under its output root
+    *(("name", name, f"config name {name!r} must be one path component")
+      for name in (".", "..", "a/b", "/abs")),
+])
+def test_config_refuses_a_missing_section_a_bad_directory_and_a_path_name(key, value,
+                                                                         message):
+    m = _heat_mapping()
+    if value is None:
+        del m[key]
+    else:
+        m[key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig.from_mapping(m)
 
 
 def test_plane_wave_rejected_outside_wave_solver():
@@ -416,6 +437,19 @@ def test_time_differencing_checks_are_fourth_order(newton_outcome):
         worst = [np.nanmax(scenarios.CHECKS[name].fn(_thinned(ctx, k))) for k in steps]
         ratios = np.array(worst[:-1]) / worst[1:]
         assert np.all((12.0 <= ratios) & (ratios <= 20.0)), (name, worst)
+
+
+def test_velocity_potential_match_reads_nan_where_the_wave_has_a_node():
+    # a wave with a node has no Madelung phase: that snapshot's residual is
+    # nan, and the others keep their numbers
+    g, c = Grid(64), PhysicsConstants(1.0)
+    point = TangentBundlePoint(uniform_density(g), 0.3 * np.sin(g.points))
+    nodal = WaveField(g, np.sin(g.points) / np.sqrt(np.pi))
+    ctx = SimpleNamespace(grid=g, constants=c, record=SimpleNamespace(states=(point, point)),
+                          wave_oracle=SimpleNamespace(
+                              states=(WaveField(g, polar_wave(point, c)), nodal)))
+    gaps = scenarios.CHECKS["velocity_potential_match"].fn(ctx)
+    assert gaps[0] < 1e-14 and np.isnan(gaps[1])
 
 
 def test_check_tolerance_defaults_from_registry():
@@ -688,6 +722,20 @@ def test_dt_refinement_halves_until_the_final_row_settles():
         'checks=["mass_conservation"]'])
     outcome = run_scenario(ScenarioConfig.from_mapping(m), write=False)
     assert outcome.summary["dt_used"] == 1.25e-4
+
+
+def test_dt_refinement_gives_up_after_its_last_halving(tmp_path, capsys, monkeypatch):
+    # no change is below a zero tolerance, so the one allowed halving ends
+    # the ladder: a run error, exit 3, nothing written
+    monkeypatch.setattr(scenarios, "REFINEMENT_TOL", 0.0)
+    monkeypatch.setattr(scenarios, "MAX_REFINEMENTS", 1)
+    out_dir = tmp_path / "never"
+    assert main(["run", "--scenario", "heat_entropy_dissipation",
+                 "--override", "integrator.dt=null", "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        "run failed: observables still moving after 1 dt halvings "
+        "(scenario 'heat_entropy_dissipation')\n")
+    assert not out_dir.exists()
 
 
 def _rebuilt_row(ctx, state):
@@ -1038,6 +1086,16 @@ def test_checks_declare_the_solvers_and_initial_kinds_they_serve():
      "1e+308 snapshots of 1048576 floats, inf MiB, above"),
     # the periodic images are derived, not set
     ("free_gaussian", ["initial_state.parameters.images=6"], "unknown keys ['images']"),
+    # JSON reads 1e400 as inf
+    ("thm21_equivalence",
+     ['potential={"kind":"custom_table","parameters":{"values":[1e400%s]}}' % (",0" * 255)],
+     "contains non-finite entries"),
+    # a density solver takes no phase
+    ("heat_entropy_dissipation",
+     ["initial_state.kind=polar_pair",
+      'initial_state.parameters={"density":{"kind":"perturbed_uniform"},'
+      '"phase":{"kind":"sine"}}'],
+     "the 'heat' solver evolves densities only"),
 ])
 def test_cli_unservable_start_exits_two_before_the_solve(monkeypatch, capsys, tmp_path,
                                                          scenario, overrides, message):
@@ -1192,6 +1250,37 @@ def test_cli_output_path_through_a_file_exits_two_before_the_solve(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep"
+
+
+_RUN = ["run", "--scenario", "heat_entropy_dissipation"]
+_LONG = "x" * 300  # past the 255-byte name limit of common file systems
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_RUN + ["--override", 'name="a\\u0000b"'], id="name-nul"),
+    pytest.param(_RUN + ["--override", 'name="a\\ud800b"'], id="name-unencodable"),
+    pytest.param(_RUN + ["--override", f"name={_LONG}"], id="name-long"),
+    pytest.param(_RUN + ["--override", "name=.."], id="name-parent"),
+    pytest.param(_RUN + ["--override", 'output.directory="a\\u0000b/c"'],
+                 id="directory-nul"),
+    pytest.param(_RUN + ["--override", f'output.directory="out/{_LONG}"'],
+                 id="directory-long"),
+    pytest.param(_RUN + ["--out", f"out/{_LONG}"], id="out-long"),
+    pytest.param(["suite", "--out", f"out/{_LONG}"], id="suite-out-long"),
+])
+def test_cli_output_path_the_os_refuses_exits_two_before_the_solve(
+        tmp_path, capsys, monkeypatch, argv):
+    # the refusal comes before the solve, not as a traceback once it is over
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
+
+    def unreachable(ctx, dt):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr(scenarios, "_run_solver", unreachable)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _stub_suite_worker(monkeypatch, failing=()):
