@@ -43,6 +43,7 @@ from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "MADFLOW_OUTPUT_ROOT"
 DEFAULT_OUTPUT_ROOT = "runs"
+ARTIFACTS = ("observables.csv", "snapshots.json", "summary.json")
 
 #: physics columns of observables.csv, in order; residual columns follow.
 OBSERVABLE_COLUMNS = ("time", "mass", "H_S", "H_F", "entropy", "fisher",
@@ -1157,6 +1158,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  write: bool = True) -> ScenarioOutcome:
     """Execute a validated config, evaluate its checks, write artifacts."""
     target = _require_directory_path(resolve_output_dir(config, out_dir)) if write else None
+    for path in [target / name for name in ARTIFACTS] if write else []:
+        if os.path.lexists(path) and not path.is_file():
+            raise ConfigError(f"output directory {target}: {path} is not a regular file")
     ctx = execute_config(config)
     results = evaluate_checks(ctx)
     passed = all(r.passed for r in results)

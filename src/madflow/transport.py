@@ -1,12 +1,12 @@
 """One-dimensional optimal transport through quantile functions.
 
 The circle is treated as the interval [0, L) cut at the joint density
-minimum; densities must carry negligible mass at the cut (CutError
-otherwise), which makes the periodic problem equivalent to transport on
-the line.  Cumulative distributions are built from the spectral
-antiderivative of the trigonometric interpolant on a refined grid (16n
-points), so quantiles of resolved densities are accurate far beyond the
-ladder resolution.
+minimum; densities must carry negligible mass at the cut (CutError otherwise),
+which makes the periodic problem equivalent to transport on the line.  CDFs
+come from the spectral antiderivative of the interpolant on a 16n-point grid,
+so resolved quantiles are accurate far beyond the ladder: quantile tables take
+it from one real transform of two rows, the displacement geodesic's endpoints
+from complex ones, whose tail rounding sets the path's bits.
 
 Two numpy spline kernels do the interpolation.  A monotone piecewise
 cubic (PCHIP) inverts the CDFs, for the quantile ladder and the transport
@@ -157,45 +157,60 @@ def _check_cut_mass(density: DensityField, cut_index: int) -> None:
         )
 
 
-def _resolved_fine(density: DensityField) -> np.ndarray:
-    """The density's interpolant on the refined grid; NodeError unless positive."""
-    fine = density.grid.upsample(density.values, _REFINE)
+def _resolved(fine: np.ndarray) -> np.ndarray:
+    """`fine`, a density's interpolant on the refined grid; NodeError unless positive."""
     if fine.min() <= 0.0:
         raise NodeError("density is not resolved (its interpolant is not positive)")
     return fine
 
 
-def _cumulative_from_cut(density: DensityField, cut_index: int):
-    """Fine-grid positions (relative to the cut) and exact running mass.
-
-    Returns (x, cdf, fine) with x including both endpoints 0 and L,
-    cdf[0] = 0 and cdf[-1] = 1 exactly, and `fine` the density's
-    interpolant on the fine grid points x[:-1].  A density the grid does
-    not resolve raises NodeError.
-    """
+def _fine_rows(density: DensityField, cut_index: int, antiderivative: bool) -> np.ndarray:
+    """The interpolant on the 16n grid from the cut and, with `antiderivative`,
+    its zero-mean part's antiderivative: one rfft, the Nyquist coefficient
+    halved as in `Grid.upsample`, one irfft.  NodeError unless positive."""
     g = density.grid
-    fine_grid = g.refined(_REFINE)
-    fine = np.roll(_resolved_fine(density), -cut_index * _REFINE)
-    mean = 1.0 / g.length
-    # Quantiles in floor-level tails magnify CDF rounding by 1/mu (~1e9): real
-    # transforms moved path densities by 2e-8, so the CDF keeps complex ones.
-    anti = fine_grid.antiderivative((fine - mean).astype(complex)).real
-    cdf = (anti - anti[0]) + mean * fine_grid.points
-    x = np.append(fine_grid.points, g.length)
-    cdf = np.append(cdf, 1.0)
+    coef = np.fft.rfft(density.values) * _REFINE  # modes 0 .. n/2
+    coef[-1] *= 0.5
+    spectrum = np.zeros((1 + antiderivative, _REFINE * g.n // 2 + 1), dtype=complex)
+    spectrum[0, :coef.size] = coef
+    if antiderivative:
+        spectrum[1, 1:coef.size] = coef[1:] / (1j * np.abs(g.wavenumbers[1:coef.size]))
+    rows = np.roll(np.fft.irfft(spectrum, _REFINE * g.n), -cut_index * _REFINE, axis=1)
+    _resolved(rows[0])
+    return rows
+
+
+def _running_mass(g: Grid, anti: np.ndarray):
+    """(x, cdf): fine positions from the cut, ends 0 and L, and the running mass
+    from `anti`, cdf[0] = 0 and cdf[-1] = 1 exactly; NodeError unless increasing."""
+    points = g.refined(_REFINE).points
+    cdf = np.append((anti - anti[0]) + (1.0 / g.length) * points, 1.0)
     if not np.all(np.diff(cdf) > 0.0):
         raise NodeError("density is not resolved (its cumulative distribution "
                         "is not strictly increasing)")
-    return x, cdf, fine
+    return np.append(points, g.length), cdf
+
+
+def _cumulative_from_cut(density: DensityField, cut_index: int):
+    """(x, cdf, fine): `_running_mass` and the interpolant on x[:-1], through
+    `Grid.upsample` and a complex antiderivative; NodeError if unresolved.
+
+    Only the geodesic's endpoints take it: tail quantiles magnify CDF rounding
+    by 1/mu (~1e9), and real transforms here moved `bb_action_n256`'s path
+    densities by 5.4e-8, so they wait for the CDF's cancellation to be fixed.
+    """
+    g = density.grid
+    fine = np.roll(_resolved(g.upsample(density.values, _REFINE)), -cut_index * _REFINE)
+    anti = g.refined(_REFINE).antiderivative((fine - 1.0 / g.length).astype(complex)).real
+    return (*_running_mass(g, anti), fine)
 
 
 def quantile_table(density: DensityField, cut_index: int) -> np.ndarray:
     """Quantiles at the midpoint probabilities (i + 1/2)/LADDER, measured
     from the cut point (coordinates on [0, L))."""
     _check_cut_mass(density, cut_index)
-    x, cdf, _ = _cumulative_from_cut(density, cut_index)
-    p = (np.arange(LADDER) + 0.5) / LADDER
-    return _pchip(cdf, x, p)
+    x, cdf = _running_mass(density.grid, _fine_rows(density, cut_index, True)[1])
+    return _pchip(cdf, x, (np.arange(LADDER) + 0.5) / LADDER)
 
 
 def w2_distance(mu: DensityField, nu: DensityField) -> float:
@@ -254,7 +269,7 @@ def displacement_geodesic(mu: DensityField, nu: DensityField):
         values = mu_fine / ((1.0 - t) + t * slope)
         # resample to the base grid through the periodic spline on the warped knots
         resampled = normalize_density(g, _periodic_spline(warped, values, g.length, base_rel))
-        _resolved_fine(resampled)
+        _fine_rows(resampled, 0, False)
         return resampled
 
     return at

@@ -92,6 +92,19 @@ def test_bench_workload_configs_validate_and_echo_their_references(seed):
                     json.loads(stored.read_text())["config"], label
 
 
+def test_bench_geodesic_pass_stays_within_its_reference_bounds(tmp_path):
+    # the displacement geodesic's endpoint CDFs set its path densities' bits:
+    # bench/verify.py refuses a seed-0 bb_action_n256 pass whose physics
+    # columns leave bench/reference by more than 1e-8 of scale
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    verify = runpy.run_path(str(BENCH / "verify.py"))
+    configs = dict(workloads["generate"]("geometry_checks", 0, scenarios))
+    run_scenario(ScenarioConfig.from_mapping(configs["bb_action_n256"]), tmp_path)
+    reference = BENCH / "reference" / "geometry_checks" / "bb_action_n256"
+    deviation = verify["reference_deviation"](tmp_path, reference)
+    assert verify["within_bounds"](*deviation), deviation
+
+
 def test_config_rejects_unknown_keys_everywhere():
     bad = _heat_mapping()
     bad["surprise"] = 1
@@ -1250,6 +1263,22 @@ def test_cli_output_path_through_a_file_exits_two_before_the_solve(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("name", ["observables.csv", "snapshots.json", "summary.json"])
+def test_cli_artifact_name_held_by_a_directory_exits_two_before_the_solve(
+        tmp_path, capsys, monkeypatch, name):
+    held = tmp_path / "o" / name
+    held.mkdir(parents=True)
+
+    def unreachable(ctx, dt):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr(scenarios, "_run_solver", unreachable)
+    assert main(["run", "--scenario", "uniform_stationary", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert str(held) in err and "Traceback" not in err
+    assert list((tmp_path / "o").iterdir()) == [held] and list(held.iterdir()) == []
 
 
 _RUN = ["run", "--scenario", "heat_entropy_dissipation"]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from madflow import DensityField, Grid
+from madflow import DensityField, Grid, scenarios
 from madflow.errors import CompatibilityError, CutError, NonFiniteError
 from madflow.states import (
     perturbed_uniform_density,
@@ -25,6 +25,7 @@ from madflow.states import (
 from madflow.transport import (
     _CHUNK_FLOATS,
     LADDER,
+    _cumulative_from_cut,
     _pchip,
     _periodic_spline,
     _solve_cyclic,
@@ -114,6 +115,32 @@ def test_quantile_table_median_of_symmetric_bump():
     offset = g.points[cut]
     absolute = (median + offset) % g.length
     assert abs(absolute - np.pi) < 1e-8
+
+
+_BUILTIN_PAIR = scenarios.builtin_mapping("benamou_brenier_action")["initial_state"]["parameters"]
+
+
+@pytest.mark.parametrize("n, centers", [
+    (256, _BUILTIN_PAIR["centers"]),
+    (1024, _BUILTIN_PAIR["centers"]),
+    (256, [0.4, 1.3]),  # a joint minimum away from index 0
+])
+def test_quantile_table_agrees_with_the_geodesic_endpoint_cdf(n, centers):
+    # quantile_table takes its CDF from one real transform of two rows; the
+    # geodesic's endpoints keep Grid.upsample and the complex antiderivative
+    g = Grid(n)
+    mu, nu = (wrapped_gaussian_density(g, c, _BUILTIN_PAIR["sigma"],
+                                       _BUILTIN_PAIR["floor_weight"]) for c in centers)
+    cut = joint_cut_index(mu, nu)
+    assert (cut != 0) == (centers == [0.4, 1.3])
+    p = (np.arange(LADDER) + 0.5) / LADDER
+    complex_path = []
+    for density in (mu, nu):
+        x, cdf, _ = _cumulative_from_cut(density, cut)
+        complex_path.append(_pchip(cdf, x, p))
+        assert np.max(np.abs(quantile_table(density, cut) - complex_path[-1])) <= 1e-12
+    gap = complex_path[0] - complex_path[1]
+    assert abs(w2_distance(mu, nu) - np.sqrt(np.mean(gap * gap))) <= 1e-14
 
 
 def test_w2_translate_oracle():
