@@ -209,7 +209,7 @@ def quantile_table(density: DensityField, cut_index: int) -> np.ndarray:
     """Quantiles at the midpoint probabilities (i + 1/2)/LADDER, measured
     from the cut point (coordinates on [0, L))."""
     _check_cut_mass(density, cut_index)
-    x, cdf = _running_mass(density.grid, _fine_rows(density, cut_index, True)[1])
+    x, cdf = _running_mass(density.grid, _fine_rows(density, cut_index, antiderivative=True)[1])
     return _pchip(cdf, x, (np.arange(LADDER) + 0.5) / LADDER)
 
 
@@ -269,7 +269,7 @@ def displacement_geodesic(mu: DensityField, nu: DensityField):
         values = mu_fine / ((1.0 - t) + t * slope)
         # resample to the base grid through the periodic spline on the warped knots
         resampled = normalize_density(g, _periodic_spline(warped, values, g.length, base_rel))
-        _fine_rows(resampled, 0, False)
+        _fine_rows(resampled, 0, antiderivative=False)
         return resampled
 
     return at
