@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures and options."""
 
 import numpy as np
 import pytest
@@ -16,3 +16,8 @@ def fft_calls(monkeypatch):
             return _transform(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def pytest_addoption(parser):
+    parser.addoption("--regenerate-golden", action="store_true",
+                     help="record this platform's suite digests in tests/golden/suite.json")

@@ -6,6 +6,11 @@ failure).  Everything here goes through the public API; the expensive
 trapped-packet trajectory is shared by the three criteria that probe it.
 """
 
+import hashlib
+import json
+import platform
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +28,9 @@ from madflow.madelung import (
     wave_hamiltonian,
 )
 from madflow.scenarios import (
+    ARTIFACTS,
     ScenarioConfig,
+    builtin_names,
     run_builtin,
     run_scenario,
     run_suite,
@@ -292,8 +299,36 @@ def test_11_gauge_ledger_reconciles_with_the_action_integral(equivalence_outcome
                    ok, f"gap {residual:.3e} (tol 1e-4)")
 
 
-def test_12_scenario_suite_is_deterministic(tmp_path):
+GOLDEN = Path(__file__).resolve().parent / "golden" / "suite.json"
+
+
+def _golden_key() -> str:
+    """The platform a digest of the suite's bytes holds for."""
+    python = ".".join(platform.python_version_tuple()[:2])
+    return f"numpy {np.__version__}, {platform.machine()}, python {python}"
+
+
+def _suite_digests(root) -> dict:
+    """sha256 of each artifact of each builtin run under `root`."""
+    return {name: {artifact: hashlib.sha256((root / name / artifact).read_bytes()).hexdigest()
+                   for artifact in ARTIFACTS}
+            for name in sorted(builtin_names())}
+
+
+def test_12_scenario_suite_is_deterministic(tmp_path, request):
     first = run_suite(tmp_path / "a")
+    digests = _suite_digests(tmp_path / "a")
+    key = _golden_key()
+    golden = json.loads(GOLDEN.read_text())
+    if request.config.getoption("--regenerate-golden"):
+        golden[key] = digests
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    assert key in golden, (f"no golden suite digests for {key!r}; regenerate them "
+                           "(README, Tests) if this platform's bytes are meant to count")
+    moved = [f"{name}/{artifact}" for name, files in digests.items()
+             for artifact, digest in files.items()
+             if golden[key].get(name, {}).get(artifact) != digest]
+    assert moved == [], f"artifacts differ from the golden bytes of {key!r}: {moved}"
     second = run_suite(tmp_path / "b", jobs=2)  # serial and parallel agree
     all_passed = all(ok for ok, _ in first.values()) \
         and all(ok for ok, _ in second.values())
@@ -301,8 +336,9 @@ def test_12_scenario_suite_is_deterministic(tmp_path):
         (tmp_path / "a" / name / artifact).read_bytes()
         == (tmp_path / "b" / name / artifact).read_bytes()
         for name in first
-        for artifact in ("observables.csv", "snapshots.json", "summary.json"))
+        for artifact in ARTIFACTS)
     ok = all_passed and identical and first.keys() == second.keys()
     assert _report(12, "suite determinism",
                    ok, f"{len(first)} scenarios passed twice (serial, then in "
-                       f"2 processes) with byte-identical artifacts: {identical}")
+                       f"2 processes) with the golden bytes, and byte-identical "
+                       f"artifacts: {identical}")
