@@ -20,12 +20,13 @@ coefficients and rate buffers to itself, returns to samples once per
 step, guards every row's finiteness and the density floor and yields
 (step, samples); each solver guards and records inline in its own loop
 over it.  Every solver, and the scenario runner's pseudo-time runners,
-read the snapshot schedule from `_snapshot_steps`; a record's times are
-those steps times dt.  The solvers only integrate: a TrajectoryRecord
-holds the snapshot times and states and, on the Madelung solver, the
-gauge ledger; mass, energies, entropy and Fisher information are
-functions of a state, derived from it by the caller.  Products are
-dealiased with the 2/3 rule.
+read the snapshot schedule and an empty record from `_snapshot_rows`; a
+record's times are the snapshot steps times dt.  The solvers only integrate: a TrajectoryRecord
+holds the snapshot times, one stacked array of the stored states and, on
+the Madelung solver, the gauge ledger; `STATE_FIELDS` names the arrays a
+state of each kind stores, a row's fields in order.  Mass, energies,
+entropy and Fisher information are functions of a state, derived from it
+by the caller.  Products are dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -37,29 +38,42 @@ import numpy as np
 from .errors import NodeError, NonFiniteError, StabilityError
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      density_floor, functionals)
+from .grid import Grid
 from .wgeom import TangentBundlePoint, flow_kernel, hamiltonian
 
 ENERGY_BLOWUP_FACTOR = 1e3
 DESCENT_TOL = 1e-10
 
 
+#: the arrays a state of each kind stores, in the order of a record row's fields
+STATE_FIELDS = {"wave": ("real", "imag"), "polar": ("density", "phase"),
+                "density": ("density",)}
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Snapshots of a run: times, states, and the Madelung gauge ledger.
 
-    The ledger (None on the other solvers) is the one per-snapshot column
-    no state determines; every other observable is a function of the
-    stored state.
+    Row i of `data`, a float array of shape (rows, fields, n) that the
+    record makes read-only, holds the fields STATE_FIELDS[kind] of the
+    state at times[i]; `state(i)` builds that WaveField, TangentBundlePoint
+    or DensityField, validated.  The ledger (None on the other solvers) is
+    the one per-snapshot column no state determines.
     """
 
+    grid: Grid
     times: np.ndarray
-    states: tuple
+    kind: str
+    data: np.ndarray
     gauge_constant: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.states):
-            raise ValueError("times and states must have matching lengths")
+        t = np.array(self.times, dtype=float)
+        data = np.asarray(self.data, dtype=float)
+        fields = STATE_FIELDS.get(self.kind, ())
+        if not fields or t.ndim != 1 or data.shape != (len(t), len(fields), self.grid.n):
+            raise ValueError(f"data of shape {data.shape} is no record of {self.kind!r} "
+                             f"states at times of shape {t.shape} on {self.grid.n} points")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("snapshot times must be strictly increasing")
         if self.gauge_constant is not None:
@@ -67,10 +81,21 @@ class TrajectoryRecord:
             if ledger.shape != t.shape:
                 raise ValueError(f"gauge ledger has shape {ledger.shape}, expected {t.shape}")
             object.__setattr__(self, "gauge_constant", ledger)
-        t = t.copy()
         t.setflags(write=False)
+        data.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "data", data)
+
+    def state(self, i: int):
+        """The validated state of row i."""
+        row = self.data[i]
+        if self.kind == "density":
+            return DensityField(self.grid, row[0])
+        if self.kind == "polar":
+            return TangentBundlePoint(DensityField(self.grid, row[0]), row[1])
+        psi = row[0].astype(complex)
+        psi.imag = row[1]
+        return WaveField(self.grid, psi)
 
 
 def _step_count(dt: float, total_time: float) -> int:
@@ -85,15 +110,17 @@ def _step_count(dt: float, total_time: float) -> int:
     return steps
 
 
-def _snapshot_steps(dt: float, total_time: float, stride: int) -> list[int]:
-    """The snapshot steps of a run: every `stride`-th step and the last."""
+def _snapshot_rows(kind: str, grid: Grid, dt: float, total_time: float, stride: int):
+    """A run's snapshot times, every `stride`-th step and the last times dt, the
+    record row of each such step, and the empty data of its `kind` states."""
     steps = _step_count(dt, total_time)
     if stride < 1:
         raise ValueError(f"snapshot stride must be >= 1, got {stride!r}")
     marks = list(range(0, steps + 1, stride))
     if marks[-1] != steps:
         marks.append(steps)
-    return marks
+    data = np.empty((len(marks), len(STATE_FIELDS[kind]), grid.n))
+    return np.array(marks) * dt, dict(zip(marks, range(len(marks)))), data
 
 
 def _rk4_steps(grid, samples, rhs, dt: float, steps: int):
@@ -147,24 +174,24 @@ def schrodinger_evolve(initial: WaveField, potential: PotentialField,
     """
     g = initial.grid
     hbar = constants.hbar
-    marks = _snapshot_steps(dt, total_time, snapshot_stride)
+    times, rows, data = _snapshot_rows("wave", g, dt, total_time, snapshot_stride)
     half_potential = np.exp(-0.5j * dt * potential.values / hbar)
     kinetic = np.exp(0.5j * hbar * dt * g.laplacian_symbol)
 
     psi = initial.values.astype(complex).copy()
-    states = [WaveField(g, psi)]
-    mark_set = set(marks)
-    for step in range(1, marks[-1] + 1):
+    data[0] = psi.real, psi.imag
+    for step in range(1, max(rows) + 1):
         psi = half_potential * psi
         psi = g.apply_symbol(psi, kinetic)
         psi = half_potential * psi
-        if step in mark_set:
+        if step in rows:
             try:
-                states.append(WaveField(g, psi))
+                WaveField(g, psi)
             except ValueError as exc:  # the norm drifted past NORM_TOL, or overflowed
                 raise StabilityError(f"the wave left the unit sphere at step {step}, "
                                      f"t = {step * dt:.6g}: {exc}") from exc
-    return TrajectoryRecord(np.array(marks) * dt, tuple(states))
+            data[rows[step]] = psi.real, psi.imag
+    return TrajectoryRecord(g, times, "wave", data)
 
 
 # -- hydrodynamic solver -----------------------------------------------------
@@ -187,18 +214,17 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     density reaches its floor and StabilityError on energy blow-up.
     """
     g = point.grid
-    marks = _snapshot_steps(dt, total_time, snapshot_stride)
+    times, rows, data = _snapshot_rows("polar", g, dt, total_time, snapshot_stride)
     v_vals = potential.values
     # hamiltonian + this weight gives kinetic + quantum + |V| energy, in
     # which no cancellation can hide a blow-up
     guard_weight = np.abs(v_vals) - v_vals
     rhs = flow_kernel(g, g.rfft(v_vals), constants.hbar)
     samples = np.stack((point.base.values, point.fiber_potential))
-    mark_set = set(marks)
-    states, ledgers = [], []
+    ledgers = np.empty(len(times))
     reference_energy = None
-    for step, x in _rk4_steps(g, samples, rhs, dt, marks[-1]):
-        if step not in mark_set:
+    for step, x in _rk4_steps(g, samples, rhs, dt, max(rows)):
+        if step not in rows:
             continue
         ledger = float(g.spacing * (x[1] * x[0]).sum())
         state = TangentBundlePoint(DensityField(g, x[0]), x[1] - ledger)
@@ -210,9 +236,9 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
                 f"energy grew to {guard:.3e} at t = {step * dt:.4g} "
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
-        states.append(state)
-        ledgers.append(ledger)
-    return TrajectoryRecord(np.array(marks) * dt, tuple(states), np.array(ledgers))
+        data[rows[step]] = state.base.values, state.fiber_potential
+        ledgers[rows[step]] = ledger
+    return TrajectoryRecord(g, times, "polar", data, ledgers)
 
 
 # -- gradient flows ----------------------------------------------------------
@@ -222,10 +248,10 @@ def heat_evolve(mu0: DensityField, dt: float, total_time: float,
                 snapshot_stride: int = 1) -> TrajectoryRecord:
     """Heat flow by the exact spectral semigroup, sampled every stride steps."""
     g = mu0.grid
-    times = np.array(_snapshot_steps(dt, total_time, snapshot_stride)) * dt
-    states = [DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t)))
-              for t in times]
-    return TrajectoryRecord(times, tuple(states))
+    times, _, data = _snapshot_rows("density", g, dt, total_time, snapshot_stride)
+    for row, t in zip(data, times):
+        row[0] = DensityField(g, g.apply_symbol(mu0.values, np.exp(g.laplacian_symbol * t))).values
+    return TrajectoryRecord(g, times, "density", data)
 
 
 def dlss_evolve(mu0: DensityField, potential: PotentialField,
@@ -242,7 +268,7 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
     (step size violation).
     """
     g = mu0.grid
-    marks = _snapshot_steps(dt, total_time, snapshot_stride)
+    times, rows, data = _snapshot_rows("density", g, dt, total_time, snapshot_stride)
     kernel = flow_kernel(g, g.rfft(potential.values), constants.hbar)
     pair = np.empty((2, g.n // 2 + 1), dtype=complex)
     rates = np.empty_like(pair)
@@ -253,10 +279,8 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
         pair[1] = kernel(pair, rates)[1]
         out[0] = kernel(pair, rates)[0]
         return out
-    mark_set = set(marks)
     energy = np.inf
-    states = []
-    for step, x in _rk4_steps(g, mu0.values[None, :], rhs, dt, marks[-1]):
+    for step, x in _rk4_steps(g, mu0.values[None, :], rhs, dt, max(rows)):
         mu = DensityField(g, x[0])
         new_energy = functionals(mu, potential, constants).total_energy
         if new_energy > energy + DESCENT_TOL:
@@ -265,6 +289,6 @@ def dlss_evolve(mu0: DensityField, potential: PotentialField,
                 f"t = {step * dt:.4g}; reduce the step size"
             )
         energy = new_energy
-        if step in mark_set:
-            states.append(mu)
-    return TrajectoryRecord(np.array(marks) * dt, tuple(states))
+        if step in rows:
+            data[rows[step], 0] = mu.values
+    return TrajectoryRecord(g, times, "density", data)

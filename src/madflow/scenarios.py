@@ -14,7 +14,6 @@ Builtin scenarios cover the whole acceptance surface; see
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -22,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -483,12 +482,14 @@ def _solver_start(solver: str, mu: DensityField, phase_values: np.ndarray,
 
 
 def _trials(config: ScenarioConfig, trial) -> TrajectoryRecord:
-    """The record of the pseudo-time (static and displacement) runners.
-
-    `trial(k)` at every snapshot step k, built before the solve.
-    """
-    marks = dynamics._snapshot_steps(config.dt, config.total_time, config.snapshot_stride)
-    return TrajectoryRecord(np.array(marks) * config.dt, tuple(trial(k) for k in marks))
+    """The record of the pseudo-time (static and displacement) runners, built
+    before the solve: at each snapshot step k, the fields `trial(k)` of a state."""
+    kind = _record_kind(config.solver, config.initial_kind)
+    times, rows, data = dynamics._snapshot_rows(kind, config.grid, config.dt,
+                                                config.total_time, config.snapshot_stride)
+    for k, row in rows.items():
+        data[row] = trial(k)
+    return TrajectoryRecord(config.grid, times, kind, data)
 
 
 def build_potential(config: ScenarioConfig) -> PotentialField:
@@ -534,9 +535,10 @@ def build_initial(config: ScenarioConfig) -> dict:
         seed, modes = args["seed"], args["modes"]
         d_amp, p_amp = args["density_amplitude"], args["phase_amplitude"]
         if solver == "static":
-            def wave_trial(trial: int) -> WaveField:
+            def wave_trial(trial: int) -> tuple[np.ndarray, np.ndarray]:
                 rng = np.random.default_rng(seed + trial)
-                return statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp)
+                psi = statelib.random_wave(grid, rng, constants, modes, d_amp, p_amp).values
+                return psi.real, psi.imag
             return {"trials": _trials(config, wave_trial)}
         rng = np.random.default_rng(seed)
         mu = statelib.random_density(grid, rng, modes, d_amp)
@@ -547,7 +549,7 @@ def build_initial(config: ScenarioConfig) -> dict:
             rng = np.random.default_rng(args["seed"] + trial)
             return statelib.random_density(grid, rng, args["modes"], args["amplitude"])
         if solver == "static":
-            return {"trials": _trials(config, density_trial)}
+            return {"trials": _trials(config, lambda k: density_trial(k).values)}
         return {"density": density_trial(0)}
     # gaussian_pair
     centers = args.pop("centers")
@@ -559,7 +561,7 @@ def build_initial(config: ScenarioConfig) -> dict:
     # here means the grid does not resolve it
     geodesic = transport.displacement_geodesic(*pair)
     return {"pair": pair, "trials": _trials(
-        config, lambda k: geodesic(min(k * config.dt / config.total_time, 1.0)))}
+        config, lambda k: geodesic(min(k * config.dt / config.total_time, 1.0)).values)}
 
 
 # -- execution ---------------------------------------------------------------
@@ -628,14 +630,19 @@ def _default_dt(solver: str, grid: Grid, hbar: float, total_time: float) -> floa
     return dt
 
 
+def _record_kind(solver: str, initial_kind: str) -> str:
+    """The kind, a key of `dynamics.STATE_FIELDS`, of the states `solver` records."""
+    wave = solver == "schrodinger" or (solver, initial_kind) == ("static", "random_polar")
+    return "wave" if wave else "polar" if solver == "madelung" else "density"
+
+
 def _require_record_budget(solver: str, initial_kind: str, n: int, steps: int,
                            stride: int) -> None:
     """ConfigError unless the snapshots of `steps` steps at `stride` fit in
-    MAX_RECORD_BYTES: a density state holds n floats, a wave or a polar
-    state 2n."""
+    MAX_RECORD_BYTES: a state holds n floats per field of its kind in
+    `dynamics.STATE_FIELDS`."""
     rows = -(-steps // stride) + 1  # every stride-th step, and the last
-    density = solver in ("heat", "dlss", "displacement") or initial_kind == "random_density"
-    floats = n if density else 2 * n
+    floats = n * len(dynamics.STATE_FIELDS[_record_kind(solver, initial_kind)])
     if 8 * rows * floats > MAX_RECORD_BYTES:
         mib = rows * (8 * floats / 2 ** 20)  # a float product: inf, not OverflowError, past 1e308
         raise ConfigError(
@@ -693,8 +700,16 @@ def execute_config(config: ScenarioConfig) -> RunContext:
 # -- observable composition --------------------------------------------------
 
 
-def _physics_row(ctx: RunContext, state) -> dict:
-    """The physics columns `state` defines, each from its one definition.
+def _density_row(rec: TrajectoryRecord, i: int) -> np.ndarray:
+    """The density samples of row i: |Psi|^2 of a wave, row i's density field else."""
+    fields = rec.data[i]
+    return np.abs(fields[0] + 1j * fields[1]) ** 2 if rec.kind == "wave" else fields[0]
+
+
+def _row(ctx: RunContext, rec: TrajectoryRecord, i: int) -> dict:
+    """The columns that row i of `rec` defines, each from its one
+    definition: its time, its gauge ledger entry (0.0 on a record without
+    a ledger) and the physics of its state.
 
     Every state has a mass.  A wave earns the hydrodynamic columns only
     while its Madelung transform exists (nowhere-vanishing, winding-free);
@@ -703,18 +718,20 @@ def _physics_row(ctx: RunContext, state) -> dict:
     and the Lagrangian of its descent velocity.
     """
     potential, constants = ctx.potential, ctx.constants
-    row = {"mass": ctx.grid.integrate(_state_arrays(state)[0])}
-    density = point = state
-    if isinstance(state, WaveField):
-        row["H_S"] = wave_hamiltonian(state, potential, constants)
+    ledger = 0.0 if rec.gauge_constant is None else float(rec.gauge_constant[i])
+    row = {"time": float(rec.times[i]), "gauge_constant": ledger,
+           "mass": ctx.grid.integrate(_density_row(rec, i))}
+    density = point = rec.state(i)
+    if rec.kind == "wave":
+        row["H_S"] = wave_hamiltonian(point, potential, constants)
         try:
-            point = madelung_transform(state, constants)
+            point = madelung_transform(point, constants)
         except (NodeError, AliasError, WindingError):
             return row
-    elif isinstance(state, TangentBundlePoint):
-        wave = WaveField(ctx.grid, polar_wave(state, constants))
+    elif rec.kind == "polar":
+        wave = WaveField(ctx.grid, polar_wave(point, constants))
         row["H_S"] = wave_hamiltonian(wave, potential, constants)
-    if isinstance(point, TangentBundlePoint):
+    if rec.kind != "density":
         density = point.base
         row["H_F"] = hamiltonian(point, potential, constants)
         row["L_F"] = lagrangian(point.tangent, potential, constants)
@@ -727,22 +744,11 @@ def _physics_row(ctx: RunContext, state) -> dict:
     return row
 
 
-def _row(ctx: RunContext, rec: TrajectoryRecord, i: int) -> dict:
-    """Row i of `rec`: its time, its gauge ledger entry (0.0 on a record
-    without a ledger) and the physics row of its state."""
-    ledger = 0.0 if rec.gauge_constant is None else float(rec.gauge_constant[i])
-    return {"time": float(rec.times[i]), "gauge_constant": ledger,
-            **_physics_row(ctx, rec.states[i])}
-
-
 def _compose_columns(ctx: RunContext) -> dict:
     """The eight columns of `_row` over the record; nan where undefined."""
-    rows = len(ctx.record.times)
-    cols = {name: np.full(rows, np.nan) for name in OBSERVABLE_COLUMNS}
-    for i in range(rows):
-        for name, value in _row(ctx, ctx.record, i).items():
-            cols[name][i] = value
-    return cols
+    rows = [_row(ctx, ctx.record, i) for i in range(len(ctx.record.times))]
+    return {name: np.array([row.get(name, np.nan) for row in rows])
+            for name in OBSERVABLE_COLUMNS}
 
 
 # -- checks ------------------------------------------------------------------
@@ -787,27 +793,18 @@ def _time_derivative(values, h: float) -> np.ndarray:
     return out
 
 
-def _state_arrays(state) -> tuple[np.ndarray, ...]:
-    if isinstance(state, TangentBundlePoint):
-        return (state.base.values, state.fiber_potential)
-    if isinstance(state, WaveField):
-        return (np.abs(state.values) ** 2,)
-    return (state.values,)
-
-
 def _check_mass_conservation(ctx: RunContext) -> np.ndarray:
     """Total mass stays at one."""
     return np.abs(ctx.columns["mass"] - 1.0)
 
 
 def _check_stationarity(ctx: RunContext) -> np.ndarray:
-    """State stays at its initial value."""
-    base = _state_arrays(ctx.record.states[0])
-    out = np.zeros(len(ctx.record.times))
-    for i, state in enumerate(ctx.record.states):
-        parts = _state_arrays(state)
-        out[i] = max(float(np.abs(p - q).max()) for p, q in zip(parts, base))
-    return out
+    """State stays at its initial value (a wave's density, whose phase may turn)."""
+    rec = ctx.record
+    if rec.kind != "wave":
+        return np.abs(rec.data - rec.data[0]).max(axis=(1, 2))
+    base = _density_row(rec, 0)
+    return np.array([np.abs(_density_row(rec, i) - base).max() for i in range(len(rec.times))])
 
 
 def _check_energy_conservation(ctx: RunContext) -> np.ndarray:
@@ -827,45 +824,48 @@ def _check_eigenstate_phase(ctx: RunContext) -> np.ndarray:
     """Single mode accumulates the exact phase."""
     k = TAU * ctx.initial["mode"] / ctx.grid.length
     rotation = -0.5j * ctx.constants.hbar * k * k
-    psi0 = ctx.record.states[0].values
-    return _l2_gaps(ctx.grid, (state.values - np.exp(rotation * t) * psi0
-                               for t, state in zip(ctx.record.times, ctx.record.states)))
+    rec = ctx.record
+    psi0 = rec.state(0).values
+    return _l2_gaps(ctx.grid, (rec.state(i).values - np.exp(rotation * t) * psi0
+                               for i, t in enumerate(rec.times)))
 
 
 def _check_free_packet_density(ctx: RunContext) -> np.ndarray:
     """Density tracks the closed-form spreading packet."""
-    packet = ctx.initial["packet"]
-    return _l2_gaps(ctx.grid, (np.abs(state.values) ** 2 - np.abs(packet(float(t)).values) ** 2
-                               for t, state in zip(ctx.record.times, ctx.record.states)))
+    packet, rec = ctx.initial["packet"], ctx.record
+    return _l2_gaps(ctx.grid, (_density_row(rec, i) - np.abs(packet(float(t)).values) ** 2
+                               for i, t in enumerate(rec.times)))
 
 
 def _check_schrodinger_density_match(ctx: RunContext) -> np.ndarray:
     """Hydrodynamic density tracks the wave solver."""
-    return _l2_gaps(ctx.grid, (polar.base.values - np.abs(wave.values) ** 2 for polar, wave
-                               in zip(ctx.record.states, ctx.wave_oracle.states)))
+    rec, oracle = ctx.record, ctx.wave_oracle
+    return _l2_gaps(ctx.grid, (rec.data[i, 0] - _density_row(oracle, i)
+                               for i in range(len(rec.times))))
 
 
 def _check_velocity_potential_match(ctx: RunContext) -> np.ndarray:
     """The gap between the fiber and the gauge-fixed Madelung phase of the
     wave; nan where the wave has a node."""
-    def gap(polar: TangentBundlePoint, wave: WaveField) -> np.ndarray | None:
+    def gap(i: int) -> np.ndarray | None:
         try:
-            potential = madelung_transform(wave, ctx.constants).tangent.potential
+            wave = madelung_transform(ctx.wave_oracle.state(i), ctx.constants)
         except NodeError:
             return None
-        return potential - polar.fiber_potential
-    return _l2_gaps(ctx.grid, map(gap, ctx.record.states, ctx.wave_oracle.states))
+        return wave.tangent.potential - ctx.record.data[i, 1]
+    return _l2_gaps(ctx.grid, map(gap, range(len(ctx.record.times))))
 
 
 def _check_newton_residual(ctx: RunContext) -> np.ndarray:
     """Covariant acceleration balances the energy gradient, taken in Bohm's
     form V - (hbar^2/2) dealias(lap(sqrt mu)/sqrt mu): no code shared with the solver."""
-    g, sts = ctx.grid, ctx.record.states
-    rates = _time_derivative([s.fiber_potential for s in sts], _uniform_snapshot_step(ctx))
-    out = np.full(len(sts), np.nan)
-    for i in range(1, len(sts) - 1):
-        mu = sts[i].base
-        acceleration = covariant_acceleration(sts[i], rates[i])
+    g, rec = ctx.grid, ctx.record
+    rates = _time_derivative(rec.data[:, 1], _uniform_snapshot_step(ctx))
+    out = np.full(len(rec.times), np.nan)
+    for i in range(1, len(out) - 1):
+        point = rec.state(i)
+        mu = point.base
+        acceleration = covariant_acceleration(point, rates[i])
         root = np.sqrt(mu.values)
         bohm = g.dealias(g.apply_symbol(root, g.laplacian_symbol) / root)
         gradient = TangentVector(mu, ctx.potential.values - 0.5 * ctx.constants.hbar ** 2 * bohm)
@@ -914,26 +914,23 @@ _PULLBACK_SEED_BASE = 900
 def _check_symplectic_pullback(ctx: RunContext) -> np.ndarray:
     """Wave symplectic form pulls back to the scaled bundle form."""
     g = ctx.grid
-    out = np.zeros(len(ctx.record.states))
-    for i, state in enumerate(ctx.record.states):
+    out = np.zeros(len(ctx.record.times))
+    for i in range(len(out)):
         constants = PhysicsConstants(_PULLBACK_HBAR_CYCLE[i % 3])
-        rng = np.random.default_rng(_PULLBACK_SEED_BASE + i)
-        point = TangentBundlePoint(state, statelib.random_zero_mean(g, rng, 3, 0.4))
-        spec_a = StandardVectorFieldSpec(g, statelib.random_zero_mean(g, rng, 3, 0.4),
-                                         statelib.random_zero_mean(g, rng, 3, 0.4))
-        spec_b = StandardVectorFieldSpec(g, statelib.random_zero_mean(g, rng, 3, 0.4),
-                                         statelib.random_zero_mean(g, rng, 3, 0.4))
+        draw = partial(statelib.random_zero_mean, g,
+                       np.random.default_rng(_PULLBACK_SEED_BASE + i), 3, 0.4)
+        point = TangentBundlePoint(ctx.record.state(i), draw())
+        spec_a, spec_b = (StandardVectorFieldSpec(g, draw(), draw()) for _ in range(2))
         out[i] = submersion_pullback_defect(point, spec_a, spec_b, constants)
     return out
 
 
 def _check_bb_action_match(ctx: RunContext) -> np.ndarray:
     """Kinetic action of the geodesic equals the squared distance."""
-    h = _uniform_snapshot_step(ctx)
-    action = transport.path_action(ctx.record.states, h)
-    w2sq = ctx.w2_squared
-    value = abs(action - w2sq) / max(w2sq, _TINY)
-    return np.full(len(ctx.record.times), value)
+    rec, w2sq = ctx.record, ctx.w2_squared
+    path = [rec.state(i) for i in range(len(rec.times))]
+    action = transport.path_action(path, _uniform_snapshot_step(ctx))
+    return np.full(len(path), abs(action - w2sq) / max(w2sq, _TINY))
 
 
 _PERTURBED_PATH_COUNT = 5
@@ -943,34 +940,24 @@ _OPTIMALITY_SLACK = 1e-6
 
 def _check_bb_path_optimality(ctx: RunContext) -> np.ndarray:
     """Worst violation of action >= W2^2 - slack over perturbed paths."""
-    h = _uniform_snapshot_step(ctx)
-    g = ctx.grid
-    w2sq = ctx.w2_squared
-    base = ctx.record.states
-    last = len(base) - 1
+    g, base = ctx.grid, ctx.record.data[:, 0]
+    tilts = _PERTURBED_PATH_AMPLITUDE * np.sin(np.pi * np.arange(len(base)) / (len(base) - 1))
     x = TAU * g.points / g.length
     violation = 0.0
     for j in range(1, _PERTURBED_PATH_COUNT + 1):
-        envelope = np.sin(np.pi * np.arange(len(base)) / last)
         wiggle = np.sin(j * x + 0.7 * j)
-        path = [normalize_density(g, mu.values * (1.0 + _PERTURBED_PATH_AMPLITUDE
-                                                  * envelope[k] * wiggle))
-                for k, mu in enumerate(base)]
-        action = transport.path_action(path, h)
-        violation = max(violation, (w2sq - _OPTIMALITY_SLACK) - action)
+        path = [normalize_density(g, mu * (1.0 + tilt * wiggle)) for mu, tilt in zip(base, tilts)]
+        action = transport.path_action(path, _uniform_snapshot_step(ctx))
+        violation = max(violation, (ctx.w2_squared - _OPTIMALITY_SLACK) - action)
     return np.full(len(base), max(violation, 0.0))
 
 
 def _check_constant_speed(ctx: RunContext) -> np.ndarray:
     """Distance from the start grows linearly along the geodesic."""
-    sts = ctx.record.states
-    times = ctx.record.times
-    total_time = times[-1]
-    total = np.sqrt(ctx.w2_squared)
-    out = np.zeros(len(sts))
-    for i, reached in enumerate(transport.w2_distances(sts[1:], sts[0]), start=1):
-        out[i] = abs(reached - (times[i] / total_time) * total)
-    return out
+    rec = ctx.record
+    path = [rec.state(i) for i in range(len(rec.times))]
+    reached = np.array([0.0, *transport.w2_distances(path[1:], path[0])])
+    return np.abs(reached - (rec.times / rec.times[-1]) * np.sqrt(ctx.w2_squared))
 
 
 CHECKS: dict[str, CheckDefinition] = {
@@ -1046,26 +1033,6 @@ def _write_observables(path: Path, ctx: RunContext,
             out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _snapshot_arrays(states: Sequence) -> Iterator[tuple[bytes, np.ndarray]]:
-    """Each array of each state with the JSON text that goes before it;
-    the "]}" that closes the last state is left to the caller."""
-    glue = b""
-    for state in states:
-        if isinstance(state, WaveField):
-            kind, fields = b"wave", ((b"real", state.values.real),
-                                     (b"imag", state.values.imag))
-        elif isinstance(state, TangentBundlePoint):
-            kind, fields = b"polar", ((b"density", state.base.values),
-                                      (b"phase", state.fiber_potential))
-        else:
-            kind, fields = b"density", ((b"density", state.values),)
-        glue += b'{"kind":"%s"' % kind
-        for name, values in fields:
-            yield glue + b',"%s":[' % name, values
-            glue = b"]"
-        glue = b"]},"
-
-
 #: floats encoded per `floattext.encode_rows` call: enough whole arrays to
 #: spread its fixed cost (~0.1 ms a call) over a short record, few enough
 #: that its temporaries (~240 bytes a float) and its tables (~0.5 MB,
@@ -1076,22 +1043,28 @@ BLOCK_FLOATS = 1024
 def _write_snapshots(path: Path, ctx: RunContext) -> None:
     """`snapshots.json`: the bytes of one compact `json.dumps` of
     {scenario, grid, times, states} and a newline.  Each state is written
-    as the fixed JSON text around the `floattext` encodings of its arrays,
-    which are encoded a block of whole arrays (at most `BLOCK_FLOATS`
-    floats, or one longer array) at a time."""
+    as the fixed JSON text around the `floattext` encodings of its fields,
+    named by `dynamics.STATE_FIELDS`; the record's arrays are encoded a
+    block of whole arrays (at most `BLOCK_FLOATS` floats, or one longer
+    array) at a time."""
+    rec, n = ctx.record, ctx.grid.n
     head = json.dumps({"scenario": ctx.config.name,
-                       "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
-                       "times": ctx.record.times.tolist()}, separators=(",", ":"))
-    arrays = _snapshot_arrays(ctx.record.states)
-    per_block = max(1, BLOCK_FLOATS // ctx.grid.n)
+                       "grid": {"n": n, "length": ctx.grid.length},
+                       "times": rec.times.tolist()}, separators=(",", ":"))
+    first, *rest = (name.encode() for name in dynamics.STATE_FIELDS[rec.kind])
+    # the JSON text before each field of a state, the first after the state before
+    glue = [b']},{"kind":"%s","%s":[' % (rec.kind.encode(), first)]
+    glue += [b'],"%s":[' % name for name in rest]
+    arrays = rec.data.reshape(-1, n)
+    per_block = max(1, BLOCK_FLOATS // n)
     with path.open("wb") as out:
         out.write(head[:-1].encode() + b',"states":[')
-        while block := list(itertools.islice(arrays, per_block)):
-            texts = floattext.encode_rows(np.stack([values for _, values in block]))
-            for (glue, _), text in zip(block, texts):
-                out.write(glue)
+        for start in range(0, len(arrays), per_block):
+            texts = floattext.encode_rows(arrays[start:start + per_block])
+            for j, text in enumerate(texts, start):
+                out.write(glue[j % len(glue)] if j else glue[0][3:])
                 out.write(text)
-        out.write(b"]}]}\n" if ctx.record.states else b"]}\n")
+        out.write(b"]}]}\n" if len(arrays) else b"]}\n")
 
 
 def _summary_payload(ctx: RunContext, results: Sequence[CheckResult],

@@ -62,6 +62,11 @@ ONE = PhysicsConstants(hbar=1.0)
 HBAR_CYCLE = (0.5, 1.0, 2.0)
 
 
+def _states(rec):
+    """The validated state of each row of a record."""
+    return [rec.state(i) for i in range(len(rec.times))]
+
+
 def _report(index: int, label: str, ok: bool, detail: str) -> bool:
     verdict = "PASS" if ok else "FAIL"
     print(f"[{verdict}] acceptance {index:02d} {label}: {detail}")
@@ -140,7 +145,7 @@ def test_02_wave_solver_reproduces_closed_forms():
     record = schrodinger_evolve(plane_wave(GRID, 3), potential, ONE,
                                 dt=1e-3, total_time=1.0, snapshot_stride=1000)
     exact = plane_wave(GRID, 3).values * np.exp(-1j * (0.5 * 9 + v0) * 1.0)
-    phase_err = np.abs(record.states[-1].values - exact).max()
+    phase_err = np.abs(record.state(-1).values - exact).max()
 
     free = run_builtin("free_gaussian", write=False)
     packet_err = _check_residual(free, "free_packet_density")
@@ -235,7 +240,7 @@ def test_07_metric_gradients_are_directional_derivatives():
 def test_08_heat_flow_dissipates_entropy_at_fisher_rate():
     mu0 = perturbed_uniform_density(GRID, amplitude=0.3, mode=1)
     record = heat_evolve(mu0, dt=1e-3, total_time=0.5)
-    values = [functionals(s, PotentialField.zero(GRID), ONE) for s in record.states]
+    values = [functionals(s, PotentialField.zero(GRID), ONE) for s in _states(record)]
     entropy = np.array([v.entropy for v in values])
     fisher = np.array([v.fisher for v in values])
     rate = (entropy[2:] - entropy[:-2]) / (2.0 * 1e-3)
@@ -250,12 +255,12 @@ def test_09_quartic_descent_is_monotone_and_fixes_uniform():
     none = PotentialField(small, np.zeros(small.n))
     record = dlss_evolve(perturbed_uniform_density(small, amplitude=0.2, mode=2),
                          none, ONE, dt=2e-5, total_time=0.01)
-    energy = np.array([functionals(s, none, ONE).total_energy for s in record.states])
+    energy = np.array([functionals(s, none, ONE).total_energy for s in _states(record)])
     ascent = float(np.max(np.diff(energy)))
     flat = dlss_evolve(uniform_density(small), none, ONE,
                        dt=2e-5, total_time=0.01)
     drift = max(np.abs(state.values - 1.0 / small.length).max()
-                for state in flat.states)
+                for state in _states(flat))
     ok = ascent <= 1e-10 and energy[-1] < energy[0] and drift <= 1e-12
     assert _report(9, "energy descent flow",
                    ok, f"worst per-step ascent {ascent:.3e} (tol 1e-10), "

@@ -22,6 +22,7 @@ from madflow import (
 )
 from madflow import dynamics, scenarios
 from madflow.dynamics import (
+    STATE_FIELDS,
     TrajectoryRecord,
     dlss_evolve,
     heat_evolve,
@@ -46,30 +47,81 @@ from madflow.wgeom import (TangentBundlePoint, flow_kernel,
 TAU = 2 * np.pi
 
 
+def _states(rec):
+    """The validated state of each row of a record."""
+    return [rec.state(i) for i in range(len(rec.times))]
+
+
 def _at_rest(mu):
     return TangentBundlePoint(mu, np.zeros(mu.grid.n))
 
 
 def _lagrangians(rec, V, c):
     """L_F of each polar snapshot, with the phase as velocity potential."""
-    return np.array([lagrangian(s.tangent, V, c) for s in rec.states])
+    return np.array([lagrangian(s.tangent, V, c) for s in _states(rec)])
 
 
 # -- record container --------------------------------------------------------
 
 
-def test_trajectory_record_validation():
+def _density_pair(g):
+    mu = uniform_density(g).values
+    return np.stack([[mu], [mu]])
+
+
+def test_trajectory_record_holds_a_ledger_or_none():
     g = Grid(16)
-    mu = uniform_density(g)
-    good = TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu), np.array([0.0, 0.5]))
-    assert good.states == (mu, mu)
-    assert TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu)).gauge_constant is None
+    good = TrajectoryRecord(g, np.array([0.0, 1.0]), "density", _density_pair(g),
+                            np.array([0.0, 0.5]))
+    assert good.data.shape == (2, 1, 16)
+    assert good.gauge_constant.tolist() == [0.0, 0.5]
+    assert TrajectoryRecord(g, np.array([0.0, 1.0]), "density",
+                            _density_pair(g)).gauge_constant is None
+
+
+@pytest.mark.parametrize("times, kind, rows, ledger", [
+    ([0.0, 1.0], "density", slice(0, 1), None),  # a row count other than the times'
+    ([0.0, 1.0], "polar", slice(None), None),  # one field where a polar state has two
+    ([0.0, 1.0], "density", (slice(None), slice(None), slice(0, 8)), None),  # wrong n
+    ([1.0, 0.5], "density", slice(None), None),  # times not increasing
+    ([0.0, 1.0], "density", slice(None), [1.0]),  # a ledger of the wrong shape
+    ([0.0, 1.0], "wavelet", slice(None), None),  # no such kind
+], ids=["rows", "fields", "n", "times", "ledger", "kind"])
+def test_trajectory_record_validation(times, kind, rows, ledger):
+    g = Grid(16)
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (mu,))
+        TrajectoryRecord(g, np.array(times), kind, _density_pair(g)[rows],
+                         None if ledger is None else np.array(ledger))
+
+
+def test_trajectory_record_data_is_read_only():
+    g = Grid(16)
+    data = np.ones((1, 1, 16)) / TAU
+    rec = TrajectoryRecord(g, np.array([0.0]), "density", data)
+    assert not rec.data.flags.writeable
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([1.0, 0.5]), (mu, mu))
-    with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (mu, mu), np.array([1.0]))  # ledger shape
+        rec.data[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["wave", "polar", "density"])
+def test_trajectory_record_state_returns_the_stored_row_bit_for_bit(kind):
+    g = Grid(32)
+    density = (1.0 + 0.3 * np.cos(g.points)) / TAU
+    phase = 0.4 * np.sin(g.points)
+    wave = np.sqrt(density) * np.exp(1j * phase)
+    wave[3] = complex(-0.0, wave[3].imag)  # a signed zero survives the round trip
+    wave /= np.sqrt(g.integrate(np.abs(wave) ** 2))
+    fields = {"wave": (wave.real, wave.imag), "polar": (density, phase),
+              "density": (density,)}[kind]
+    data = np.stack([fields, fields])
+    rec = TrajectoryRecord(g, np.array([0.0, 0.5]), kind, data)
+    state = rec.state(1)
+    stored = {"wave": lambda: (state.values.real, state.values.imag),
+              "polar": lambda: (state.base.values, state.fiber_potential),
+              "density": lambda: (state.values,)}[kind]()
+    assert len(stored) == len(STATE_FIELDS[kind])
+    for got, row in zip(stored, data[1]):
+        assert got.tobytes() == row.tobytes()
 
 
 def test_step_count_and_stride_semantics():
@@ -94,15 +146,15 @@ def test_every_run_samples_the_one_snapshot_schedule(stride, marks):
     g, c = Grid(16), PhysicsConstants(1.0)
     mu, V, dt, T = uniform_density(g), PotentialField.zero(g), 1e-3, 0.02
     config = scenarios.ScenarioConfig.from_mapping({
-        "name": "static", "initial_state": {"kind": "random_density"},
+        "name": "static", "grid": {"n": 16}, "initial_state": {"kind": "random_density"},
         "integrator": {"solver": "static", "dt": dt, "total_time": T,
                        "snapshot_stride": stride}})
     records = [schrodinger_evolve(plane_wave(g, 1), V, c, dt, T, stride),
                madelung_evolve(_at_rest(mu), V, c, dt, T, stride),
                heat_evolve(mu, dt, T, stride),
                dlss_evolve(mu, V, c, dt, T, stride),
-               scenarios._trials(config, lambda k: mu)]
-    assert dynamics._snapshot_steps(dt, T, stride) == marks
+               scenarios._trials(config, lambda k: mu.values)]
+    assert list(dynamics._snapshot_rows("density", g, dt, T, stride)[1]) == marks
     for rec in records:
         assert np.array_equal(rec.times, np.array(marks) * dt)
 
@@ -118,7 +170,7 @@ def test_schrodinger_plane_wave_exact():
     T = 0.2
     rec = schrodinger_evolve(psi0, V, c, 1e-3, T, snapshot_stride=50)
     expected = psi0.values * np.exp(-1j * (0.5 * 4.0 + 0.4) * T)
-    err = np.sqrt(g.integrate(np.abs(rec.states[-1].values - expected) ** 2))
+    err = np.sqrt(g.integrate(np.abs(rec.state(-1).values - expected) ** 2))
     assert err < 1e-12
 
 
@@ -130,7 +182,7 @@ def test_schrodinger_hbar_enters_dispersion():
     for hbar in (0.5, 2.0):
         rec = schrodinger_evolve(psi0, V, PhysicsConstants(hbar), 1e-3, T)
         expected = psi0.values * np.exp(-1j * hbar * 4.5 * T)
-        assert np.max(np.abs(rec.states[-1].values - expected)) < 1e-12
+        assert np.max(np.abs(rec.state(-1).values - expected)) < 1e-12
 
 
 def test_schrodinger_conserves_mass_and_energy():
@@ -139,9 +191,9 @@ def test_schrodinger_conserves_mass_and_energy():
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
     psi0 = WaveField.normalized(g, np.sqrt(wrapped_gaussian_density(g, np.pi, 0.5).values))
     rec = schrodinger_evolve(psi0, V, c, 1e-3, 0.2, snapshot_stride=20)
-    mass = np.array([g.integrate(np.abs(s.values) ** 2) for s in rec.states])
+    mass = np.array([g.integrate(np.abs(s.values) ** 2) for s in _states(rec)])
     assert np.abs(mass - 1.0).max() < 1e-12
-    hs = np.array([wave_hamiltonian(s, V, c) for s in rec.states])
+    hs = np.array([wave_hamiltonian(s, V, c) for s in _states(rec)])
     assert np.abs(hs - hs[0]).max() / abs(hs[0]) < 1e-7
 
 
@@ -154,7 +206,7 @@ def test_madelung_uniform_rest_state_is_stationary():
     mu = uniform_density(g)
     rec = madelung_evolve(_at_rest(mu), PotentialField.zero(g),
                           c, 1e-3, 0.05, snapshot_stride=10)
-    final = rec.states[-1]
+    final = rec.state(-1)
     assert isinstance(final, TangentBundlePoint)
     assert np.max(np.abs(final.base.values - mu.values)) < 1e-14
     assert np.max(np.abs(final.fiber_potential)) < 1e-14
@@ -172,7 +224,7 @@ def test_madelung_constant_potential_feeds_the_ledger():
     rec = madelung_evolve(_at_rest(mu), V, c, 1e-3, 0.1, snapshot_stride=20)
     assert np.max(np.abs(rec.gauge_constant - (-0.8 * rec.times))) < 1e-12
     assert np.max(np.abs(_lagrangians(rec, V, c) + 0.8)) < 1e-12
-    h_f = [hamiltonian(s, V, c) for s in rec.states]
+    h_f = [hamiltonian(s, V, c) for s in _states(rec)]
     assert np.max(np.abs(np.array(h_f) - 0.8)) < 1e-12
 
 
@@ -197,7 +249,7 @@ def test_madelung_tracks_the_wave_solver():
     wrec = schrodinger_evolve(madelung_section(start, 0.0, c), V, c,
                               1e-4, 0.05, snapshot_stride=100)
     assert np.allclose(mrec.times, wrec.times)
-    for polar, wave in zip(mrec.states, wrec.states):
+    for polar, wave in zip(_states(mrec), _states(wrec)):
         gap = polar.base.values - np.abs(wave.values) ** 2
         assert np.sqrt(g.integrate(gap * gap)) < 1e-9
 
@@ -223,8 +275,8 @@ def test_madelung_restarts_from_a_stored_snapshot():
     full, half_time = ctx.record, 0.5 * ctx.config.total_time
     args = (ctx.potential, ctx.constants, ctx.dt, half_time)
     half = madelung_evolve(ctx.initial["point"], *args, snapshot_stride=1250)
-    rest = madelung_evolve(half.states[-1], *args, snapshot_stride=1250)
-    end, restarted = full.states[-1], rest.states[-1]
+    rest = madelung_evolve(half.state(-1), *args, snapshot_stride=1250)
+    end, restarted = full.state(-1), rest.state(-1)
     assert np.max(np.abs(restarted.base.values - end.base.values)) < 1e-12
     assert np.max(np.abs(restarted.fiber_potential - end.fiber_potential)) < 1e-12
     ledger = half.gauge_constant[-1] + rest.gauge_constant[-1]
@@ -246,13 +298,13 @@ def test_madelung_record_is_blind_to_the_phase_constant_and_restarts(seed, shift
     dt, stride, steps = 1e-3, 5, 20
     full = madelung_evolve(TangentBundlePoint(mu, phase), V, c, dt, steps * dt, stride)
     moved = madelung_evolve(TangentBundlePoint(mu, phase + shift), V, c, dt, steps * dt, stride)
-    for a, b in zip(full.states, moved.states):
+    for a, b in zip(_states(full), _states(moved)):
         assert np.max(np.abs(a.base.values - b.base.values)) <= 1e-12
         assert np.max(np.abs(a.fiber_potential - b.fiber_potential)) <= 1e-12
     assert np.max(np.abs(moved.gauge_constant - full.gauge_constant - shift)) <= 1e-13
 
-    rest = madelung_evolve(full.states[mark], V, c, dt, (steps - mark * stride) * dt, stride)
-    assert np.max(np.abs(rest.states[-1].base.values - full.states[-1].base.values)) <= 1e-12
+    rest = madelung_evolve(full.state(mark), V, c, dt, (steps - mark * stride) * dt, stride)
+    assert np.max(np.abs(rest.state(-1).base.values - full.state(-1).base.values)) <= 1e-12
     ledger = full.gauge_constant[mark] + rest.gauge_constant[-1]
     assert abs(ledger - full.gauge_constant[-1]) <= 1e-13
 
@@ -346,12 +398,12 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
                      lambda y: flow_kernel(g, v_hat, c.hbar)(y, np.empty_like(y)), dt,
                      gauge)
     rec = madelung_evolve(start, V, c, dt, steps * dt)
-    assert len(rec.states) == steps + 1
-    for state, x in zip(rec.states, expected):
+    assert len(rec.times) == steps + 1
+    for state, x in zip(_states(rec), expected):
         assert np.array_equal(state.base.values, x[0])
         assert np.array_equal(state.fiber_potential, x[1])
     assert np.array_equal(rec.gauge_constant, ledger)
-    assert not np.array_equal(rec.states[-1].base.values, rec.states[0].base.values)
+    assert not np.array_equal(rec.state(-1).base.values, rec.state(0).base.values)
 
     def descent(y):
         at_rest = np.stack((y[0], np.zeros_like(y[0])))
@@ -362,10 +414,10 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     dt = 1e-5
     expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda x: x)
     rec = dlss_evolve(mu0, V, c, dt, steps * dt)
-    assert len(rec.states) == steps + 1
-    for state, x in zip(rec.states, expected):
+    assert len(rec.times) == steps + 1
+    for state, x in zip(_states(rec), expected):
         assert np.array_equal(state.values, x[0])
-    assert not np.array_equal(rec.states[-1].values, rec.states[0].values)
+    assert not np.array_equal(rec.state(-1).values, rec.state(0).values)
 
 
 @pytest.mark.parametrize("row", [pytest.param(0, id="density"), pytest.param(1, id="phase")])
@@ -404,10 +456,10 @@ def test_heat_single_mode_decay_exact():
     a = 0.4
     mu0 = perturbed_uniform_density(g, a)
     rec = heat_evolve(mu0, 0.05, 0.5, snapshot_stride=2)
-    for t, state in zip(rec.times, rec.states):
+    for t, state in zip(rec.times, _states(rec)):
         exact = (1.0 + a * np.exp(-t) * np.cos(g.points)) / TAU
         assert np.max(np.abs(state.values - exact)) < 1e-14
-    mass = np.array([g.integrate(s.values) for s in rec.states])
+    mass = np.array([g.integrate(s.values) for s in _states(rec)])
     assert np.abs(mass - 1.0).max() < 1e-14
 
 
@@ -415,7 +467,7 @@ def test_heat_dissipates_entropy_at_fisher_rate():
     g = Grid(128)
     rec = heat_evolve(perturbed_uniform_density(g, 0.3), 1e-3, 0.1)
     V, c = PotentialField.zero(g), PhysicsConstants()
-    values = [functionals(s, V, c) for s in rec.states]
+    values = [functionals(s, V, c) for s in _states(rec)]
     ent = np.array([v.entropy for v in values])
     fis = np.array([v.fisher for v in values])
     assert np.all(np.diff(ent) < 0)
@@ -429,7 +481,7 @@ def test_dlss_uniform_is_stationary():
     mu = uniform_density(g)
     rec = dlss_evolve(mu, PotentialField.zero(g), PhysicsConstants(1.0),
                       1e-5, 1e-3, snapshot_stride=10)
-    assert np.max(np.abs(rec.states[-1].values - mu.values)) < 1e-12
+    assert np.max(np.abs(rec.state(-1).values - mu.values)) < 1e-12
 
 
 def test_dlss_descends_and_relaxes_toward_uniform():
@@ -437,11 +489,11 @@ def test_dlss_descends_and_relaxes_toward_uniform():
     mu0 = perturbed_uniform_density(g, 0.2, mode=2)
     V, c = PotentialField.zero(g), PhysicsConstants(1.0)
     rec = dlss_evolve(mu0, V, c, 2e-5, 2e-3, snapshot_stride=10)
-    hf = np.array([functionals(s, V, c).total_energy for s in rec.states])
+    hf = np.array([functionals(s, V, c).total_energy for s in _states(rec)])
     assert np.all(np.diff(hf) <= 1e-10)
     assert hf[-1] < hf[0]
-    start_gap = np.max(np.abs(rec.states[0].values - 1.0 / TAU))
-    end_gap = np.max(np.abs(rec.states[-1].values - 1.0 / TAU))
+    start_gap = np.max(np.abs(rec.state(0).values - 1.0 / TAU))
+    end_gap = np.max(np.abs(rec.state(-1).values - 1.0 / TAU))
     assert end_gap < start_gap
 
 

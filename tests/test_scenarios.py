@@ -18,7 +18,7 @@ import pytest
 import madflow
 from madflow import scenarios
 from madflow.cli import main
-from madflow.dynamics import TrajectoryRecord, heat_evolve, madelung_evolve
+from madflow.dynamics import STATE_FIELDS, TrajectoryRecord, heat_evolve, madelung_evolve
 from madflow.errors import ConfigError, MadflowError
 from madflow.fields import DensityField, PhysicsConstants, WaveField, functionals
 from madflow.grid import Grid
@@ -399,7 +399,7 @@ def _thinned(ctx, step: int):
     """`ctx` keeping every `step`-th snapshot: the run at `step` times its stride."""
     rec = ctx.record
     return dataclasses.replace(
-        ctx, record=TrajectoryRecord(rec.times[::step], rec.states[::step]),
+        ctx, record=TrajectoryRecord(rec.grid, rec.times[::step], rec.kind, rec.data[::step]),
         columns={name: column[::step] for name, column in ctx.columns.items()})
 
 
@@ -458,11 +458,26 @@ def test_velocity_potential_match_reads_nan_where_the_wave_has_a_node():
     g, c = Grid(64), PhysicsConstants(1.0)
     point = TangentBundlePoint(uniform_density(g), 0.3 * np.sin(g.points))
     nodal = WaveField(g, np.sin(g.points) / np.sqrt(np.pi))
-    ctx = SimpleNamespace(grid=g, constants=c, record=SimpleNamespace(states=(point, point)),
-                          wave_oracle=SimpleNamespace(
-                              states=(WaveField(g, polar_wave(point, c)), nodal)))
+    polar = np.stack([(point.base.values, point.fiber_potential)] * 2)
+    waves = np.stack([(w.real, w.imag) for w in (polar_wave(point, c), nodal.values)])
+    times = np.array([0.0, 1.0])
+    ctx = SimpleNamespace(grid=g, constants=c,
+                          record=TrajectoryRecord(g, times, "polar", polar),
+                          wave_oracle=TrajectoryRecord(g, times, "wave", waves))
     gaps = scenarios.CHECKS["velocity_potential_match"].fn(ctx)
     assert gaps[0] < 1e-14 and np.isnan(gaps[1])
+
+
+def test_stationarity_of_a_wave_record_reads_its_density():
+    # a plane wave turns its phase and keeps its density: stationarity
+    # compares |Psi|^2 between rows, not the stored real and imaginary parts
+    outcome = run_scenario(ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("plane_wave_eigenstate"),
+        ['checks=["stationarity","eigenstate_phase"]'])), write=False)
+    assert outcome.passed
+    assert _residual(outcome, "stationarity") <= 1e-13
+    rec = outcome.context.record
+    assert np.abs(rec.state(-1).values - rec.state(0).values).max() > 0.1
 
 
 def test_check_tolerance_defaults_from_registry():
@@ -600,11 +615,16 @@ def _tolist_payload(state) -> dict:
     return {"kind": "density", "density": state.values.tolist()}
 
 
+def _states(rec):
+    """The validated state of each row of a record."""
+    return [rec.state(i) for i in range(len(rec.times))]
+
+
 def _one_dump(ctx) -> str:
     return json.dumps({"scenario": ctx.config.name,
                        "grid": {"n": ctx.grid.n, "length": ctx.grid.length},
                        "times": ctx.record.times.tolist(),
-                       "states": [_tolist_payload(s) for s in ctx.record.states]},
+                       "states": [_tolist_payload(s) for s in _states(ctx.record)]},
                       separators=(",", ":")) + "\n"
 
 
@@ -622,7 +642,7 @@ def _assert_no_leftovers(directory: Path) -> None:
 def test_streamed_artifacts_equal_one_dump_of_the_whole_record(tmp_path, scenario, kind):
     outcome = run_builtin(scenario, out_dir=tmp_path)
     ctx, results = outcome.context, outcome.checks
-    assert _tolist_payload(ctx.record.states[0])["kind"] == kind
+    assert ctx.record.kind == _tolist_payload(ctx.record.state(0))["kind"] == kind
     assert (tmp_path / "snapshots.json").read_text() == _one_dump(ctx)
     table = [ctx.columns[name] for name in OBSERVABLE_COLUMNS]
     table += [r.residuals for r in results]
@@ -644,7 +664,13 @@ def _snapshot_context(kind, count, n=64):
                        "polar": TangentBundlePoint(density, phase),
                        "wave": WaveField(grid, np.sqrt(density.values) * np.exp(1j * phase)),
                        }[kind])
-    record = TrajectoryRecord(0.01 * np.arange(count), tuple(states))
+    fields = {"density": lambda s: (s.values,),
+              "polar": lambda s: (s.base.values, s.fiber_potential),
+              "wave": lambda s: (s.values.real, s.values.imag)}[kind]
+    data = np.empty((count, len(STATE_FIELDS[kind]), n))
+    for row, state in zip(data, states):
+        row[:] = fields(state)
+    record = TrajectoryRecord(grid, 0.01 * np.arange(count), kind, data)
     return scenarios.RunContext(config=config, grid=grid, constants=config.constants,
                                 potential=None, initial={}, record=record)
 
@@ -679,7 +705,7 @@ def test_snapshot_writer_holds_one_state_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(record.states) == 200 and path.stat().st_size > 3 * 2 ** 20
+    assert len(record.times) == 200 and path.stat().st_size > 3 * 2 ** 20
     assert peak < 2 ** 20, peak
     assert len(json.loads(path.read_text())["states"]) == 200
 
@@ -787,7 +813,7 @@ def test_columns_are_rebuilt_from_the_stored_states(scenario, overrides):
     mapping = apply_overrides(builtin_mapping(scenario), overrides)
     ctx = execute_config(ScenarioConfig.from_mapping(mapping))
     rec = ctx.record
-    rows = [_rebuilt_row(ctx, state) for state in rec.states]
+    rows = [_rebuilt_row(ctx, state) for state in _states(rec)]
     rebuilt = {name: np.array([row[name] for row in rows])
                for name in OBSERVABLE_COLUMNS[1:-1]}
     rebuilt.update(time=rec.times, gauge_constant=np.zeros(len(rows))
@@ -815,9 +841,9 @@ def test_madelung_run_restarts_from_a_snapshot_under_the_built_potential():
     }
     ctx = execute_config(ScenarioConfig.from_mapping(mapping))
     assert ctx.record.times[1] == pytest.approx(0.01)
-    rest = madelung_evolve(ctx.record.states[1], ctx.potential, ctx.constants,
+    rest = madelung_evolve(ctx.record.state(1), ctx.potential, ctx.constants,
                            1e-4, 0.01, 100)
-    whole, restarted = ctx.record.states[-1], rest.states[-1]
+    whole, restarted = ctx.record.state(-1), rest.state(-1)
     assert np.max(np.abs(restarted.fiber_potential - whole.fiber_potential)) < 1e-14
     assert np.max(np.abs(restarted.base.values - whole.base.values)) < 1e-14
 

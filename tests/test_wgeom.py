@@ -365,11 +365,11 @@ def test_madelung_step_is_rk4_of_the_hamiltonian_vector_field():
     s = s + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     s = s - g.integrate(s * mu)
 
-    final = rec.states[-1]
+    final = rec.state(-1)
     assert np.max(np.abs(final.base.values - mu)) < 1e-12
     assert np.max(np.abs(final.fiber_potential - s)) < 1e-12
     # and the step moved the state, so the comparison is not vacuous
-    assert np.max(np.abs(final.base.values - rec.states[0].base.values)) > 1e-6
+    assert np.max(np.abs(final.base.values - rec.state(0).base.values)) > 1e-6
 
 
 @pytest.mark.parametrize("hbar", [0.0, 0.8])
