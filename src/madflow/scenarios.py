@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -1129,7 +1130,12 @@ def _require_directory_path(target: Path) -> Path:
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  write: bool = True) -> ScenarioOutcome:
-    """Execute a validated config, evaluate its checks, write artifacts."""
+    """Execute a validated config, evaluate its checks, write artifacts.
+
+    The artifacts are written into a fresh directory inside the target and
+    then moved into place, and an artifact name this run does not write is
+    removed, so the target holds one run's artifacts: this run's, or the
+    previous run's if this one fails."""
     target = _require_directory_path(resolve_output_dir(config, out_dir)) if write else None
     for path in [target / name for name in ARTIFACTS] if write else []:
         if os.path.lexists(path) and not path.is_file():
@@ -1140,11 +1146,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
     summary = _summary_payload(ctx, results, passed)
     if target is not None:
         target.mkdir(parents=True, exist_ok=True)
-        if "csv" in config.output_formats:
-            _write_observables(target / "observables.csv", ctx, results)
-        if "json" in config.output_formats:
-            _write_snapshots(target / "snapshots.json", ctx)
-        (target / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        with tempfile.TemporaryDirectory(prefix=".madflow-", dir=target) as staging:
+            staged = Path(staging)
+            if "csv" in config.output_formats:
+                _write_observables(staged / "observables.csv", ctx, results)
+            if "json" in config.output_formats:
+                _write_snapshots(staged / "snapshots.json", ctx)
+            (staged / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+            for name in ARTIFACTS:  # os.replace is atomic within one file system
+                if (staged / name).exists():
+                    os.replace(staged / name, target / name)
+                else:
+                    (target / name).unlink(missing_ok=True)
     return ScenarioOutcome(ctx, results, passed, summary, target)
 
 

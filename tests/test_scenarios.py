@@ -25,6 +25,7 @@ from madflow.grid import Grid
 from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
 from madflow.states import uniform_density, wrapped_gaussian_density
 from madflow.scenarios import (
+    ARTIFACTS,
     INITIAL_KINDS,
     OBSERVABLE_COLUMNS,
     OUTPUT_ROOT_ENV,
@@ -1305,6 +1306,33 @@ def test_cli_artifact_name_held_by_a_directory_exits_two_before_the_solve(
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert str(held) in err and "Traceback" not in err
     assert list((tmp_path / "o").iterdir()) == [held] and list(held.iterdir()) == []
+
+
+def test_cli_second_run_into_a_directory_leaves_only_its_own_artifacts(tmp_path, capsys):
+    # a json-only run after a csv run: the first run's observables.csv goes
+    out = str(tmp_path / "d")
+    assert main(["run", "--scenario", "uniform_stationary", "--out", out]) == 0
+    assert main(["run", "--scenario", "thm21_equivalence", "--out", out,
+                 "--override", 'output={"formats":["json"]}']) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == ["snapshots.json", "summary.json"]
+    for name in ("snapshots.json", "summary.json"):
+        assert json.loads((tmp_path / "d" / name).read_text())["scenario"] == "thm21_equivalence"
+
+
+def test_run_failing_after_the_solve_leaves_the_previous_artifacts(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    run_builtin("uniform_stationary", out)
+    before = {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+    def failing(path, ctx):
+        path.write_bytes(b'{"scenario":')
+        raise OSError("no space left on device")
+    monkeypatch.setattr(scenarios, "_write_snapshots", failing)
+    with pytest.raises(OSError, match="no space left"):
+        run_builtin("heat_entropy_dissipation", out)
+    assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == before
 
 
 _RUN = ["run", "--scenario", "heat_entropy_dissipation"]
