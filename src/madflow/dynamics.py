@@ -21,12 +21,13 @@ step, guards every row's finiteness and the density floor and yields
 (step, samples); each solver guards and records inline in its own loop
 over it.  Every solver, and the scenario runner's pseudo-time runners,
 read the snapshot schedule and an empty record from `_snapshot_rows`; a
-record's times are the snapshot steps times dt.  The solvers only integrate: a TrajectoryRecord
-holds the snapshot times, one stacked array of the stored states and, on
-the Madelung solver, the gauge ledger; `STATE_FIELDS` names the arrays a
-state of each kind stores, a row's fields in order.  Mass, energies,
-entropy and Fisher information are functions of a state, derived from it
-by the caller.  Products are dealiased with the 2/3 rule.
+record's times are the snapshot steps times dt.  The solvers only
+integrate: a TrajectoryRecord holds the snapshot times, one stacked
+array of the stored states and, on the Madelung solver, the gauge
+ledger; `STATE_FIELDS` names the arrays a state of each kind stores, a
+row's fields in order.  Mass, energies, entropy and Fisher information
+are functions of a state, derived from it by the caller.  Products are
+dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
