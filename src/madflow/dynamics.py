@@ -216,11 +216,10 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     """
     g = point.grid
     times, rows, data = _snapshot_rows("polar", g, dt, total_time, snapshot_stride)
-    v_vals = potential.values
-    # hamiltonian + this weight gives kinetic + quantum + |V| energy, in
-    # which no cancellation can hide a blow-up
-    guard_weight = np.abs(v_vals) - v_vals
-    rhs = flow_kernel(g, g.rfft(v_vals), constants.hbar)
+    # the guard reads the Hamiltonian at |V|: kinetic + quantum + |V|
+    # energy, in which no cancellation can hide a blow-up
+    guard_potential = PotentialField(g, np.abs(potential.values))
+    rhs = flow_kernel(g, g.rfft(potential.values), constants.hbar)
     samples = np.stack((point.base.values, point.fiber_potential))
     ledgers = np.empty(len(times))
     reference_energy = None
@@ -229,7 +228,7 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
             continue
         ledger = float(g.spacing * (x[1] * x[0]).sum())
         state = TangentBundlePoint(DensityField(g, x[0]), x[1] - ledger)
-        guard = hamiltonian(state, potential, constants) + g.integrate(guard_weight * x[0])
+        guard = hamiltonian(state, guard_potential, constants)
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BaseMismatchError, CompatibilityError, FoldError
-from .fields import (DensityField, PhysicsConstants, PotentialField,
-                     _frozen_copy, functionals, normalize_density)
+from .fields import (DensityField, PhysicsConstants, PotentialField, _frozen_copy,
+                     _integrals, functionals, metric_pairing, normalize_density)
 from .grid import Grid
 
 # Net-mass tolerance for admissible density variations.
@@ -69,26 +69,9 @@ class TangentVector:
         return TangentVector(self.base, self.potential + other.potential)
 
 
-def _integrals(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """`Grid.integrate` of each row along the last axis, kept as a length-1 axis."""
-    return grid.spacing * values.sum(axis=-1, keepdims=True)
-
-
 def mean_free(grid: Grid, mu: np.ndarray, potential: np.ndarray) -> np.ndarray:
     """The gauge: each potential minus its mu-weighted mean, row by row."""
     return potential - _integrals(grid, potential * mu)
-
-
-def metric_pairing(grid: Grid, mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """int da/dx db/dx dmu of potentials a and b over densities mu, row by row.
-
-    Stacks (..., n) broadcast; the result keeps a length-1 last axis.  Every
-    transform and sum runs along the last axis, so each row is bit for bit
-    the one-row value.  Unchecked: `tangent_inner` takes checked vectors.
-    """
-    slope = grid.apply_symbol(a, grid.derivative_symbol)
-    other = slope if b is a else grid.apply_symbol(b, grid.derivative_symbol)
-    return _integrals(grid, slope * other * mu)
 
 
 def green_operator(grid: Grid, mu: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -319,16 +302,12 @@ class StandardVectorFieldSpec:
 
 def symplectic_form(point: TangentBundlePoint, a: StandardVectorFieldSpec,
                     b: StandardVectorFieldSpec) -> float:
-    """Canonical two-form on standard vector fields at a bundle point.
-
-    omega(V_a, V_b) = int da.psi' db.phi' dmu - int db.psi' da.phi' dmu;
-    depends on the point only through the base density.
+    """Canonical two-form on standard vector fields at a bundle point, the
+    transport pairing antisymmetrised: omega(V_a, V_b) = <a.psi, b.phi>_mu -
+    <b.psi, a.phi>_mu.  It depends on the point only through the base density.
     """
-    g = point.grid
-    mu = point.base.values
-    first = g.integrate(g.derivative(a.psi) * g.derivative(b.phi) * mu)
-    second = g.integrate(g.derivative(b.psi) * g.derivative(a.phi) * mu)
-    return first - second
+    g, mu = point.grid, point.base.values
+    return float(metric_pairing(g, mu, a.psi, b.phi)[0] - metric_pairing(g, mu, b.psi, a.phi)[0])
 
 
 def hamiltonian(point: TangentBundlePoint, potential: PotentialField,

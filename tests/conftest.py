@@ -1,5 +1,7 @@
 """Shared fixtures and options."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,42 @@ def fft_calls(monkeypatch):
             return _transform(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def _kinetic_mutant(kernel, scale):
+    """`kernel` with its kinetic coefficient 1/2 scaled by `scale`."""
+    def build(grid, potential=0.0, hbar=0.0):
+        rates = kernel(grid, potential, hbar)
+        h = grid.n // 2 + 1
+
+        def mutant(coefficients, out):
+            rates(coefficients, out)
+            s_x = grid.irfft(grid.derivative_symbol[:h] * coefficients[1])
+            out[1] -= (scale - 1.0) * grid.rfft(0.5 * s_x * s_x) * grid.dealias_mask[:h]
+            return out
+        return mutant
+    return build
+
+
+@pytest.fixture
+def flow_mutant(monkeypatch):
+    """`with flow_mutant(kind, scale):` runs its block on a Hamiltonian flow
+    with one known error: kind "pressure" scales the quantum pressure
+    (`wgeom._fisher_terms`), kind "kinetic" the kinetic coefficient 1/2 of
+    `flow_kernel` as `wgeom` and `dynamics` see it."""
+    @contextlib.contextmanager
+    def patched(kind, scale):
+        from madflow import dynamics, wgeom
+        with monkeypatch.context() as m:
+            if kind == "pressure":
+                terms = wgeom._fisher_terms
+                m.setattr(wgeom, "_fisher_terms", lambda *args: terms(*args) * scale)
+            else:
+                kinetic = _kinetic_mutant(wgeom.flow_kernel, scale)
+                for module in (wgeom, dynamics):
+                    m.setattr(module, "flow_kernel", kinetic)
+            yield
+    return patched
 
 
 def pytest_addoption(parser):

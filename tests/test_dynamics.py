@@ -30,10 +30,11 @@ from madflow.dynamics import (
     schrodinger_evolve,
 )
 from madflow.fields import functionals
-from madflow.madelung import madelung_section, wave_hamiltonian
+from madflow.madelung import madelung_section, madelung_transform, wave_hamiltonian
 from madflow.scenarios import builtin_config, execute_config
 from madflow.states import (
     cosine_bump_density,
+    free_gaussian_wave,
     perturbed_uniform_density,
     plane_wave,
     random_density,
@@ -319,17 +320,54 @@ def test_madelung_node_guard():
         madelung_evolve(kick, PotentialField.zero(g), PhysicsConstants(1.0), 1e-3, 1.0)
 
 
-def test_madelung_energy_guard():
+@pytest.mark.parametrize("depth, message", [
+    (0.0, r"energy grew to .* at t = 0\.005 "),
+    (-1.0, r"energy grew to 6\.372e\+03 at t = 0\.008 "),
+    (1.0, r"energy grew to 6\.372e\+03 at t = 0\.008 ")])
+def test_madelung_energy_guard(depth, message):
     # dt = 1e-3 is past the RK4 ceiling of mode 80 (hbar k^2 dt / 2 = 3.2 >
     # 2.83), so a 1e-3 ripple at that mode grows about 2.3 times per step
     # while the density stays near uniform: the blow-up guard is what stops
     # the run.  The ripple, not rounding, seeds the growth, so the step at
-    # which the guard trips does not depend on the order of operations.
+    # which the guard trips does not depend on the order of operations.  The
+    # guard reads the Hamiltonian at |V|, so wells of depth -1 and +1 (band
+    # limited, so the 2/3 rule keeps them whole) trip at one energy.
     g = Grid(256)
     mu0 = perturbed_uniform_density(g, 1e-3, mode=80)
-    with pytest.raises(StabilityError, match=r"energy grew to .* at t = 0\.005"):
-        madelung_evolve(_at_rest(mu0), PotentialField.zero(g),
-                        PhysicsConstants(1.0), 1e-3, 0.1, snapshot_stride=1)
+    V = PotentialField(g, depth * np.cos(g.points))
+    with pytest.raises(StabilityError, match=message):
+        madelung_evolve(_at_rest(mu0), V, PhysicsConstants(1.0), 1e-3, 0.1, snapshot_stride=1)
+
+
+def _free_packet_gaps(stride: int = 250):
+    """Largest L2 gaps over the stored rows of a V = 0 Madelung run from a free
+    Gaussian packet against the Madelung transform of its closed form: the
+    density, and the phase after the mu-mean gauge."""
+    g = Grid(256)
+    c = PhysicsConstants(1.0)
+    dt, total = 1e-4, 0.25
+    rec = madelung_evolve(madelung_transform(free_gaussian_wave(g, np.pi, 0.7, c, 0.0), c),
+                          PotentialField.zero(g), c, dt, total, snapshot_stride=stride)
+    density = phase = 0.0
+    for i, t in enumerate(rec.times):
+        exact = madelung_transform(free_gaussian_wave(g, np.pi, 0.7, c, t), c)
+        got = rec.state(i)
+        density = max(density, np.sqrt(g.integrate((got.base.values - exact.base.values) ** 2)))
+        phase = max(phase, np.sqrt(g.integrate((got.tangent.potential
+                                                - exact.tangent.potential) ** 2)))
+    return density, phase
+
+
+def test_madelung_solver_follows_the_free_packet_closed_form(flow_mutant):
+    # the hydrodynamic solver against a closed form, at V = 0 and hbar = 1:
+    # rounding-level clean, and a kinetic coefficient off by 2e-4 or a
+    # quantum pressure off by 1e-4 moves the phase by orders more
+    density, phase = _free_packet_gaps()
+    assert density <= 1e-13
+    assert phase <= 1e-11
+    for kind, scale in (("pressure", 1.0001), ("kinetic", 1.0 + 2e-4)):
+        with flow_mutant(kind, scale):
+            assert _free_packet_gaps()[1] >= 1e-6
 
 
 @pytest.mark.parametrize("solver, per_step", [("madelung", 9), ("dlss", 19)])

@@ -409,37 +409,15 @@ def newton_outcome():
     return run_builtin("newton_residual", write=False)
 
 
-def _kinetic_mutant(kernel):
-    """`kernel` with its kinetic coefficient 1/2 scaled by 1.001."""
-    def build(grid, potential=0.0, hbar=0.0):
-        rates = kernel(grid, potential, hbar)
-        h = grid.n // 2 + 1
-
-        def mutant(coefficients, out):
-            rates(coefficients, out)
-            s_x = grid.irfft(grid.derivative_symbol[:h] * coefficients[1])
-            out[1] -= 1e-3 * grid.rfft(0.5 * s_x * s_x) * grid.dealias_mask[:h]
-            return out
-        return mutant
-    return build
-
-
-def test_newton_residual_sees_an_error_in_the_flow_kernel(monkeypatch, newton_outcome):
+def test_newton_residual_sees_an_error_in_the_flow_kernel(flow_mutant, newton_outcome):
     # the check takes the energy gradient in Bohm's form and the free rate
     # from the fiber's slope, so scaling the solver kernel's quantum pressure
     # by 1.0001, or its kinetic term by 1.001, shows orders above a clean run
     clean = _residual(newton_outcome, "newton_residual")
-    terms = madflow.wgeom._fisher_terms
-    with monkeypatch.context() as m:
-        m.setattr("madflow.wgeom._fisher_terms", lambda *args: terms(*args) * 1.0001)
-        mutant = run_builtin("newton_residual", write=False)
-    assert _residual(mutant, "newton_residual") >= 1e3 * clean
-    kinetic = _kinetic_mutant(madflow.wgeom.flow_kernel)
-    with monkeypatch.context() as m:
-        for module in (madflow.wgeom, madflow.dynamics):
-            m.setattr(module, "flow_kernel", kinetic)
-        mutant = run_builtin("newton_residual", write=False)
-    assert _residual(mutant, "newton_residual") >= 1e3 * clean
+    for kind, scale in (("pressure", 1.0001), ("kinetic", 1.001)):
+        with flow_mutant(kind, scale):
+            mutant = run_builtin("newton_residual", write=False)
+        assert _residual(mutant, "newton_residual") >= 1e3 * clean
 
 
 def test_time_differencing_checks_are_fourth_order(newton_outcome):

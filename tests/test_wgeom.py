@@ -212,6 +212,19 @@ def test_fisher_generator_pairs_to_fisher_information():
         assert abs(g.integrate(gen * mu.values) - vals.fisher) < 1e-10
 
 
+@pytest.mark.parametrize("density", ["bump", "perturbed", "random"])
+def test_fisher_information_is_the_squared_norm_of_the_entropy_gradient(density):
+    # I(mu) = <log mu, log mu>_mu = |grad Ent|^2: the same pairing, so equal
+    # to rounding once the gauge drops the generator's mu-mean
+    g = Grid(256)
+    mu = {"bump": lambda: cosine_bump_density(g, np.pi, 1.5),
+          "perturbed": lambda: perturbed_uniform_density(g, 0.4),
+          "random": lambda: random_density(g, np.random.default_rng(3), modes=3)}[density]()
+    e = wasserstein_gradient("entropy", mu)
+    fisher = functionals(mu, PotentialField.zero(g), PhysicsConstants()).fisher
+    assert abs(fisher - tangent_inner(e, e)) <= 1e-14 * fisher
+
+
 # hbar = 2 weighs the Fisher generator by 0.5, a power of two; 0.8 does not,
 # so only it shows the order in which the weight and the transform round
 @pytest.mark.parametrize("hbar", [2.0, 0.8])
@@ -303,8 +316,15 @@ def test_symplectic_form_closed_form_and_antisymmetry():
     a = StandardVectorFieldSpec(g, np.sin(g.points), np.zeros(g.n))
     b = StandardVectorFieldSpec(g, np.zeros(g.n), np.sin(g.points))
     assert abs(symplectic_form(pt, a, b) - 0.5) < 1e-13
-    assert abs(symplectic_form(pt, b, a) + 0.5) < 1e-13
-    assert abs(symplectic_form(pt, a, a)) < 1e-13
+    # the pairing antisymmetrised: exact, not to rounding
+    assert symplectic_form(pt, b, a) == -symplectic_form(pt, a, b)
+    assert symplectic_form(pt, a, a) == 0.0
+    rng = np.random.default_rng(5)
+    bumped = TangentBundlePoint(random_density(g, rng, modes=3), np.zeros(g.n))
+    c, d = (StandardVectorFieldSpec(g, random_zero_mean(g, rng, modes=3),
+                                    random_zero_mean(g, rng, modes=3)) for _ in range(2))
+    assert symplectic_form(bumped, c, d) == -symplectic_form(bumped, d, c) != 0.0
+    assert symplectic_form(bumped, c, c) == 0.0
 
 
 def test_hamiltonian_closed_form():
