@@ -30,7 +30,7 @@ from . import dynamics, floattext, transport
 from . import states as statelib
 from .dynamics import TrajectoryRecord
 from .errors import (AliasError, ConfigError, CutError, NodeError,
-                     StabilityError, WindingError)
+                     NonFiniteError, StabilityError, WindingError)
 from .fields import (DensityField, PhysicsConstants, PotentialField, WaveField,
                      functionals, normalize_density)
 from .grid import TAU, Grid
@@ -658,29 +658,33 @@ def _whole(x) -> str:
 
 
 def _resolve_record(ctx: RunContext) -> None:
-    """Run the solver; when dt is omitted, halve it until the final row settles."""
+    """Run the solver; when dt is omitted, halve it until the final rows of
+    two successive rungs agree.  A rung a solver guard stops is unsettled:
+    the next two rungs that finish are compared."""
     cfg = ctx.config
     if cfg.dt is not None:  # always set for the static and displacement runners
         ctx.dt = cfg.dt
         ctx.record = _run_solver(ctx, ctx.dt)
         return
     dt = _default_dt(cfg.solver, cfg.grid, cfg.constants.hbar, cfg.total_time)
-    previous = _row(ctx, _run_solver(ctx, dt), -1)
-    for _ in range(MAX_REFINEMENTS):
+    previous = guard = None
+    for _ in range(MAX_REFINEMENTS + 1):
         _require_record_budget(cfg.solver, cfg.initial_kind, cfg.grid.n,
-                               dynamics._step_count(0.5 * dt, cfg.total_time),
-                               cfg.snapshot_stride)
-        finer = _run_solver(ctx, 0.5 * dt)
-        row = _row(ctx, finer, -1)
-        gaps = [abs(previous[key] - row[key]) for key in previous.keys() & row.keys()]
-        if max((g for g in gaps if np.isfinite(g)), default=0.0) < REFINEMENT_TOL:
-            ctx.dt = 0.5 * dt
-            ctx.record = finer
-            return
-        dt *= 0.5
-        previous = row
+                               dynamics._step_count(dt, cfg.total_time), cfg.snapshot_stride)
+        try:
+            record = _run_solver(ctx, dt)
+        except (NodeError, StabilityError, NonFiniteError) as err:
+            record, guard = None, err
+        row = None if record is None else _row(ctx, record, -1)
+        if previous is not None and row is not None:
+            gaps = [abs(previous[key] - row[key]) for key in previous.keys() & row.keys()]
+            if max((g for g in gaps if np.isfinite(g)), default=0.0) < REFINEMENT_TOL:
+                ctx.dt, ctx.record = dt, record
+                return
+        previous, dt = row, 0.5 * dt
+    last = "" if guard is None else f"; the last solver guard: {guard}"
     raise StabilityError(f"observables still moving after {MAX_REFINEMENTS} "
-                         f"dt halvings (scenario {cfg.name!r})")
+                         f"dt halvings (scenario {cfg.name!r}){last}")
 
 
 def execute_config(config: ScenarioConfig) -> RunContext:
@@ -894,10 +898,14 @@ def _check_descent_monotone(ctx: RunContext) -> np.ndarray:
 
 
 def _check_phase_correction_ledger(ctx: RunContext) -> np.ndarray:
-    """Gauge ledger equals the running action integral."""
-    times = ctx.record.times
-    lagrangian_col = ctx.columns["L_F"]
-    steps = 0.5 * (lagrangian_col[1:] + lagrangian_col[:-1]) * np.diff(times)
+    """Gauge ledger equals the running action integral, by the trapezoid with
+    its Euler-Maclaurin end correction -(h^2/12)(L'_{j+1} - L'_j) per interval,
+    the slopes from numpy's second-order `gradient` at the snapshot times
+    (first order on two rows, where the correction vanishes)."""
+    times, lagrangian_col = ctx.record.times, ctx.columns["L_F"]
+    h = np.diff(times)
+    slopes = np.gradient(lagrangian_col, times, edge_order=min(2, len(times) - 1))
+    steps = 0.5 * (lagrangian_col[1:] + lagrangian_col[:-1]) * h - h * h / 12.0 * np.diff(slopes)
     running = np.concatenate(([0.0], np.cumsum(steps)))
     return np.abs(ctx.columns["gauge_constant"] - running)
 

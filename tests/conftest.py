@@ -35,12 +35,26 @@ def _kinetic_mutant(kernel, scale):
     return build
 
 
+def _flux_mutant(kernel, scale):
+    """`kernel` with its density rate -d/dx(mu dS/dx) scaled by `scale`."""
+    def build(grid, potential=0.0, hbar=0.0):
+        rates = kernel(grid, potential, hbar)
+
+        def mutant(coefficients, out):
+            rates(coefficients, out)
+            out[0] *= scale
+            return out
+        return mutant
+    return build
+
+
 @pytest.fixture
 def flow_mutant(monkeypatch):
     """`with flow_mutant(kind, scale):` runs its block on a Hamiltonian flow
     with one known error: kind "pressure" scales the quantum pressure
-    (`wgeom._fisher_terms`), kind "kinetic" the kinetic coefficient 1/2 of
-    `flow_kernel` as `wgeom` and `dynamics` see it."""
+    (`wgeom._fisher_terms`), kind "kinetic" the kinetic coefficient 1/2 and
+    kind "flux" the density row of `flow_kernel` as `wgeom` and `dynamics`
+    see it."""
     @contextlib.contextmanager
     def patched(kind, scale):
         from madflow import dynamics, wgeom
@@ -49,9 +63,10 @@ def flow_mutant(monkeypatch):
                 terms = wgeom._fisher_terms
                 m.setattr(wgeom, "_fisher_terms", lambda *args: terms(*args) * scale)
             else:
-                kinetic = _kinetic_mutant(wgeom.flow_kernel, scale)
+                wrap = {"kinetic": _kinetic_mutant, "flux": _flux_mutant}[kind]
+                mutant = wrap(wgeom.flow_kernel, scale)
                 for module in (wgeom, dynamics):
-                    m.setattr(module, "flow_kernel", kinetic)
+                    m.setattr(module, "flow_kernel", mutant)
             yield
     return patched
 

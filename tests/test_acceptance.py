@@ -299,9 +299,9 @@ def test_10_displacement_path_attains_the_transport_action():
 
 def test_11_gauge_ledger_reconciles_with_the_action_integral(equivalence_outcome):
     residual = _check_residual(equivalence_outcome, "phase_correction_ledger")
-    ok = residual <= 1e-4
+    ok = residual <= 1e-11
     assert _report(11, "phase ledger vs action integral",
-                   ok, f"gap {residual:.3e} (tol 1e-4)")
+                   ok, f"gap {residual:.3e} (tol 1e-11)")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "suite.json"

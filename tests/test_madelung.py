@@ -1,6 +1,7 @@
 """Wave <-> polar correspondence, wave-side energy and symplectic form."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +186,24 @@ def test_phase_correction_validation():
     for wrong in (ledger + 10 * check.tolerance, -ledger):
         crooked = replace(ctx, columns={**ctx.columns, "gauge_constant": wrong})
         assert np.max(check.fn(crooked)) > check.tolerance
+
+
+def test_phase_correction_ledger_end_correction():
+    # numpy's second-order slopes are exact on a quadratic Lagrangian, so
+    # its integral is exact under the end-corrected trapezoid, on uneven
+    # times too (a short last interval), where the plain trapezoid is off
+    # by h^3/6 per interval; on two rows the first-order slopes are equal,
+    # the correction drops, and the check is the plain trapezoid
+    check = scenarios.CHECKS["phase_correction_ledger"].fn
+
+    def residuals(times, lagrangian, integral):
+        record = SimpleNamespace(times=times)
+        columns = {"L_F": lagrangian(times), "gauge_constant": integral(times)}
+        return check(SimpleNamespace(record=record, columns=columns))
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.43])
+    assert np.max(residuals(times, lambda t: t ** 2, lambda t: t ** 3 / 3)) <= 1e-16
+    two = residuals(np.array([0.0, 0.3]), lambda t: np.exp(t), lambda t: np.exp(t) - 1.0)
+    assert two.tolist() == [0.0, abs((np.exp(0.3) - 1.0) - 0.5 * (np.exp(0.3) + 1.0) * 0.3)]
 
 
 def _pullback_trial(g, trial):

@@ -19,7 +19,7 @@ import madflow
 from madflow import scenarios
 from madflow.cli import main
 from madflow.dynamics import STATE_FIELDS, TrajectoryRecord, heat_evolve, madelung_evolve
-from madflow.errors import ConfigError, MadflowError
+from madflow.errors import ConfigError, MadflowError, NodeError, StabilityError
 from madflow.fields import DensityField, PhysicsConstants, WaveField, functionals
 from madflow.grid import Grid
 from madflow.madelung import madelung_transform, polar_wave, wave_hamiltonian
@@ -397,16 +397,46 @@ def _residual(outcome, name: str) -> float:
 
 
 def _thinned(ctx, step: int):
-    """`ctx` keeping every `step`-th snapshot: the run at `step` times its stride."""
-    rec = ctx.record
-    return dataclasses.replace(
-        ctx, record=TrajectoryRecord(rec.grid, rec.times[::step], rec.kind, rec.data[::step]),
+    """`ctx` keeping every `step`-th snapshot: the run at `step` times its
+    stride.  The record with its ledger, every column and a wave oracle the
+    run already computed are sliced; the oracle is never rebuilt, since one
+    built from the config would sample the config's stride."""
+    def thin(rec):
+        ledger = None if rec.gauge_constant is None else rec.gauge_constant[::step]
+        return TrajectoryRecord(rec.grid, rec.times[::step], rec.kind, rec.data[::step], ledger)
+    thinned = dataclasses.replace(
+        ctx, record=thin(ctx.record),
         columns={name: column[::step] for name, column in ctx.columns.items()})
+    if "wave_oracle" in vars(ctx):
+        thinned.wave_oracle = thin(ctx.wave_oracle)
+    return thinned
 
 
 @pytest.fixture(scope="module")
 def newton_outcome():
     return run_builtin("newton_residual", write=False)
+
+
+@pytest.fixture(scope="module")
+def builtin_contexts(newton_outcome):
+    """One solved run of each builtin with a time-differencing or quadrature check."""
+    return {"newton_residual": newton_outcome.context,
+            **{name: run_builtin(name, write=False).context
+               for name in ("thm21_equivalence", "heat_entropy_dissipation")}}
+
+
+#: (builtin, check, thinning steps): thm21_equivalence and
+#: heat_entropy_dissipation take 100 and 40 intervals, newton_residual 50
+ORDER_CASES = [("thm21_equivalence", "newton_residual", (1, 2, 4)),
+               ("thm21_equivalence", "phase_correction_ledger", (1, 2, 4)),
+               ("newton_residual", "newton_residual", (1, 2)),
+               ("heat_entropy_dissipation", "entropy_dissipation", (1, 2, 4))]
+
+
+def _observed_orders(ctx, check: str, steps) -> np.ndarray:
+    """log2 of the ratio of the worst residuals at successive thinning steps."""
+    worst = [np.nanmax(scenarios.CHECKS[check].fn(_thinned(ctx, k))) for k in steps]
+    return np.log2(np.array(worst[1:]) / worst[:-1])
 
 
 def test_newton_residual_sees_an_error_in_the_flow_kernel(flow_mutant, newton_outcome):
@@ -420,15 +450,38 @@ def test_newton_residual_sees_an_error_in_the_flow_kernel(flow_mutant, newton_ou
         assert _residual(mutant, "newton_residual") >= 1e3 * clean
 
 
-def test_time_differencing_checks_are_fourth_order(newton_outcome):
-    # halving the snapshot stride divides each residual by about 2^4
-    heat = execute_config(ScenarioConfig.from_mapping(apply_overrides(
-        builtin_mapping("heat_entropy_dissipation"), ["grid.n=64"])))
-    for ctx, name, steps in ((newton_outcome.context, "newton_residual", (2, 1)),  # strides 60, 30
-                             (heat, "entropy_dissipation", (4, 2, 1))):  # 20, 10, 5
-        worst = [np.nanmax(scenarios.CHECKS[name].fn(_thinned(ctx, k))) for k in steps]
-        ratios = np.array(worst[:-1]) / worst[1:]
-        assert np.all((12.0 <= ratios) & (ratios <= 20.0)), (name, worst)
+def test_time_differencing_checks_are_fourth_order(builtin_contexts):
+    # doubling the snapshot spacing multiplies each residual by about 2^4:
+    # the five-point derivative, and the ledger's end-corrected trapezoid
+    for name, check, steps in ORDER_CASES:
+        orders = _observed_orders(builtin_contexts[name], check, steps)
+        assert np.all(np.abs(orders - 4.0) <= 0.1), (name, check, orders)
+
+
+def test_thinning_slices_the_computed_wave_oracle(builtin_contexts):
+    ctx = builtin_contexts["thm21_equivalence"]
+    thinned = _thinned(ctx, 4)
+    assert thinned.wave_oracle.times.tobytes() == thinned.record.times.tobytes()
+    assert thinned.wave_oracle.data.tobytes() == ctx.wave_oracle.data[::4].tobytes()
+
+
+def test_a_three_point_time_derivative_reads_order_two(monkeypatch, builtin_contexts):
+    # a second-order derivative still passes each builtin's tolerance, and
+    # only its observed order gives it away
+    def three_point(values, h):
+        f = np.asarray(values, dtype=float)
+        out = np.full(f.shape, np.nan)
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+        return out
+    monkeypatch.setattr(scenarios, "_time_derivative", three_point)
+    for name, check, steps in ORDER_CASES:
+        if check == "phase_correction_ledger":
+            continue
+        ctx = builtin_contexts[name]
+        residuals = scenarios.CHECKS[check].fn(ctx)
+        assert np.nanmax(residuals) <= scenarios.CHECKS[check].tolerance
+        orders = _observed_orders(ctx, check, steps)
+        assert np.all(np.abs(orders - 2.0) <= 0.1), (name, check, orders)
 
 
 def test_velocity_potential_match_reads_nan_where_the_wave_has_a_node():
@@ -753,6 +806,35 @@ def test_dt_refinement_gives_up_after_its_last_halving(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == (
         "run failed: observables still moving after 1 dt halvings "
         "(scenario 'heat_entropy_dissipation')\n")
+    assert not out_dir.exists()
+
+
+def test_dt_refinement_refines_a_rung_a_solver_guard_stops(monkeypatch):
+    # the 1e-3 rung stops on a guard, so the ladder compares the next two
+    # rungs that finish and settles one rung finer than an unguarded run
+    run_solver = scenarios._run_solver
+
+    def guarded_first(ctx, dt):
+        if dt == 1e-3:
+            raise NodeError("density reached its floor")
+        return run_solver(ctx, dt)
+    monkeypatch.setattr(scenarios, "_run_solver", guarded_first)
+    m = _heat_mapping(dt=None, total_time=0.01)
+    outcome = run_scenario(ScenarioConfig.from_mapping(m), write=False)
+    assert outcome.summary["dt_used"] == 2.5e-4
+    assert outcome.passed
+
+
+def test_dt_refinement_names_the_last_guard_when_it_gives_up(tmp_path, capsys, monkeypatch):
+    def always_guarded(ctx, dt):
+        raise StabilityError(f"energy grew at dt = {dt:g}")
+    monkeypatch.setattr(scenarios, "_run_solver", always_guarded)
+    out_dir = tmp_path / "never"
+    assert main(["run", "--scenario", "heat_entropy_dissipation",
+                 "--override", "integrator.dt=null", "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        "run failed: observables still moving after 8 dt halvings (scenario "
+        "'heat_entropy_dissipation'); the last solver guard: energy grew at dt = 3.90625e-06\n")
     assert not out_dir.exists()
 
 

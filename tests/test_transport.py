@@ -250,17 +250,18 @@ def test_path_action_validation():
 
 
 def _looped_action(path: list[DensityField], timestep: float) -> float:
-    """The action as one weighted Poisson solve per sample, then the trapezoid."""
-    last = len(path) - 1
+    """The action as one weighted Poisson solve per sample, then the trapezoid;
+    the rates are `np.gradient`'s second-order formulas written out."""
+    f = [mu.values for mu in path]
     energies = []
     for k, mu in enumerate(path):
         if k == 0:
-            rate = -3.0 * path[0].values + 4.0 * path[1].values - path[2].values
-        elif k == last:
-            rate = 3.0 * path[last].values - 4.0 * path[last - 1].values + path[last - 2].values
+            rate = (-1.5 / timestep) * f[0] + (2.0 / timestep) * f[1] + (-0.5 / timestep) * f[2]
+        elif k == len(path) - 1:
+            rate = (0.5 / timestep) * f[-3] + (-2.0 / timestep) * f[-2] + (1.5 / timestep) * f[-1]
         else:
-            rate = path[k + 1].values - path[k - 1].values
-        velocity = solve_velocity_potential(mu, rate / (2.0 * timestep))
+            rate = (f[k + 1] - f[k - 1]) / (2.0 * timestep)
+        velocity = solve_velocity_potential(mu, rate)
         energies.append(tangent_inner(velocity, velocity))
     energies = np.asarray(energies)
     return float(timestep * (energies.sum() - 0.5 * (energies[0] + energies[-1])))
