@@ -4,6 +4,12 @@ All fields in the package are arrays of samples on such a grid and are
 interpreted through their trigonometric interpolant.  Differentiation,
 integration, dealiasing and off-grid evaluation are therefore spectral:
 exact for band-limited data, spectrally accurate for smooth data.
+
+`Grid` is the package's one transformer.  It calls numpy's pocketfft
+gufuncs (numpy >= 2.0) with the factors `numpy.fft` passes, 1 forward and
+1/n inverse, so every transform equals `numpy.fft`'s bit for bit without
+its per-call argument handling, which at n <= 256 costs more than the
+transform itself.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft, irfft as _irfft
+from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
 
 from .errors import NonFiniteError
 
@@ -147,18 +155,36 @@ class Grid:
         """
         v = np.asarray(values)
         if np.iscomplexobj(v):
-            return np.fft.ifft(symbol * np.fft.fft(v))
+            # symbol first (numpy rounds a complex product by operand order),
+            # into a fresh array: the product may broadcast past v's shape
+            return self.ifft(np.multiply(symbol, self.fft(v)))
         return self.irfft(np.asarray(symbol)[..., : self.n // 2 + 1] * self.rfft(v))
 
     def rfft(self, values, out=None) -> np.ndarray:
         """Half-spectrum coefficients (modes 0 .. n/2) of real samples, along the last axis.
 
         `out`, when given, receives them and is returned."""
-        return np.fft.rfft(values, out=out)
+        v = np.asarray(values)
+        if out is None:
+            out = np.empty(v.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        return _rfft(v, 1.0, out=out)
 
     def irfft(self, coefficients, out=None) -> np.ndarray:
         """Real samples of half-spectrum coefficients: the inverse of `rfft`."""
-        return np.fft.irfft(coefficients, self.n, out=out)
+        c = np.asarray(coefficients)
+        if out is None:
+            out = np.empty(c.shape[:-1] + (self.n,))
+        return _irfft(c, 1.0 / self.n, out=out)
+
+    def fft(self, values) -> np.ndarray:
+        """All n Fourier coefficients of samples along the last axis, in FFT ordering."""
+        v = np.asarray(values)
+        return _fft(v, 1.0, out=np.empty(v.shape, dtype=complex))
+
+    def ifft(self, coefficients) -> np.ndarray:
+        """Complex samples of all n coefficients: the inverse of `fft`."""
+        c = np.asarray(coefficients)
+        return _ifft(c, 1.0 / self.n, out=np.empty(c.shape, dtype=complex))
 
     def derivative(self, values) -> np.ndarray:
         """Spectral first derivative; preserves real/complex kind."""
@@ -240,12 +266,12 @@ class Grid:
         if factor == 1:
             return v.copy()
         big = self.n * factor
-        coef = np.fft.fft(v)
+        coef = self.fft(v)
         out = np.zeros(big, dtype=complex)
         half = self.n // 2
         out[:half] = coef[:half]
         out[half] = 0.5 * coef[half]
         out[big - half] = 0.5 * coef[half]
         out[big - half + 1:] = coef[half + 1:]
-        res = np.fft.ifft(out) * factor
+        res = self.refined(factor).ifft(out) * factor
         return res if np.iscomplexobj(v) else res.real

@@ -271,6 +271,11 @@ class ScenarioConfig:
                     f"check {cname!r} needs five or more uniformly spaced snapshots; "
                     f"snapshot_stride {stride} does not divide the {steps} steps "
                     "into four or more equal parts")
+            snapshots = -(-steps // stride) + 1  # every stride-th step, and the last
+            if snapshots < definition.min_snapshots:
+                raise ConfigError(
+                    f"check {cname!r} needs {definition.min_snapshots} or more snapshots; "
+                    f"snapshot_stride {stride} stores {snapshots} over {steps} steps")
 
         out_map = _require_mapping(data.get("output", {}), "output")
         _check_keys(out_map, ("directory", "formats"), "output")
@@ -767,6 +772,8 @@ class CheckDefinition:
     #: the check differences in time, so validation rejects a stride that
     #: leaves fewer than five snapshots or spaces them unevenly
     uniform_snapshots: bool = False
+    #: the fewest snapshots on which the check meets its tolerance
+    min_snapshots: int = 2
     #: the initial-state and potential kinds whose run the check reads
     kinds: tuple[str, ...] = tuple(INITIAL_KINDS)
     potentials: tuple[str, ...] = tuple(POTENTIAL_KINDS)
@@ -901,7 +908,8 @@ def _check_phase_correction_ledger(ctx: RunContext) -> np.ndarray:
     """Gauge ledger equals the running action integral, by the trapezoid with
     its Euler-Maclaurin end correction -(h^2/12)(L'_{j+1} - L'_j) per interval,
     the slopes from numpy's second-order `gradient` at the snapshot times
-    (first order on two rows, where the correction vanishes)."""
+    (first order on two rows, where the correction vanishes and validation
+    refuses the run: one interval's plain trapezoid misses the tolerance)."""
     times, lagrangian_col = ctx.record.times, ctx.columns["L_F"]
     h = np.diff(times)
     slopes = np.gradient(lagrangian_col, times, edge_order=min(2, len(times) - 1))
@@ -990,7 +998,7 @@ CHECKS: dict[str, CheckDefinition] = {
         1e-4, ("heat",), _check_entropy_dissipation, uniform_snapshots=True),
     "descent_monotone": CheckDefinition(1e-10, ("dlss",), _check_descent_monotone),
     "phase_correction_ledger": CheckDefinition(
-        1e-4, ("madelung",), _check_phase_correction_ledger),
+        1e-4, ("madelung",), _check_phase_correction_ledger, min_snapshots=3),
     "hamiltonian_pullback": CheckDefinition(
         1e-8, ("static",), _check_hamiltonian_pullback, kinds=("random_polar",)),
     "symplectic_pullback": CheckDefinition(

@@ -169,13 +169,13 @@ def _fine_rows(density: DensityField, cut_index: int, antiderivative: bool) -> n
     its zero-mean part's antiderivative: one rfft, the Nyquist coefficient
     halved as in `Grid.upsample`, one irfft.  NodeError unless positive."""
     g = density.grid
-    coef = np.fft.rfft(density.values) * _REFINE  # modes 0 .. n/2
+    coef = g.rfft(density.values) * _REFINE  # modes 0 .. n/2
     coef[-1] *= 0.5
     spectrum = np.zeros((1 + antiderivative, _REFINE * g.n // 2 + 1), dtype=complex)
     spectrum[0, :coef.size] = coef
     if antiderivative:
         spectrum[1, 1:coef.size] = coef[1:] / (1j * np.abs(g.wavenumbers[1:coef.size]))
-    rows = np.roll(np.fft.irfft(spectrum, _REFINE * g.n), -cut_index * _REFINE, axis=1)
+    rows = np.roll(g.refined(_REFINE).irfft(spectrum), -cut_index * _REFINE, axis=1)
     _resolved(rows[0])
     return rows
 

@@ -151,14 +151,13 @@ def pushforward_density(mu: DensityField, potential, t: float) -> DensityField:
 # -- the Hamiltonian flow and functional gradients ----------------------------
 
 
-def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap_mu: np.ndarray) -> np.ndarray:
-    """(dmu/mu)^2 - 2 (lap mu)/mu before dealiasing, written over `mu_x` and
-    returned; `lap_mu` is spent as scratch."""
+def _fisher_terms(mu: np.ndarray, mu_x: np.ndarray, lap2_mu: np.ndarray) -> np.ndarray:
+    """(dmu/mu)^2 - (2 lap mu)/mu before dealiasing, from `lap2_mu` = 2 lap mu;
+    written over `mu_x` and returned, `lap2_mu` is spent as scratch."""
     mu_x /= mu
     mu_x *= mu_x
-    lap_mu *= 2.0
-    lap_mu /= mu
-    mu_x -= lap_mu
+    lap2_mu /= mu
+    mu_x -= lap2_mu
     return mu_x
 
 
@@ -171,34 +170,34 @@ def flow_kernel(grid: Grid, potential=0.0, hbar: float = 0.0):
     Returns rates(coefficients, out): `coefficients` stacks the `Grid.rfft`
     coefficients of mu and S, `potential` holds those of V, and the (2,
     n/2+1) rates are written into `out`, which is returned.  One inverse
-    transform gives dS/dx, mu, dmu/dx and lap mu; one forward transform
-    dealiases flux and pressure.  At hbar = 0 the Fisher term adds an exact
-    zero wherever mu has no zero sample.  The kernel builds its own symbol
-    stacks; its spectral stack, sample stack and flux/pressure rows are
-    overwritten by every call.  Unchecked, for RK stages.
+    transform gives dS/dx, mu, dmu/dx and 2 lap mu; one forward transform
+    dealiases flux and twice the pressure, which the output row halves
+    (scaling by 2 commutes with rounding).  At hbar = 0 the Fisher term adds
+    an exact zero wherever mu has no zero sample.  The kernel builds its own
+    symbol stacks; its spectral stack, sample stack and flux/pressure rows
+    are overwritten by every call.  Unchecked, for RK stages.
     """
     h = grid.n // 2 + 1
     ik, mask = grid.derivative_symbol[:h], grid.dealias_mask[:h]
-    # half-spectrum (d, 1, d, lap) for (S, mu, mu, mu); (-d, -1) behind the
-    # 2/3 rule for the flux and the pressure
-    into = np.stack((ik, np.ones(h), ik, grid.laplacian_symbol[:h]))
-    outof = np.stack((-ik * mask, -mask))
+    # half-spectrum (d, 1, d, 2 lap) for (S, mu, mu, mu); (-d, -1/2) behind
+    # the 2/3 rule for the flux and twice the pressure
+    into = np.stack((ik, np.ones(h), ik, 2.0 * grid.laplacian_symbol[:h]))
+    outof = np.stack((-ik * mask, -0.5 * mask))
     spectral = np.empty((4, h), dtype=complex)
     samples = np.empty((4, grid.n))
     fluxes = np.empty((2, grid.n))
     flux, pressure = fluxes
-    s_x, mu, mu_x, lap_mu = samples
+    s_x, mu, mu_x, lap2_mu = samples
     slope_symbol, density_symbols = into[0], into[1:]
     slope_hat, density_hats = spectral[0], spectral[1:]
-    quantum = 0.125 * hbar ** 2
+    quantum = 0.25 * hbar ** 2
 
     def rates(coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(slope_symbol, coefficients[1], out=slope_hat)
         np.multiply(density_symbols, coefficients[0], out=density_hats)
         grid.irfft(spectral, out=samples)
-        np.multiply(s_x, 0.5, out=pressure)
-        np.multiply(pressure, s_x, out=pressure)
-        terms = _fisher_terms(mu, mu_x, lap_mu)
+        np.multiply(s_x, s_x, out=pressure)
+        terms = _fisher_terms(mu, mu_x, lap2_mu)
         np.multiply(terms, quantum, out=terms)
         np.add(pressure, terms, out=pressure)
         np.multiply(mu, s_x, out=flux)

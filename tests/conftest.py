@@ -2,21 +2,22 @@
 
 import contextlib
 
-import numpy as np
 import pytest
+
+from madflow import grid
 
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A list that grows by one on every numpy FFT call while the test runs."""
+    """A list that grows by one on every transform `Grid` makes while the test runs."""
     calls = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        transform = getattr(np.fft, name)
+    for name in ("_fft", "_ifft", "_rfft", "_irfft"):
+        transform = getattr(grid, name)
 
         def counted(*args, _transform=transform, **kwargs):
             calls.append(1)
             return _transform(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(grid, name, counted)
     return calls
 
 

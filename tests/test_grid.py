@@ -260,3 +260,55 @@ def test_refined_grid_shares_points():
     fine = g.refined(4)
     assert fine.n == 64 and fine.length == 3.0
     assert np.allclose(fine.points[::4], g.points)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(3, 13)])
+def test_transforms_equal_numpy_fft_bit_for_bit(n):
+    # Grid calls numpy's pocketfft gufuncs with numpy.fft's factors; these
+    # are the shapes the package transforms
+    g, h = Grid(n), n // 2 + 1
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=n)
+    wave = real + 1j * rng.normal(size=n)
+    half = np.fft.rfft(rng.normal(size=n))
+    assert _same_bits(g.rfft(real), np.fft.rfft(real))
+    assert _same_bits(g.irfft(half), np.fft.irfft(half, n))
+    assert _same_bits(g.fft(wave), np.fft.fft(wave))
+    assert _same_bits(g.fft(real), np.fft.fft(real))
+    assert _same_bits(g.ifft(wave), np.fft.ifft(wave))
+    # the RK4 stacks: (4, h) -> (4, n) in, (2, n) -> (2, h) out, into buffers
+    spectral = np.fft.rfft(rng.normal(size=(4, n)))
+    samples = np.empty((4, n))
+    assert g.irfft(spectral, out=samples) is samples
+    assert _same_bits(samples, np.fft.irfft(spectral, n))
+    fluxes, rates = rng.normal(size=(2, n)), np.empty((2, h), dtype=complex)
+    assert g.rfft(fluxes, out=rates) is rates
+    assert _same_bits(rates, np.fft.rfft(fluxes))
+    # a symbol stack broadcast over a complex field stack, and over a real one
+    symbols = g.taylor_symbols[:, None, :]
+    stack = np.stack((wave, 2.0 * wave))[:, None, None, :]
+    assert _same_bits(g.apply_symbol(stack, symbols),
+                      np.fft.ifft(symbols * np.fft.fft(stack)))
+    assert _same_bits(g.apply_symbol(real[None, None, :], symbols),
+                      np.fft.irfft(symbols[..., :h] * np.fft.rfft(real), n))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_refined_inverse_and_upsample_equal_numpy_fft_bit_for_bit(n):
+    g = Grid(n)
+    rng = np.random.default_rng(n)
+    spectrum = np.fft.rfft(rng.normal(size=(2, 16 * n)))[:, : n // 2 + 1]
+    assert _same_bits(g.refined(16).irfft(spectrum), np.fft.irfft(spectrum, 16 * n))
+    for values in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        coef = np.fft.fft(values)
+        padded = np.zeros(16 * n, dtype=complex)
+        padded[: n // 2] = coef[: n // 2]
+        padded[n // 2] = padded[-(n // 2)] = 0.5 * coef[n // 2]
+        padded[-(n // 2) + 1:] = coef[n // 2 + 1:]
+        expected = np.fft.ifft(padded) * 16
+        assert _same_bits(g.upsample(values, 16),
+                          expected if np.iscomplexobj(values) else expected.real)

@@ -1,16 +1,18 @@
-"""What madflow needs at import and run time: numpy alone, and every name
-the benchmark tracer wraps.
+"""What madflow needs at import and run time: numpy alone, its pocketfft
+gufuncs in `grid` only, and every name the benchmark tracer wraps.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported everything.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import madflow
+from madflow import grid
 
 SRC = str(Path(madflow.__file__).resolve().parents[1])
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
@@ -57,3 +59,34 @@ from madflow import grid, transport
 assert hasattr(grid.Grid.sample_all, "__wrapped__")
 assert hasattr(transport.displacement_interpolation, "__wrapped__")
 """)
+
+
+def _fft_uses(tree: ast.AST) -> list[str]:
+    """Each `<x>.fft.<name>` reference and each import from `numpy.fft` in `tree`."""
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"):
+            uses.append(f"fft.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            uses.append(f"from {node.module}")
+        elif isinstance(node, ast.Import):
+            uses += [a.name for a in node.names if a.name.startswith("numpy.fft")]
+    return uses
+
+
+def test_grid_alone_transforms():
+    # every transform in the package goes through Grid, which calls numpy's
+    # pocketfft gufuncs; elsewhere numpy.fft serves only its frequency tables
+    package = Path(madflow.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        uses = _fft_uses(ast.parse(path.read_text(), str(path)))
+        if path.name == "grid.py":
+            assert sorted(set(uses)) == ["fft.fftfreq", "from numpy.fft._pocketfft_umath"]
+        else:
+            assert uses == [], path.name
+    # the gufuncs are numpy's own: a numpy that moves or renames them fails here
+    import numpy.fft._pocketfft_umath as pocketfft
+    for name, kernel in (("_fft", "fft"), ("_ifft", "ifft"), ("_irfft", "irfft"),
+                         ("_rfft", "rfft_n_even")):
+        assert getattr(grid, name) is getattr(pocketfft, kernel)

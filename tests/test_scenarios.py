@@ -392,6 +392,25 @@ def test_stride_is_free_without_a_time_differencing_check_or_a_step_count():
             ["integrator.snapshot_stride=7", "integrator.dt=null"]))
 
 
+def test_cli_ledger_on_two_snapshots_exits_two_before_the_solve(monkeypatch, capsys,
+                                                                 tmp_path):
+    # two rows give the ledger's trapezoid no slopes to correct it with: at
+    # stride 2500 (2500 steps) it read 1.1e-4 against its 1e-4 tolerance
+    def no_solve(ctx, dt):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr("madflow.scenarios._run_solver", no_solve)
+    for stride in (2500, 10 ** 6):
+        out_dir = tmp_path / f"stride{stride}"
+        assert main(["run", "--scenario", "thm21_equivalence", "--override",
+                     f"integrator.snapshot_stride={stride}", "--out", str(out_dir)]) == 2
+        assert ("'phase_correction_ledger' needs 3 or more snapshots; snapshot_stride "
+                f"{stride} stores 2 over 2500 steps") in capsys.readouterr().err
+        assert not out_dir.exists()
+    # three rows (0, 2499 and 2500 steps) are served
+    ScenarioConfig.from_mapping(apply_overrides(
+        builtin_mapping("thm21_equivalence"), ["integrator.snapshot_stride=2499"]))
+
+
 def _residual(outcome, name: str) -> float:
     return next(c.residual for c in outcome.checks if c.name == name)
 

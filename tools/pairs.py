@@ -4,10 +4,10 @@
 
 Makes a `git archive` copy of each commit in a temporary directory and
 runs, in each copy, `python3 bench/run.py --workload W --seed S --seconds
-20 --trace 0` on both workloads: 6 pairs per workload, seeds 0-5, per seed
-`time_stepping` then `geometry_checks`, the parent first at even seeds and
-the change first at odd ones (ABBA).  It reads `bench/` and changes
-nothing in it.
+20 --trace 0` on both workloads: 10 pairs per workload, seeds 0-9, so
+that a gain means at least nine wins in ten; per seed `time_stepping`
+then `geometry_checks`, the parent first at even seeds and the change
+first at odd ones (ABBA).  It reads `bench/` and changes nothing in it.
 
 OUT receives every run's metrics, then per workload and end-to-end metric
 the medians and quartiles of both sides, the wins of the change over the
@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("time_stepping", "geometry_checks")
-PAIRS = 6
+PAIRS = 10
 SECONDS = 20
 REPO = Path(__file__).resolve().parents[1]
 
