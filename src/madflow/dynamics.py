@@ -3,7 +3,7 @@
 schrodinger_evolve   split-step Fourier (Strang) for the linear wave equation
 madelung_evolve      RK4 lines for the coupled (density, phase) system; it
                      starts from and stores `wgeom.TangentBundlePoint`s,
-                     gauged to mean zero, with a gauge ledger
+                     each the density and the phase it evolves
 heat_evolve          exact spectral semigroup of the heat flow
 dlss_evolve          explicit RK4 descent of the total energy (fourth order
                      quantum drift-diffusion)
@@ -22,10 +22,10 @@ step, guards every row's finiteness and the density floor and yields
 over it.  Every solver, and the scenario runner's pseudo-time runners,
 read the snapshot schedule and an empty record from `_snapshot_rows`; a
 record's times are the snapshot steps times dt.  The solvers only
-integrate: a TrajectoryRecord holds the snapshot times, one stacked
-array of the stored states and, on the Madelung solver, the gauge
-ledger; `STATE_FIELDS` names the arrays a state of each kind stores, a
-row's fields in order.  Mass, energies, entropy and Fisher information
+integrate: a TrajectoryRecord holds the snapshot times and one stacked
+array of the stored states; `STATE_FIELDS` names the arrays a state of
+each kind stores, a row's fields in order.  Mass, energies, entropy,
+Fisher information and the gauge ledger (the mu-mean of a stored phase)
 are functions of a state, derived from it by the caller.  Products are
 dealiased with the 2/3 rule.
 """
@@ -53,20 +53,18 @@ STATE_FIELDS = {"wave": ("real", "imag"), "polar": ("density", "phase"),
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Snapshots of a run: times, states, and the Madelung gauge ledger.
+    """Snapshots of a run: its times and states.
 
     Row i of `data`, a float array of shape (rows, fields, n) that the
     record makes read-only, holds the fields STATE_FIELDS[kind] of the
     state at times[i]; `state(i)` builds that WaveField, TangentBundlePoint
-    or DensityField, validated.  The ledger (None on the other solvers) is
-    the one per-snapshot column no state determines.
+    or DensityField, validated.
     """
 
     grid: Grid
     times: np.ndarray
     kind: str
     data: np.ndarray
-    gauge_constant: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         t = np.array(self.times, dtype=float)
@@ -77,11 +75,6 @@ class TrajectoryRecord:
                              f"states at times of shape {t.shape} on {self.grid.n} points")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("snapshot times must be strictly increasing")
-        if self.gauge_constant is not None:
-            ledger = np.asarray(self.gauge_constant, dtype=float)
-            if ledger.shape != t.shape:
-                raise ValueError(f"gauge ledger has shape {ledger.shape}, expected {t.shape}")
-            object.__setattr__(self, "gauge_constant", ledger)
         t.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -207,12 +200,11 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     d(S)/dt  = -( |dS/dx|^2 / 2 + V + quantum correction )
 
     The right-hand side is `wgeom.flow_kernel`; each snapshot is the
-    `TangentBundlePoint` (mu, S), so a stored snapshot restarts the run.
-    Each stored phase is gauged to mu-mean zero (the rates read S only
-    through dS/dx); the constant it drops, the integral of S dmu, is that
-    snapshot's entry in the record's gauge_constant ledger (reconciled
-    against the running action integral).  Raises NodeError when the
-    density reaches its floor and StabilityError on energy blow-up.
+    `TangentBundlePoint` (mu, S) the solver evolves, ungauged, so a stored
+    snapshot restarts the run and its gauge ledger, the integral of
+    S dmu (the rates read S only through dS/dx), continues.  Raises
+    NodeError when the density reaches its floor and StabilityError on
+    energy blow-up.
     """
     g = point.grid
     times, rows, data = _snapshot_rows("polar", g, dt, total_time, snapshot_stride)
@@ -221,14 +213,12 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
     guard_potential = PotentialField(g, np.abs(potential.values))
     rhs = flow_kernel(g, g.rfft(potential.values), constants.hbar)
     samples = np.stack((point.base.values, point.fiber_potential))
-    ledgers = np.empty(len(times))
     reference_energy = None
     for step, x in _rk4_steps(g, samples, rhs, dt, max(rows)):
         if step not in rows:
             continue
-        ledger = float(g.spacing * (x[1] * x[0]).sum())
-        state = TangentBundlePoint(DensityField(g, x[0]), x[1] - ledger)
-        guard = hamiltonian(state, guard_potential, constants)
+        guard = hamiltonian(TangentBundlePoint(DensityField(g, x[0]), x[1]),
+                            guard_potential, constants)
         if reference_energy is None:
             reference_energy = max(guard, 1e-12)
         elif guard > ENERGY_BLOWUP_FACTOR * reference_energy:
@@ -236,9 +226,8 @@ def madelung_evolve(point: TangentBundlePoint, potential: PotentialField,
                 f"energy grew to {guard:.3e} at t = {step * dt:.4g} "
                 f"({ENERGY_BLOWUP_FACTOR:g} times the initial level)"
             )
-        data[rows[step]] = state.base.values, state.fiber_potential
-        ledgers[rows[step]] = ledger
-    return TrajectoryRecord(g, times, "polar", data, ledgers)
+        data[rows[step]] = x
+    return TrajectoryRecord(g, times, "polar", data)
 
 
 # -- gradient flows ----------------------------------------------------------

@@ -9,9 +9,9 @@ energy and symplectic form, and the pullback defect, taken through the
 section's exact differential, that verifies the transform intertwines the
 two symplectic structures.  The constant phase shifts by which the
 Madelung and Schrödinger flows differ are not corrected here: the
-Madelung solver keeps them in its gauge ledger, and the
-`phase_correction_ledger` check reconciles that ledger with the running
-action integral.
+Madelung solver's stored phases carry them, each phase's mu-mean is its
+gauge ledger, and the `phase_correction_ledger` check reconciles that
+ledger with the running action integral.
 """
 
 from __future__ import annotations

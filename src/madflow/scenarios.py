@@ -37,7 +37,7 @@ from .grid import TAU, Grid
 from .madelung import (madelung_section, madelung_transform, polar_wave,
                        submersion_pullback_defect, wave_hamiltonian)
 from .wgeom import (StandardVectorFieldSpec, TangentBundlePoint, TangentVector,
-                    covariant_acceleration, hamiltonian, lagrangian,
+                    covariant_acceleration, hamiltonian, lagrangian, mean_free,
                     wasserstein_gradient)
 
 SCHEMA_VERSION = 1
@@ -717,19 +717,17 @@ def _density_row(rec: TrajectoryRecord, i: int) -> np.ndarray:
 
 
 def _row(ctx: RunContext, rec: TrajectoryRecord, i: int) -> dict:
-    """The columns that row i of `rec` defines, each from its one
-    definition: its time, its gauge ledger entry (0.0 on a record without
-    a ledger) and the physics of its state.
+    """The columns that row i of `rec` defines, each from its time and state.
 
-    Every state has a mass.  A wave earns the hydrodynamic columns only
-    while its Madelung transform exists (nowhere-vanishing, winding-free);
-    a bundle point earns the wave energy through `polar_wave`.  A density
-    earns entropy and fisher, and on the dlss solver also its total energy
-    and the Lagrangian of its descent velocity.
+    Every state has a mass and a gauge ledger, 0.0 but on a bundle point
+    (mu, S): the integral of S dmu.  A wave earns the hydrodynamic columns
+    only while its Madelung transform exists (nowhere-vanishing,
+    winding-free); a bundle point earns the wave energy through
+    `polar_wave`.  A density earns entropy and fisher, and on the dlss
+    solver also its total energy and the Lagrangian of its descent velocity.
     """
     potential, constants = ctx.potential, ctx.constants
-    ledger = 0.0 if rec.gauge_constant is None else float(rec.gauge_constant[i])
-    row = {"time": float(rec.times[i]), "gauge_constant": ledger,
+    row = {"time": float(rec.times[i]), "gauge_constant": 0.0,
            "mass": ctx.grid.integrate(_density_row(rec, i))}
     density = point = rec.state(i)
     if rec.kind == "wave":
@@ -739,6 +737,7 @@ def _row(ctx: RunContext, rec: TrajectoryRecord, i: int) -> dict:
         except (NodeError, AliasError, WindingError):
             return row
     elif rec.kind == "polar":
+        row["gauge_constant"] = ctx.grid.integrate(point.fiber_potential * point.base.values)
         wave = WaveField(ctx.grid, polar_wave(point, constants))
         row["H_S"] = wave_hamiltonian(wave, potential, constants)
     if rec.kind != "density":
@@ -811,10 +810,14 @@ def _check_mass_conservation(ctx: RunContext) -> np.ndarray:
 
 
 def _check_stationarity(ctx: RunContext) -> np.ndarray:
-    """State stays at its initial value (a wave's density, whose phase may turn)."""
+    """State stays at its initial value (a wave's density, whose phase may
+    turn; a bundle point's density and gauged phase, whose ledger may turn)."""
     rec = ctx.record
     if rec.kind != "wave":
-        return np.abs(rec.data - rec.data[0]).max(axis=(1, 2))
+        rows = rec.data
+        if rec.kind == "polar":
+            rows = np.stack((rows[:, 0], mean_free(ctx.grid, rows[:, 0], rows[:, 1])), axis=1)
+        return np.abs(rows - rows[0]).max(axis=(1, 2))
     base = _density_row(rec, 0)
     return np.array([np.abs(_density_row(rec, i) - base).max() for i in range(len(rec.times))])
 
@@ -857,14 +860,14 @@ def _check_schrodinger_density_match(ctx: RunContext) -> np.ndarray:
 
 
 def _check_velocity_potential_match(ctx: RunContext) -> np.ndarray:
-    """The gap between the fiber and the gauge-fixed Madelung phase of the
+    """The gap between the gauged fiber and the gauged Madelung phase of the
     wave; nan where the wave has a node."""
     def gap(i: int) -> np.ndarray | None:
         try:
             wave = madelung_transform(ctx.wave_oracle.state(i), ctx.constants)
         except NodeError:
             return None
-        return wave.tangent.potential - ctx.record.data[i, 1]
+        return wave.tangent.potential - mean_free(ctx.grid, *ctx.record.data[i])
     return _l2_gaps(ctx.grid, map(gap, range(len(ctx.record.times))))
 
 

@@ -263,7 +263,8 @@ def wasserstein_gradient(kind: str, mu: DensityField,
 
 @dataclass(frozen=True)
 class TangentBundlePoint:
-    """Point of the tangent bundle: a base density plus a fiber potential."""
+    """Point of the tangent bundle: a base density plus a fiber potential, the
+    raw one, whose mu-mean is free; `tangent` holds the gauged potential."""
 
     base: DensityField
     fiber_potential: np.ndarray

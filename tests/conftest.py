@@ -49,13 +49,27 @@ def _flux_mutant(kernel, scale):
     return build
 
 
+def _offset_mutant(kernel, scale):
+    """`kernel` with the constant `scale` subtracted from its phase rate."""
+    def build(grid, potential=0.0, hbar=0.0):
+        rates = kernel(grid, potential, hbar)
+
+        def mutant(coefficients, out):
+            rates(coefficients, out)
+            out[1, 0] -= scale * grid.n
+            return out
+        return mutant
+    return build
+
+
 @pytest.fixture
 def flow_mutant(monkeypatch):
     """`with flow_mutant(kind, scale):` runs its block on a Hamiltonian flow
     with one known error: kind "pressure" scales the quantum pressure
-    (`wgeom._fisher_terms`), kind "kinetic" the kinetic coefficient 1/2 and
+    (`wgeom._fisher_terms`), kind "kinetic" the kinetic coefficient 1/2,
     kind "flux" the density row of `flow_kernel` as `wgeom` and `dynamics`
-    see it."""
+    see it, and kind "offset" subtracts the constant `scale` from its phase
+    rate."""
     @contextlib.contextmanager
     def patched(kind, scale):
         from madflow import dynamics, wgeom
@@ -64,7 +78,8 @@ def flow_mutant(monkeypatch):
                 terms = wgeom._fisher_terms
                 m.setattr(wgeom, "_fisher_terms", lambda *args: terms(*args) * scale)
             else:
-                wrap = {"kinetic": _kinetic_mutant, "flux": _flux_mutant}[kind]
+                wrap = {"kinetic": _kinetic_mutant, "flux": _flux_mutant,
+                        "offset": _offset_mutant}[kind]
                 mutant = wrap(wgeom.flow_kernel, scale)
                 for module in (wgeom, dynamics):
                     m.setattr(module, "flow_kernel", mutant)

@@ -62,6 +62,11 @@ def _lagrangians(rec, V, c):
     return np.array([lagrangian(s.tangent, V, c) for s in _states(rec)])
 
 
+def _ledgers(rec):
+    """The gauge ledger of each polar snapshot: the integral of S dmu of its row."""
+    return np.array([rec.grid.integrate(row[1] * row[0]) for row in rec.data])
+
+
 # -- record container --------------------------------------------------------
 
 
@@ -70,29 +75,17 @@ def _density_pair(g):
     return np.stack([[mu], [mu]])
 
 
-def test_trajectory_record_holds_a_ledger_or_none():
-    g = Grid(16)
-    good = TrajectoryRecord(g, np.array([0.0, 1.0]), "density", _density_pair(g),
-                            np.array([0.0, 0.5]))
-    assert good.data.shape == (2, 1, 16)
-    assert good.gauge_constant.tolist() == [0.0, 0.5]
-    assert TrajectoryRecord(g, np.array([0.0, 1.0]), "density",
-                            _density_pair(g)).gauge_constant is None
-
-
-@pytest.mark.parametrize("times, kind, rows, ledger", [
-    ([0.0, 1.0], "density", slice(0, 1), None),  # a row count other than the times'
-    ([0.0, 1.0], "polar", slice(None), None),  # one field where a polar state has two
-    ([0.0, 1.0], "density", (slice(None), slice(None), slice(0, 8)), None),  # wrong n
-    ([1.0, 0.5], "density", slice(None), None),  # times not increasing
-    ([0.0, 1.0], "density", slice(None), [1.0]),  # a ledger of the wrong shape
-    ([0.0, 1.0], "wavelet", slice(None), None),  # no such kind
-], ids=["rows", "fields", "n", "times", "ledger", "kind"])
-def test_trajectory_record_validation(times, kind, rows, ledger):
+@pytest.mark.parametrize("times, kind, rows", [
+    ([0.0, 1.0], "density", slice(0, 1)),  # a row count other than the times'
+    ([0.0, 1.0], "polar", slice(None)),  # one field where a polar state has two
+    ([0.0, 1.0], "density", (slice(None), slice(None), slice(0, 8))),  # wrong n
+    ([1.0, 0.5], "density", slice(None)),  # times not increasing
+    ([0.0, 1.0], "wavelet", slice(None)),  # no such kind
+], ids=["rows", "fields", "n", "times", "kind"])
+def test_trajectory_record_validation(times, kind, rows):
     g = Grid(16)
     with pytest.raises(ValueError):
-        TrajectoryRecord(g, np.array(times), kind, _density_pair(g)[rows],
-                         None if ledger is None else np.array(ledger))
+        TrajectoryRecord(g, np.array(times), kind, _density_pair(g)[rows])
 
 
 def test_trajectory_record_data_is_read_only():
@@ -211,19 +204,20 @@ def test_madelung_uniform_rest_state_is_stationary():
     assert isinstance(final, TangentBundlePoint)
     assert np.max(np.abs(final.base.values - mu.values)) < 1e-14
     assert np.max(np.abs(final.fiber_potential)) < 1e-14
-    assert np.abs(rec.gauge_constant).max() < 1e-14
+    assert np.abs(_ledgers(rec)).max() < 1e-14
 
 
 def test_madelung_constant_potential_feeds_the_ledger():
-    # Uniform rest state under V = c: the phase equation removes -c dt per
-    # step into the gauge ledger, and the Lagrangian is identically -c, so
-    # ledger(t) = -c t exactly and l_f = -c.
+    # Uniform rest state under V = c: the phase equation lowers the stored
+    # phase by c dt per step, so the phase and its mu-mean, the gauge
+    # ledger, read -c t, and the Lagrangian is identically -c, so l_f = -c.
     g = Grid(64)
     c = PhysicsConstants(1.0)
     mu = uniform_density(g)
     V = PotentialField(g, np.full(g.n, 0.8))
     rec = madelung_evolve(_at_rest(mu), V, c, 1e-3, 0.1, snapshot_stride=20)
-    assert np.max(np.abs(rec.gauge_constant - (-0.8 * rec.times))) < 1e-12
+    assert np.max(np.abs(rec.data[:, 1] + 0.8 * rec.times[:, None])) < 1e-12
+    assert np.max(np.abs(_ledgers(rec) - (-0.8 * rec.times))) < 1e-12
     assert np.max(np.abs(_lagrangians(rec, V, c) + 0.8)) < 1e-12
     h_f = [hamiltonian(s, V, c) for s in _states(rec)]
     assert np.max(np.abs(np.array(h_f) - 0.8)) < 1e-12
@@ -237,7 +231,7 @@ def test_madelung_pinned_input_enters_ledger_on_conversion():
     shifted = TangentBundlePoint(mu, raw - (raw[0] - 2.5))  # the phase pinned to 2.5 at x = 0
     mean = g.integrate(shifted.fiber_potential * mu.values)
     rec = madelung_evolve(shifted, PotentialField.zero(g), c, 1e-3, 0.002)
-    assert abs(rec.gauge_constant[0] - mean) < 1e-12
+    assert abs(_ledgers(rec)[0] - mean) < 1e-12
 
 
 def test_madelung_tracks_the_wave_solver():
@@ -262,7 +256,7 @@ def test_madelung_gauge_ledger_matches_action_integral():
     mu0 = cosine_bump_density(g, np.pi, 2.0)
     rec = madelung_evolve(_at_rest(mu0), V, c, 1e-4, 0.02, snapshot_stride=1)
     lf = _lagrangians(rec, V, c)
-    gc = rec.gauge_constant
+    gc = _ledgers(rec)
     running = np.concatenate(([0.0], np.cumsum(0.5 * (lf[1:] + lf[:-1]) * 1e-4)))
     assert abs(gc[-1]) > 1e-3  # the reconciliation is not vacuous
     assert np.max(np.abs(gc - running)) < 1e-9
@@ -271,7 +265,8 @@ def test_madelung_gauge_ledger_matches_action_integral():
 def test_madelung_restarts_from_a_stored_snapshot():
     # the solver starts from the point type it stores: two halves of the
     # thm21 run, the second started from the first's final snapshot, land
-    # on the unbroken run, and their gauge ledgers add up to its ledger
+    # on the unbroken run's stored phase, so the second half continues the
+    # absolute gauge ledger
     ctx = execute_config(builtin_config("thm21_equivalence"))
     full, half_time = ctx.record, 0.5 * ctx.config.total_time
     args = (ctx.potential, ctx.constants, ctx.dt, half_time)
@@ -280,17 +275,16 @@ def test_madelung_restarts_from_a_stored_snapshot():
     end, restarted = full.state(-1), rest.state(-1)
     assert np.max(np.abs(restarted.base.values - end.base.values)) < 1e-12
     assert np.max(np.abs(restarted.fiber_potential - end.fiber_potential)) < 1e-12
-    ledger = half.gauge_constant[-1] + rest.gauge_constant[-1]
-    assert abs(ledger - full.gauge_constant[-1]) < 1e-15
+    assert abs(_ledgers(rest)[-1] - _ledgers(full)[-1]) < 1e-15
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-10.0, 10.0), mark=st.integers(0, 3))
 def test_madelung_record_is_blind_to_the_phase_constant_and_restarts(seed, shift, mark):
     # the rates read the phase only through its gradient, so a constant
-    # added to the start moves no density and no stored (gauged) fiber and
-    # enters the ledger whole; and a run restarted from any stored snapshot
-    # lands on the unbroken run, the two ledgers adding up to its ledger
+    # added to the start moves no density and no gauged fiber and enters the
+    # ledger whole; and a run restarted from any stored snapshot lands on
+    # the unbroken run and continues its ledger
     g = Grid(64)
     c = PhysicsConstants(1.0)
     V = PotentialField(g, 1.0 - np.cos(g.points - np.pi))
@@ -301,13 +295,12 @@ def test_madelung_record_is_blind_to_the_phase_constant_and_restarts(seed, shift
     moved = madelung_evolve(TangentBundlePoint(mu, phase + shift), V, c, dt, steps * dt, stride)
     for a, b in zip(_states(full), _states(moved)):
         assert np.max(np.abs(a.base.values - b.base.values)) <= 1e-12
-        assert np.max(np.abs(a.fiber_potential - b.fiber_potential)) <= 1e-12
-    assert np.max(np.abs(moved.gauge_constant - full.gauge_constant - shift)) <= 1e-13
+        assert np.max(np.abs(a.tangent.potential - b.tangent.potential)) <= 1e-12
+    assert np.max(np.abs(_ledgers(moved) - _ledgers(full) - shift)) <= 1e-13
 
     rest = madelung_evolve(full.state(mark), V, c, dt, (steps - mark * stride) * dt, stride)
     assert np.max(np.abs(rest.state(-1).base.values - full.state(-1).base.values)) <= 1e-12
-    ledger = full.gauge_constant[mark] + rest.gauge_constant[-1]
-    assert abs(ledger - full.gauge_constant[-1]) <= 1e-13
+    assert abs(_ledgers(rest)[-1] - _ledgers(full)[-1]) <= 1e-13
 
 
 def test_madelung_node_guard():
@@ -340,34 +333,52 @@ def test_madelung_energy_guard(depth, message):
 
 
 def _free_packet_gaps(stride: int = 250):
-    """Largest L2 gaps over the stored rows of a V = 0 Madelung run from a free
+    """Largest gaps over the stored rows of a V = 0 Madelung run from a free
     Gaussian packet against the Madelung transform of its closed form: the
-    density, and the phase after the mu-mean gauge."""
+    L2 gaps of the density, of the phase after the mu-mean gauge and of the
+    raw stored phase, and the gap of the gauge ledger, the integral of
+    S dmu.  The closed form's phase at x = 0 stays on the branch the run
+    starts from (it reads 1.0812 at t = 0.25), so the raw phases compare
+    without a 2 pi hbar correction."""
     g = Grid(256)
     c = PhysicsConstants(1.0)
     dt, total = 1e-4, 0.25
     rec = madelung_evolve(madelung_transform(free_gaussian_wave(g, np.pi, 0.7, c, 0.0), c),
                           PotentialField.zero(g), c, dt, total, snapshot_stride=stride)
-    density = phase = 0.0
+    density = phase = raw = ledger = 0.0
     for i, t in enumerate(rec.times):
         exact = madelung_transform(free_gaussian_wave(g, np.pi, 0.7, c, t), c)
         got = rec.state(i)
         density = max(density, np.sqrt(g.integrate((got.base.values - exact.base.values) ** 2)))
         phase = max(phase, np.sqrt(g.integrate((got.tangent.potential
                                                 - exact.tangent.potential) ** 2)))
-    return density, phase
+        raw = max(raw, np.sqrt(g.integrate((got.fiber_potential - exact.fiber_potential) ** 2)))
+        ledger = max(ledger, abs(g.integrate(got.fiber_potential * got.base.values)
+                                 - g.integrate(exact.fiber_potential * exact.base.values)))
+    return density, phase, raw, ledger
 
 
 def test_madelung_solver_follows_the_free_packet_closed_form(flow_mutant):
     # the hydrodynamic solver against a closed form, at V = 0 and hbar = 1:
-    # rounding-level clean, and a kinetic coefficient off by 2e-4 or a
-    # quantum pressure off by 1e-4 moves the phase by orders more
-    density, phase = _free_packet_gaps()
+    # rounding-level clean, the absolute phase and its ledger too, and a
+    # kinetic coefficient off by 2e-4 or a quantum pressure off by 1e-4
+    # moves the phase by orders more
+    density, phase, raw, ledger = _free_packet_gaps()
     assert density <= 1e-13
     assert phase <= 1e-11
+    assert raw <= 1e-11
+    assert ledger <= 1e-13
     for kind, scale in (("pressure", 1.0001), ("kinetic", 1.0 + 2e-4)):
         with flow_mutant(kind, scale):
             assert _free_packet_gaps()[1] >= 1e-6
+    # a constant 1e-6 off the phase rate moves no gradient, so the gauged
+    # phase stays clean; only the absolute phase (6.3e-7 in L2) and its
+    # ledger (2.5e-7) see it
+    with flow_mutant("offset", 1e-6):
+        _, phase, raw, ledger = _free_packet_gaps()
+    assert phase <= 1e-11
+    assert raw >= 1e-7
+    assert ledger >= 1e-7
 
 
 def _symplectic_defect(seed: int = 0, eps: float = 1e-5) -> float:
@@ -443,8 +454,7 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     # below allocates every rate and builds a fresh kernel for every
     # right-hand side, writing into a fresh buffer (for DLSS the flow's
     # phase rate at rest, then its density row along that rate, two full
-    # flow kernels), and gauges each snapshot's phase to mu-mean zero.
-    # Every snapshot and the ledger must agree bit for bit, so a rate
+    # flow kernels).  Every snapshot must agree bit for bit, so a rate
     # buffer overwritten before the final combination, or a kernel that
     # keeps state between calls, fails here.
     g = Grid(64)
@@ -455,34 +465,26 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
     mu0 = cosine_bump_density(g, np.pi, 0.3)
     steps = 20
 
-    def plain(y, rhs, dt, settle):
-        samples = [settle(g.irfft(y))]
+    def plain(y, rhs, dt):
+        samples = [g.irfft(y)]
         for _ in range(steps):
             k1 = rhs(y)
             k2 = rhs(y + 0.5 * dt * k1)
             k3 = rhs(y + 0.5 * dt * k2)
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            samples.append(settle(g.irfft(y)))
+            samples.append(g.irfft(y))
         return samples
-
-    ledger = []
-
-    def gauge(x):
-        ledger.append(g.integrate(x[1] * x[0]))
-        return np.stack((x[0], x[1] - ledger[-1]))
 
     start = TangentBundlePoint(mu0, 0.3 * np.sin(g.points))
     dt = 1e-3
     expected = plain(g.rfft(np.stack((mu0.values, start.fiber_potential))) * mask,
-                     lambda y: flow_kernel(g, v_hat, c.hbar)(y, np.empty_like(y)), dt,
-                     gauge)
+                     lambda y: flow_kernel(g, v_hat, c.hbar)(y, np.empty_like(y)), dt)
     rec = madelung_evolve(start, V, c, dt, steps * dt)
     assert len(rec.times) == steps + 1
     for state, x in zip(_states(rec), expected):
         assert np.array_equal(state.base.values, x[0])
         assert np.array_equal(state.fiber_potential, x[1])
-    assert np.array_equal(rec.gauge_constant, ledger)
     assert not np.array_equal(rec.state(-1).base.values, rec.state(0).base.values)
 
     def descent(y):
@@ -492,7 +494,7 @@ def test_buffered_rk4_equals_a_plain_allocating_rk4():
         return flow_kernel(g)(both, np.empty_like(both))[:1]
 
     dt = 1e-5
-    expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt, lambda x: x)
+    expected = plain(g.rfft(mu0.values[None, :]) * mask, descent, dt)
     rec = dlss_evolve(mu0, V, c, dt, steps * dt)
     assert len(rec.times) == steps + 1
     for state, x in zip(_states(rec), expected):

@@ -36,3 +36,13 @@ def test_verdict_counts_ties_for_neither_side():
 def test_a_run_without_a_result_leaves_the_metric_incomplete():
     change = [1.0, 1.0, float("nan"), 1.0, 1.0, 1.0]
     assert pairs.verdict(PARENT, change, "lower", 0.25)["verdict"] == "incomplete"
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\nw = 4")  # no final newline
+    (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "c.py").write_text("outside = src\n")
+    assert pairs.src_lines(tmp_path) == 5

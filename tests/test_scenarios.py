@@ -417,12 +417,11 @@ def _residual(outcome, name: str) -> float:
 
 def _thinned(ctx, step: int):
     """`ctx` keeping every `step`-th snapshot: the run at `step` times its
-    stride.  The record with its ledger, every column and a wave oracle the
-    run already computed are sliced; the oracle is never rebuilt, since one
-    built from the config would sample the config's stride."""
+    stride.  The record, every column and a wave oracle the run already
+    computed are sliced; the oracle is never rebuilt, since one built from
+    the config would sample the config's stride."""
     def thin(rec):
-        ledger = None if rec.gauge_constant is None else rec.gauge_constant[::step]
-        return TrajectoryRecord(rec.grid, rec.times[::step], rec.kind, rec.data[::step], ledger)
+        return TrajectoryRecord(rec.grid, rec.times[::step], rec.kind, rec.data[::step])
     thinned = dataclasses.replace(
         ctx, record=thin(ctx.record),
         columns={name: column[::step] for name, column in ctx.columns.items()})
@@ -529,6 +528,20 @@ def test_stationarity_of_a_wave_record_reads_its_density():
     assert _residual(outcome, "stationarity") <= 1e-13
     rec = outcome.context.record
     assert np.abs(rec.state(-1).values - rec.state(0).values).max() > 0.1
+
+
+def test_stationarity_of_a_polar_record_reads_its_gauged_phase():
+    # under a constant V = 0.8 the uniform rest state's stored phase turns
+    # as -0.8 t, as a stationary wave's phase does: stationarity compares
+    # the density and the mu-mean-free phase between rows
+    mapping = apply_overrides(builtin_mapping("uniform_stationary"), [
+        'potential={"kind": "custom_table", "parameters": {"values": [0.8]}}'])
+    mapping["potential"]["parameters"]["values"] *= mapping["grid"]["n"]
+    outcome = run_scenario(ScenarioConfig.from_mapping(mapping), write=False)
+    assert outcome.passed
+    assert _residual(outcome, "stationarity") <= 1e-13
+    rec = outcome.context.record
+    assert np.abs(rec.data[-1, 1] + 0.8 * rec.times[-1]).max() <= 1e-13
 
 
 def test_check_tolerance_defaults_from_registry():
@@ -861,6 +874,7 @@ def _rebuilt_row(ctx, state):
     """The physics columns of one stored state, from the public definitions."""
     g, V, c = ctx.grid, ctx.potential, ctx.constants
     row = dict.fromkeys(("H_S", "H_F", "L_F"), np.nan)
+    row["gauge_constant"] = 0.0
     if isinstance(state, DensityField):
         vals = functionals(state, V, c)
         row["mass"] = g.integrate(state.values)
@@ -874,6 +888,7 @@ def _rebuilt_row(ctx, state):
         else:
             wave, point = WaveField(g, polar_wave(state, c)), state
             row["mass"] = g.integrate(point.base.values)
+            row["gauge_constant"] = g.integrate(point.fiber_potential * point.base.values)
         vals = functionals(point.base, V, c)
         row.update(H_S=wave_hamiltonian(wave, V, c), H_F=hamiltonian(point, V, c),
                    L_F=lagrangian(point.tangent, V, c))
@@ -889,15 +904,14 @@ def _rebuilt_row(ctx, state):
     ("thm44_hamiltonian", ["integrator.total_time=9.0"]),
 ], ids=["schrodinger", "madelung", "dlss", "static"])
 def test_columns_are_rebuilt_from_the_stored_states(scenario, overrides):
-    # every column but the gauge ledger is a function of the stored state
+    # every column, the gauge ledger too, is a function of the stored state
     mapping = apply_overrides(builtin_mapping(scenario), overrides)
     ctx = execute_config(ScenarioConfig.from_mapping(mapping))
     rec = ctx.record
     rows = [_rebuilt_row(ctx, state) for state in _states(rec)]
     rebuilt = {name: np.array([row[name] for row in rows])
-               for name in OBSERVABLE_COLUMNS[1:-1]}
-    rebuilt.update(time=rec.times, gauge_constant=np.zeros(len(rows))
-                   if rec.gauge_constant is None else rec.gauge_constant)
+               for name in OBSERVABLE_COLUMNS[1:]}
+    rebuilt["time"] = rec.times
     assert len(rows) > 1
     for name in OBSERVABLE_COLUMNS:
         assert np.array_equal(ctx.columns[name], rebuilt[name], equal_nan=True), name

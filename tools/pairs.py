@@ -9,7 +9,8 @@ that a gain means at least nine wins in ten; per seed `time_stepping`
 then `geometry_checks`, the parent first at even seeds and the change
 first at odd ones (ABBA).  It reads `bench/` and changes nothing in it.
 
-OUT receives every run's metrics, then per workload and end-to-end metric
+OUT receives each side's `src/` line count (the lines of `src/**/*.py` in
+its archived tree), every run's metrics, then per workload and end-to-end metric
 the medians and quartiles of both sides, the wins of the change over the
 pairs and a verdict against the parent's `BENCHMARK.json` bound:
 
@@ -21,7 +22,7 @@ pairs and a verdict against the parent's `BENCHMARK.json` bound:
   not every change run reads better than every parent run;
 - "no regression" otherwise.
 
-A table of the verdicts goes to standard output.
+The line counts and a table of the verdicts go to standard output.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def checkout(commit: str, into: Path) -> str:
         tar.extractall(into, filter="data")
     archive.unlink()
     return sha
+
+
+def src_lines(root: Path) -> int:
+    """The line count of every `src/**/*.py` file under `root`."""
+    return sum(len(path.read_bytes().splitlines()) for path in root.glob("src/**/*.py"))
 
 
 def bench_run(root: Path, workload: str, seed: int) -> dict:
@@ -108,6 +114,7 @@ def main(argv: list[str]) -> int:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: checkout(ref, roots[side])
                 for side, ref in (("parent", parent_ref), ("change", change_ref))}
+        lines = {side: src_lines(root) for side, root in roots.items()}
         contract = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
         for seed in range(PAIRS):
             for workload in WORKLOADS:
@@ -139,8 +146,9 @@ def main(argv: list[str]) -> int:
                          "--trace 0, each side from its own git-archive copy; seeds "
                          f"0-{PAIRS - 1}, per seed time_stepping then geometry_checks; "
                          "parent first at even seeds, change first at odd seeds",
-              "runs": runs, "summary": summary}
+              "src_lines": lines, "runs": runs, "summary": summary}
     Path(out).write_text(json.dumps(record, indent=1) + "\n")
+    print(f"src/ lines {lines['parent']} -> {lines['change']}")
     for workload, rows in summary.items():
         for name, row in rows.items():
             if isinstance(row, dict) and "wins" in row:
